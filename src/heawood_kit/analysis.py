@@ -7,25 +7,21 @@ mode.  Chromatic numbers are exact via DSATUR bounds plus backtracking.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Sequence
 
+from .intlin import InvalidSignature
 from .lattice import KSignature
-from .quotient import QuotientGraph, build_heawood_graph, vertex_key
+from .quotient import QuotientGraph, build_heawood_graph
+from .symmetry import CapExceeded, search_cap
 
 DEFAULT_CHROMATIC_CAP = 60
 DEFAULT_HAMILTONIAN_BUDGET = 10**6
 
 
-class CapExceeded(RuntimeError):
-    """An exact analysis was requested above its configured cap."""
-
-
-def _cap(default: int) -> int:
-    value = os.environ.get("HEAWOOD_CAP")
-    return int(value) if value else default
+class CycleError(RuntimeError):
+    """A walk or cycle fails to be a closed path along graph edges."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ def six_cycles_through(g: QuotientGraph, v: int) -> list[CycleReport]:
                 if canon not in seen:
                     seen.add(canon)
                     out.append(
-                        CycleReport(6, tuple(path), _classify_cycle(g, path))
+                        CycleReport(6, tuple(path), "hexagon-face-candidate")
                     )
             return
         for w in g.adjacency[path[-1]]:
@@ -103,22 +99,11 @@ def six_cycles_through(g: QuotientGraph, v: int) -> list[CycleReport]:
 
 def _canonical_cycle(path: Sequence[int]) -> tuple[int, ...]:
     n = len(path)
-    best = None
-    for seq in (list(path), list(reversed(path))):
-        for r in range(n):
-            cand = tuple(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
-
-
-def _classify_cycle(g: QuotientGraph, path: Sequence[int]) -> str:
-    if len(path) == 6:
-        return "hexagon-face-candidate"
-    if len(path) == 4:
-        return "square-face-candidate"
-    return "other"
+    return min(
+        tuple(seq[r:] + seq[:r])
+        for seq in (list(path), list(reversed(path)))
+        for r in range(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -134,15 +119,18 @@ def hamiltonian_alternating(k: KSignature, i: int) -> HamiltonianWalkResult:
     """Walk from the seed alternating the two moves attached to index i.
 
     The even steps add e_i - e_{i+1}, the odd steps e_i - e_{i-1}, indices
-    cyclic and 1-based.  Each step is asserted to be a graph edge.  The
+    cyclic and 1-based.  Each step is checked to be a graph edge.  The
     deterministic walk has unique predecessors, so the first revisited
     state is the start; the walk is Hamiltonian exactly when that happens
-    after one step per vertex.
+    after one step per vertex.  Only d = 2 is accepted: for d >= 3 the
+    steps are not edges of the tiling.
     """
-    g = build_heawood_graph(k)
     n = k.n
+    if k.d != 2:
+        raise InvalidSignature(f"the alternating walk needs d = 2, not d = {k.d}")
     if not 1 <= i <= n:
-        raise IndexError(f"index {i} out of range")
+        raise InvalidSignature(f"walk index {i} out of range 1..{n}")
+    g = build_heawood_graph(k)
     plus = i - 1  # coordinate gaining a unit on even steps
     minus_even = i % n  # e_i - e_{i+1}
     minus_odd = (i - 2) % n  # e_i - e_{i-1}
@@ -157,26 +145,19 @@ def hamiltonian_alternating(k: KSignature, i: int) -> HamiltonianWalkResult:
         step[plus] += 1
         step[minus_even if parity == 0 else minus_odd] -= 1
         nxt = g.key_of(tuple(step))
-        assert g.index[nxt] in g.adjacency[g.index[current]], "walk left the graph"
+        if g.index[nxt] not in g.adjacency[g.index[current]]:
+            raise CycleError("walk left the graph")
         parity ^= 1
         current = nxt
         if current == seed and parity == 0:
             break
         cycle.append(g.index[current])
         if len(cycle) > 2 * g.vertex_count + 2:
-            raise AssertionError("walk failed to close")
-    distinct = len(set(cycle))
-    if distinct == g.vertex_count and len(cycle) == g.vertex_count:
-        return HamiltonianWalkResult(
-            mode=f"alternating({i})",
-            outcome="hamiltonian-cycle",
-            length=len(cycle),
-            cycle=tuple(cycle),
-            vertices=g.vertex_count,
-        )
+            raise CycleError("walk failed to close")
+    whole = len(set(cycle)) == len(cycle) == g.vertex_count
     return HamiltonianWalkResult(
         mode=f"alternating({i})",
-        outcome="premature-closure",
+        outcome="hamiltonian-cycle" if whole else "premature-closure",
         length=len(cycle),
         cycle=tuple(cycle),
         vertices=g.vertex_count,
@@ -191,7 +172,7 @@ def hamiltonian_backtracking(
     Outcome none-found is a proof only when the search space was exhausted
     within budget; otherwise the result is flagged indeterminate.
     """
-    limit = budget if budget is not None else _cap(DEFAULT_HAMILTONIAN_BUDGET)
+    limit = budget if budget is not None else search_cap(DEFAULT_HAMILTONIAN_BUDGET)
     n = g.vertex_count
     if n == 0:
         return HamiltonianWalkResult("general-backtracking", "none-found", 0)
@@ -240,9 +221,11 @@ def hamiltonian_backtracking(
 
 
 def _validate_cycle(g: QuotientGraph, cycle: Sequence[int]) -> None:
-    assert len(set(cycle)) == len(cycle) == g.vertex_count
+    if not len(set(cycle)) == len(cycle) == g.vertex_count:
+        raise CycleError("cycle does not visit every vertex exactly once")
     for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-        assert b in g.adjacency[a], "cycle uses a non-edge"
+        if b not in g.adjacency[a]:
+            raise CycleError("cycle uses a non-edge")
 
 
 def greedy_clique(g: QuotientGraph) -> list[int]:
@@ -323,7 +306,7 @@ def _colorable(g: QuotientGraph, t: int) -> bool:
 
 def chromatic_number(g: QuotientGraph, cap: Optional[int] = None) -> int:
     """Exact chromatic number for graphs within the vertex cap."""
-    limit = cap if cap is not None else _cap(DEFAULT_CHROMATIC_CAP)
+    limit = cap if cap is not None else search_cap(DEFAULT_CHROMATIC_CAP)
     if g.vertex_count > limit:
         raise CapExceeded(
             f"vertex count {g.vertex_count} above chromatic cap {limit}"

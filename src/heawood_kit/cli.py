@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from math import factorial
 from typing import Optional, Sequence
 
 from . import analysis, artifacts, fixtures, symmetry
@@ -29,6 +30,9 @@ from .quotient import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
+
+# Most vertices `build` makes unless HEAWOOD_CAP says otherwise: ~4 s, 200 MB.
+DEFAULT_BUILD_CAP = 200_000
 
 
 def parse_signature(text: str, delta: bool = False) -> KSignature:
@@ -58,6 +62,10 @@ def emit_text(text: str, out: Optional[str]) -> None:
 
 def cmd_build(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
+    vertices = factorial(k.d) * k.order()
+    cap = symmetry.search_cap(DEFAULT_BUILD_CAP)
+    if vertices > cap:
+        raise symmetry.CapExceeded(f"{vertices} vertices above build cap {cap}")
     if args.torus:
         complex_ = build_torus_complex(k)
         if args.format == "off":
@@ -288,7 +296,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (symmetry.CapExceeded, analysis.CapExceeded) as exc:
+    except symmetry.CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP
 

@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
 Small dense matrices over Z with arbitrary-precision entries: Bareiss
-determinants, Smith normal form with unimodular transforms, and membership
-tests for integer row spans.  Everything here is exact; no floats.
+determinants, Smith normal form with unimodular transforms and the inverse
+of the column transform, and membership tests for integer row spans.
+Everything here is exact; no floats.
 """
 
 from __future__ import annotations
@@ -139,11 +140,12 @@ def det(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith normal form s = u @ input @ v with unimodular u, v."""
+    """Smith normal form s = u @ input @ v with unimodular u, v; v_inv @ v = I."""
 
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    v_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return self.s.diagonal()
@@ -160,6 +162,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     a = [list(m.row(i)) for i in range(R)]
     u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
     v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    v_inv = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -170,6 +173,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst, src, c):
         # row dst += c * row src
@@ -181,10 +185,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             ud[j] += c * usrc[j]
 
     def add_col(dst, src, c):
+        # column dst += c * column src; the inverse takes row src -= c * row dst
         for r in a:
             r[dst] += c * r[src]
         for r in v:
             r[dst] += c * r[src]
+        vs, vd = v_inv[src], v_inv[dst]
+        for j in range(C):
+            vs[j] -= c * vd[j]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -241,6 +249,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         s=IntMatrix.from_rows([tuple(r) for r in a]) if a else IntMatrix(0, C, ()),
         u=IntMatrix.from_rows([tuple(r) for r in u]) if u else IntMatrix(0, 0, ()),
         v=IntMatrix.from_rows([tuple(r) for r in v]) if v else IntMatrix(0, 0, ()),
+        v_inv=IntMatrix.from_rows([tuple(r) for r in v_inv]) if v else IntMatrix(0, 0, ()),
     )
 
 
@@ -269,26 +278,3 @@ def integer_span_contains(rows: IntMatrix, target: Sequence[int]) -> bool:
             return False
     return True
 
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1, via the adjugate."""
-    if m.rows != m.cols:
-        raise ShapeError("inverse of non-square matrix")
-    n = m.rows
-    d = det(m)
-    if d not in (1, -1):
-        raise ShapeError("matrix is not unimodular")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix.from_rows(
-                [
-                    [m[r, c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-            )
-            row.append((-1) ** (i + j) * det(minor) * d)
-        rows.append(row)
-    return IntMatrix.from_rows(rows)

@@ -15,19 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Callable, Sequence
 
 from .intlin import (
     IntMatrix,
     InvalidSignature,
+    SnfResult,
     build_mk,
     closed_form_dk,
     integer_span_contains,
-    inverse_unimodular,
     smith_normal_form,
 )
 
 REDUCTION_GUARD = 10**6
+
+Reducer = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 class ReductionFailure(RuntimeError):
@@ -169,48 +172,62 @@ def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
     return out
 
 
+def _quotient_smith_form(rows: IntMatrix) -> SnfResult:
+    """Smith form of the rows plus an all-ones row; raises when infinite."""
+    n = rows.cols
+    snf = smith_normal_form(IntMatrix.from_rows(rows.row_list() + [(1,) * n]))
+    diag = snf.diagonal()
+    if len(diag) < n or any(x == 0 for x in diag):
+        raise InfiniteQuotient("generators span a proper sublattice subspace")
+    return snf
+
+
 def quotient_order_general(rows: IntMatrix) -> int:
     """Order of Z^n / (row span + all-ones line).
 
     Computed as the product of the nonzero diagonal of the Smith form of
     the matrix augmented with an all-ones row.
     """
-    n = rows.cols
-    augmented = IntMatrix.from_rows(rows.row_list() + [(1,) * n])
-    diag = smith_normal_form(augmented).diagonal()
-    if len(diag) < n or any(x == 0 for x in diag):
-        raise InfiniteQuotient("generators span a proper sublattice subspace")
-    order = 1
-    for x in diag:
-        order *= x
-    return order
+    return prod(_quotient_smith_form(rows).diagonal())
 
 
-def class_canonicalizer(rows: IntMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def smith_reduction(rows: IntMatrix) -> tuple[Reducer, list[tuple[int, ...]]]:
     """Canonical representative map for Z^n mod (row span + all-ones line).
 
     Works for any finite quotient, including delta-mode and general census
     matrices.  Reduction happens in Smith coordinates: z = a @ v is reduced
     entrywise mod the diagonal, then mapped back through v^{-1} and min-zero
-    normalized.  Equal outputs iff equal classes.
+    normalized.  Equal outputs iff equal classes.  The classes, listed
+    second and sorted, are the images of the box 0 <= z_j < diag_j.
     """
     n = rows.cols
-    augmented = IntMatrix.from_rows(rows.row_list() + [(1,) * n])
-    snf = smith_normal_form(augmented)
-    diag = snf.diagonal()
-    if len(diag) < n or any(x == 0 for x in diag):
-        raise InfiniteQuotient("generators span a proper sublattice subspace")
-    v = snf.v
-    v_inv = inverse_unimodular(v)
+    snf = _quotient_smith_form(rows)
+    diag, v, v_inv = snf.diagonal(), snf.v, snf.v_inv
+
+    def from_smith(z: Sequence[int]) -> tuple[int, ...]:
+        return canonicalize(
+            [sum(z[i] * v_inv[i, j] for i in range(n)) for j in range(n)]
+        )
 
     def reduce_class(a: tuple[int, ...]) -> tuple[int, ...]:
-        z = [sum(a[i] * v[i, j] for i in range(n)) % diag[j] for j in range(n)]
-        back = tuple(
-            sum(z[i] * v_inv[i, j] for i in range(n)) for j in range(n)
+        return from_smith(
+            [sum(a[i] * v[i, j] for i in range(n)) % diag[j] for j in range(n)]
         )
-        return canonicalize(back)
 
-    return reduce_class
+    classes = sorted(from_smith(z) for z in product(*(range(x) for x in diag)))
+    return reduce_class, classes
+
+
+def class_canonicalizer(rows: IntMatrix) -> Reducer:
+    """The representative map of ``smith_reduction`` on its own."""
+    return smith_reduction(rows)[0]
+
+
+def signature_reducer(k: KSignature) -> Reducer:
+    """``reduce_to_fundamental`` for k, with any delta-mode table built once."""
+    if k.delta:
+        return _delta_reducer(k)
+    return lambda a: reduce_to_fundamental(a, k)
 
 
 @dataclass(frozen=True)
@@ -231,7 +248,7 @@ class LatticeClass:
             raise InvalidSignature("representative is not a fundamental vector")
 
 
-def _delta_reducer(k: KSignature) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _delta_reducer(k: KSignature) -> Reducer:
     """Map general canonical classes onto fundamental vectors for delta k."""
     general = class_canonicalizer(k.matrix())
     table = {general(f): f for f in enumerate_fundamental(k)}

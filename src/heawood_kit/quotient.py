@@ -8,21 +8,23 @@ classes and whose facets correspond one-to-one with graph vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Callable, Optional, Sequence
+from operator import add
+from typing import Optional, Sequence
 
 from .intlin import IntMatrix
 from .lattice import (
     KSignature,
+    Reducer,
     class_canonicalizer,
     enumerate_fundamental,
     from_ambient,
-    quotient_order_general,
-    reduce_to_fundamental,
+    signature_reducer,
+    smith_reduction,
     to_ambient,
 )
-from .tiling import base_permutation, neighbors, tiles_containing
+from .tiling import base_permutation
 
 VertexKey = tuple[int, ...]
 
@@ -31,9 +33,7 @@ class NotSimplicial(ValueError):
     """A facet repeats a vertex or a facet list repeats a facet."""
 
 
-def _key_with_reducer(
-    x: Sequence[int], reduce_class: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> VertexKey:
+def _key_with_reducer(x: Sequence[int], reduce_class: Reducer) -> VertexKey:
     """Canonical coordinates of the class of a tiling vertex.
 
     For each residue shift there is one way to write x as base permutation
@@ -41,23 +41,17 @@ def _key_with_reducer(
     class invariant.  The minimum over shifts is taken so the key is well
     defined even when the reducer's image is not shift-aligned.
     """
-    n = len(x)
-    best: Optional[VertexKey] = None
-    for c in range(n):
+    cands = []
+    for c in range(len(x)):
         p = base_permutation(x, c)
-        offset = from_ambient(tuple(xa - pa for xa, pa in zip(x, p)))
-        rep = reduce_class(offset)
-        emb = to_ambient(rep)
-        cand = tuple(pa + ea for pa, ea in zip(p, emb))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+        rep = reduce_class(from_ambient(tuple(xa - pa for xa, pa in zip(x, p))))
+        cands.append(tuple(map(add, p, to_ambient(rep))))
+    return min(cands)
 
 
 def vertex_key(x: Sequence[int], k: KSignature) -> VertexKey:
     """Canonical representative coordinates of x modulo the sublattice of k."""
-    return _key_with_reducer(tuple(x), lambda a: reduce_to_fundamental(a, k))
+    return _key_with_reducer(tuple(x), signature_reducer(k))
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,8 @@ class QuotientGraph:
     """Finite (d+1)-regular graph with stable vertex indexing.
 
     Vertices are canonical keys sorted lexicographically; labels default to
-    the keys but dual graphs reuse the type with facet labels.
+    the keys but dual graphs reuse the type with facet labels.  A quotient
+    keeps the reducer it was built with, so ``key_of`` costs no set-up.
     """
 
     d: int
@@ -74,12 +69,18 @@ class QuotientGraph:
     signature: Optional[KSignature] = None
     general_matrix: Optional[IntMatrix] = None
     index: dict = field(default_factory=dict, compare=False, repr=False)
+    reducer: Optional[Reducer] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.index:
             object.__setattr__(
                 self, "index", {lab: i for i, lab in enumerate(self.labels)}
             )
+        if self.reducer is None and self.signature is not None:
+            object.__setattr__(self, "reducer", signature_reducer(self.signature))
+        elif self.reducer is None and self.general_matrix is not None:
+            reducer = class_canonicalizer(self.general_matrix)
+            object.__setattr__(self, "reducer", reducer)
 
     @property
     def vertex_count(self) -> int:
@@ -98,43 +99,69 @@ class QuotientGraph:
         ]
 
     def key_of(self, x: Sequence[int]) -> VertexKey:
-        if self.signature is not None:
-            return vertex_key(x, self.signature)
-        if self.general_matrix is not None:
-            reducer = class_canonicalizer(self.general_matrix)
-            return _key_with_reducer(tuple(x), reducer)
-        raise ValueError("graph carries no quotient data")
+        if self.reducer is None:
+            raise ValueError("graph carries no quotient data")
+        return _key_with_reducer(tuple(x), self.reducer)
 
 
-def _bfs_quotient(
-    d: int, reduce_class: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> tuple[tuple[VertexKey, ...], tuple[tuple[int, ...], ...]]:
-    seed = _key_with_reducer(tuple(range(1, d + 2)), reduce_class)
-    adjacency: dict[VertexKey, set[VertexKey]] = {}
-    frontier = [seed]
-    adjacency[seed] = set()
-    while frontier:
-        nxt = []
-        for key in frontier:
-            for nb in neighbors(key):
-                nb_key = _key_with_reducer(nb, reduce_class)
-                adjacency[key].add(nb_key)
-                if nb_key not in adjacency:
-                    adjacency[nb_key] = set()
-                    nxt.append(nb_key)
-        frontier = nxt
-    labels = tuple(sorted(adjacency))
-    pos = {lab: i for i, lab in enumerate(labels)}
-    adj = tuple(
-        tuple(sorted(pos[nb] for nb in adjacency[lab])) for lab in labels
+def _build_quotient(
+    d: int, reduce_class: Reducer, classes: Sequence[tuple[int, ...]]
+) -> tuple[tuple[VertexKey, ...], tuple[tuple[int, ...], ...], tuple]:
+    """Sorted labels, adjacency and tile-class facets of a quotient.
+
+    Each vertex is x = p + amb(a) for exactly one permutation p with
+    p_1 = 1 and one class a, so it is numbered rank(p) * D + index(a).
+    For each shift t, x lies in the tile at offset a - e(S_t), S_t the
+    positions of the values 1..t in p: those classes are its facet, and
+    the least of p shifted down by t plus the embedded tile class is its
+    label.  Swapping values v, v+1 >= 2 of p keeps a; wrapping the value
+    d+1 round to 2 lands in the last tile class; the last neighbour undoes
+    a wrap.  So each vertex costs d reductions.
+    """
+    n, size = d + 1, len(classes)
+    index = {a: i for i, a in enumerate(classes)}
+    ambient = [to_ambient(a) for a in classes]
+    perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
+    rank = {p: r for r, p in enumerate(perms)}
+    labels: list[VertexKey] = []
+    facets = []
+    adjacency: list[list[int]] = [[] for _ in range(len(perms) * size)]
+    for p in perms:
+        down = [tuple((v - t - 1) % n + 1 for v in p) for t in range(n)]
+        swaps = [
+            rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]
+            for v in range(2, n)
+        ]
+        wrap = rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)]
+        for ci, a in enumerate(classes):
+            u = len(labels)
+            tiles = [ci] + [
+                index[reduce_class(tuple(x - (v <= t) for x, v in zip(a, p)))]
+                for t in range(1, n)
+            ]
+            labels.append(
+                min(tuple(map(add, q, ambient[c])) for q, c in zip(down, tiles))
+            )
+            facets.append(tuple(sorted(tiles)))
+            w = wrap * size + tiles[d]
+            adjacency[u] += [s * size + ci for s in swaps] + [w]
+            adjacency[w].append(u)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    position = {u: i for i, u in enumerate(order)}
+    return (
+        tuple(labels[u] for u in order),
+        tuple(tuple(sorted({position[w] for w in adjacency[u]})) for u in order),
+        tuple(facets[u] for u in order),
     )
-    return labels, adj
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
-    """Quotient graph of a signature, by closure from the seed vertex."""
-    labels, adj = _bfs_quotient(k.d, lambda a: reduce_to_fundamental(a, k))
-    return QuotientGraph(d=k.d, labels=labels, adjacency=adj, signature=k)
+    """Quotient graph of a signature, numbered by the closed-form index."""
+    reducer = signature_reducer(k)
+    labels, adj, _ = _build_quotient(k.d, reducer, enumerate_fundamental(k))
+    return QuotientGraph(
+        d=k.d, labels=labels, adjacency=adj, signature=k, reducer=reducer
+    )
 
 
 def build_general_quotient(rows: IntMatrix, d: int = 2) -> QuotientGraph:
@@ -146,10 +173,11 @@ def build_general_quotient(rows: IntMatrix, d: int = 2) -> QuotientGraph:
     """
     if rows.cols != d + 1:
         raise ValueError("matrix width must be d+1")
-    quotient_order_general(rows)  # raises when infinite
-    reducer = class_canonicalizer(rows)
-    labels, adj = _bfs_quotient(d, reducer)
-    return QuotientGraph(d=d, labels=labels, adjacency=adj, general_matrix=rows)
+    reducer, classes = smith_reduction(rows)  # raises when infinite
+    labels, adj, _ = _build_quotient(d, reducer, classes)
+    return QuotientGraph(
+        d=d, labels=labels, adjacency=adj, general_matrix=rows, reducer=reducer
+    )
 
 
 @dataclass(frozen=True)
@@ -205,19 +233,11 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     """
     if k.delta:
         raise NotSimplicial("zero entries void the simplicial guarantees")
-    graph = build_heawood_graph(k)
     classes = enumerate_fundamental(k)
-    class_index = {rep: i for i, rep in enumerate(classes)}
-    facets = []
-    for key in graph.labels:
-        tile_reps = [
-            reduce_to_fundamental(offset, k) for offset in tiles_containing(key)
-        ]
-        facet = tuple(sorted(class_index[rep] for rep in tile_reps))
-        facets.append(facet)
+    _, _, facets = _build_quotient(k.d, signature_reducer(k), classes)
     complex_ = SimplicialComplex(
         vertex_count=len(classes),
-        facets=tuple(facets),
+        facets=facets,
         vertex_labels=tuple(classes),
     )
     complex_.validate()
@@ -232,17 +252,6 @@ def stirling2(n: int, m: int) -> int:
         return 1 if n == 0 else 0
     total = sum((-1) ** (m - i) * comb(m, i) * i**n for i in range(1, m + 1))
     return total // factorial(m)
-
-
-def stirling2_recurrence(n: int, m: int) -> int:
-    """Independent oracle: S(n,m) = m S(n-1,m) + S(n-1,m-1)."""
-    if m > n:
-        return 0
-    if n == 0:
-        return 1 if m == 0 else 0
-    if m == 0:
-        return 0
-    return m * stirling2_recurrence(n - 1, m) + stirling2_recurrence(n - 1, m - 1)
 
 
 def fvector_formula(k: KSignature) -> tuple[int, ...]:

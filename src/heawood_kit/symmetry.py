@@ -12,8 +12,9 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+from .intlin import IntMatrix, integer_span_contains
 from .lattice import KSignature, w_vector
-from .quotient import QuotientGraph, vertex_key
+from .quotient import QuotientGraph
 
 DEFAULT_SEARCH_CAP = 200
 DEFAULT_CLOSURE_CAP = 10**6
@@ -111,7 +112,8 @@ def rotation_R(g: QuotientGraph) -> VertexPermutation:
     """
     total = g.d + 2
     perm = perm_from_coordinate_map(g, lambda x: tuple(total - a for a in x))
-    assert (perm * perm).images == tuple(range(g.vertex_count))
+    if (perm * perm).images != tuple(range(g.vertex_count)):
+        raise NotAnAutomorphism("point reflection is not an involution")
     return perm
 
 
@@ -167,18 +169,27 @@ def group_closure(
 
 
 def generated_group(g: QuotientGraph) -> PermutationGroup:
-    """Closure of translations, reflection, and admitted rotations."""
+    """Closure of translations, reflection, and admitted rotations.
+
+    A rotation is admitted when it maps the quotient's lattice to itself:
+    for a signature when it fixes the entries, for a general matrix when
+    every rotated row stays in the span of the rows and the all-ones row.
+    """
     gens = list(translation_generators(g))
     gens.append(rotation_R(g))
+    n = g.d + 1
     if g.signature is not None:
-        n = g.d + 1
-        kk = g.signature.entries
-        for s in range(1, n):
-            if all(kk[(i + s) % n] == kk[i] for i in range(n)):
-                gens.append(cyclic_C(g, s))
-                break
+        shift = n // admitted_cyclic_order(g.signature)
     else:
-        gens.append(cyclic_C(g, 1))
+        rows = g.general_matrix.row_list()
+        span = IntMatrix.from_rows(rows + [(1,) * n])
+        admitted = (
+            s for s in range(1, n)
+            if all(integer_span_contains(span, r[-s:] + r[:-s]) for r in rows)
+        )
+        shift = next(admitted, n)
+    if shift < n:
+        gens.append(cyclic_C(g, shift))
     return group_closure(gens)
 
 

@@ -52,21 +52,6 @@ def neighbors(x: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def neighbors_definitional(x: Sequence[int]) -> list[tuple[int, ...]]:
-    """Oracle: every e_j - e_i move that lands on a valid vertex."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                y = list(x)
-                y[i] -= 1
-                y[j] += 1
-                if is_tiling_vertex(y):
-                    out.append(tuple(y))
-    return out
-
-
 def base_permutation(x: Sequence[int], shift: int = 0) -> tuple[int, ...]:
     """The permutation p of [d+1] with p_a congruent to x_a - shift mod d+1."""
     n = len(x)

@@ -5,6 +5,8 @@ import pytest
 
 from heawood_kit.analysis import (
     CapExceeded,
+    CycleError,
+    _validate_cycle,
     chromatic_number,
     dsatur_coloring,
     hamiltonian_alternating,
@@ -13,6 +15,7 @@ from heawood_kit.analysis import (
     is_bipartite,
     six_cycles_through,
 )
+from heawood_kit.intlin import InvalidSignature
 from heawood_kit.lattice import KSignature
 from heawood_kit.quotient import (
     QuotientGraph,
@@ -191,3 +194,23 @@ def test_heawood_number():
     assert heawood_number(6) == 12
     with pytest.raises(ValueError):
         heawood_number(-1)
+
+
+def test_alternating_walk_refuses_bad_input():
+    with pytest.raises(InvalidSignature, match="out of range"):
+        hamiltonian_alternating(KSignature((1, 1, 1)), 9)
+    with pytest.raises(InvalidSignature, match="out of range"):
+        hamiltonian_alternating(KSignature((1, 1, 1)), 0)
+    with pytest.raises(InvalidSignature, match="d = 2"):
+        hamiltonian_alternating(KSignature((1, 1, 1, 1)), 1)
+
+
+def test_bad_cycle_raises():
+    g = cycle_graph(6)
+    _validate_cycle(g, [0, 1, 2, 3, 4, 5])
+    with pytest.raises(CycleError, match="non-edge"):
+        _validate_cycle(g, [0, 2, 1, 3, 4, 5])
+    with pytest.raises(CycleError, match="exactly once"):
+        _validate_cycle(g, [0, 1, 2, 3, 4, 4])
+    with pytest.raises(CycleError, match="exactly once"):
+        _validate_cycle(g, [0, 1, 2])

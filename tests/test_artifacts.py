@@ -224,3 +224,32 @@ def test_cli_cap_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "aut", "-k", "2,2,2", "--brute")
     assert code == 3
     assert "refused" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "-k", "1,1,1", "--hamiltonian", "9"), "out of range"),
+        (("analyze", "-k", "1,1,1,1", "--hamiltonian", "1"), "d = 2"),
+    ],
+)
+def test_cli_hamiltonian_bad_input_exit_code(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--torus",)])
+def test_cli_build_refuses_above_vertex_cap(capsys, monkeypatch, extra):
+    code, out, err = run_cli(capsys, "build", "-k", "40,40,40,40", *extra)
+    assert code == 3
+    assert out == ""
+    assert "1594566 vertices" in err
+    monkeypatch.setenv("HEAWOOD_CAP", "13")
+    code, _, err = run_cli(capsys, "build", "-k", "1,1,1", *extra)
+    assert code == 3
+    assert "refused" in err
+    monkeypatch.setenv("HEAWOOD_CAP", "14")
+    code, _, _ = run_cli(capsys, "build", "-k", "1,1,1", *extra)
+    assert code == 0

@@ -12,7 +12,6 @@ from heawood_kit.intlin import (
     closed_form_dk,
     det,
     integer_span_contains,
-    inverse_unimodular,
     smith_normal_form,
 )
 
@@ -83,6 +82,9 @@ def _assert_snf_contract(m):
     assert diag[len(nonzero):] == (0,) * (len(diag) - len(nonzero))
     assert abs(det(snf.u)) == 1
     assert abs(det(snf.v)) == 1
+    identity = IntMatrix.identity(m.cols).entries
+    assert (snf.v @ snf.v_inv).entries == identity
+    assert (snf.v_inv @ snf.v).entries == identity
     if m.rows == m.cols:
         prod = 1
         for x in diag:
@@ -155,7 +157,11 @@ def test_span_contains_all_integer_combinations(rows, coeffs):
 
 
 def test_inverse_unimodular():
-    m = IntMatrix.from_rows([(1, 2, 0), (0, 1, 3), (0, 0, 1)])
-    inv = inverse_unimodular(m)
-    assert (m @ inv).entries == IntMatrix.identity(3).entries
-    assert (inv @ m).entries == IntMatrix.identity(3).entries
+    # smith_normal_form tracks the inverse of its column transform
+    for m in [
+        IntMatrix.from_rows([(1, 2, 0), (0, 1, 3), (0, 0, 1)]),
+        IntMatrix.from_rows(build_mk((2, 3, 2)).row_list() + [(1, 1, 1)]),
+    ]:
+        snf = _assert_snf_contract(m)
+        assert (snf.v @ snf.v_inv).entries == IntMatrix.identity(3).entries
+        assert (snf.v_inv @ snf.v).entries == IntMatrix.identity(3).entries

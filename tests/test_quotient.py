@@ -2,10 +2,20 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+import oracles
 import pytest
+from oracles import stirling2_recurrence
 
+from heawood_kit import lattice
 from heawood_kit.intlin import IntMatrix, build_mk
-from heawood_kit.lattice import KSignature, sublattice_contains, w_vector
+from heawood_kit.lattice import (
+    KSignature,
+    class_canonicalizer,
+    enumerate_fundamental,
+    reduce_to_fundamental,
+    sublattice_contains,
+    w_vector,
+)
 from heawood_kit.quotient import (
     NotSimplicial,
     SimplicialComplex,
@@ -17,7 +27,6 @@ from heawood_kit.quotient import (
     fvector_formula,
     skeleton_graph,
     stirling2,
-    stirling2_recurrence,
     vertex_key,
 )
 
@@ -236,3 +245,67 @@ def test_not_simplicial_validation():
         SimplicialComplex(
             vertex_count=3, facets=((0, 1, 2), (0, 1, 2))
         ).validate()
+
+
+ORACLE_SIGNATURES = [
+    (1, 1, 1), (2, 1, 2), (1, 3, 2), (3, 3, 3, 3), (2, 1, 3, 1), (2, 2, 2, 2, 2)
+]
+ORACLE_DELTAS = [(3, 3, 0), (6, 6, 0)]
+ORACLE_CENSUS = [
+    [(2, -1, 0), (0, 2, -1), (-1, 0, 2)],
+    [(4, 0, -1), (0, 4, -1), (-1, -1, 5)],
+]
+
+
+@pytest.mark.parametrize("entries", ORACLE_SIGNATURES)
+def test_closed_form_index_matches_bfs_oracle(entries):
+    k = KSignature(entries)
+    reduce = lambda a: reduce_to_fundamental(a, k)  # noqa: E731
+    labels, adjacency = oracles.bfs_quotient(k.d, reduce)
+    g = build_heawood_graph(k)
+    assert g.labels == labels
+    assert g.adjacency == adjacency
+    c = build_torus_complex(k)
+    classes = enumerate_fundamental(k)
+    assert c.facets == oracles.torus_facets(labels, reduce, classes)
+    assert c.vertex_labels == tuple(classes)
+
+
+@pytest.mark.parametrize("entries", ORACLE_DELTAS)
+def test_closed_form_index_matches_bfs_oracle_delta(entries):
+    k = KSignature(entries, delta=True)
+    g = build_heawood_graph(k)
+    reduce = lambda a: reduce_to_fundamental(a, k)  # noqa: E731
+    assert (g.labels, g.adjacency) == oracles.bfs_quotient(k.d, reduce)
+
+
+@pytest.mark.parametrize("rows", ORACLE_CENSUS)
+def test_closed_form_index_matches_bfs_oracle_census(rows):
+    m = IntMatrix.from_rows(rows)
+    g = build_general_quotient(m)
+    labels, adjacency = oracles.bfs_quotient(2, class_canonicalizer(m))
+    assert (g.labels, g.adjacency) == (labels, adjacency)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_general_quotient(IntMatrix.from_rows(ORACLE_CENSUS[1])),
+        lambda: build_heawood_graph(KSignature((3, 3, 0), delta=True)),
+    ],
+)
+def test_key_of_reuses_the_quotients_reducer(build, monkeypatch):
+    g = build()
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    for label in g.labels[:5]:
+        assert g.key_of(label) == label
+        shifted = tuple(a + b for a, b in zip(label, w_vector(1, g.d)))
+        assert g.key_of(shifted) in g.index
+    assert calls == []

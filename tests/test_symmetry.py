@@ -2,8 +2,9 @@ from functools import lru_cache
 
 import pytest
 
+from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.lattice import KSignature
-from heawood_kit.quotient import QuotientGraph, build_heawood_graph
+from heawood_kit.quotient import QuotientGraph, build_general_quotient, build_heawood_graph
 from heawood_kit.symmetry import (
     CapExceeded,
     NotAnAutomorphism,
@@ -137,3 +138,20 @@ def test_exceptional_W():
     from heawood_kit.symmetry import is_automorphism
 
     assert is_automorphism(g, tuple(range(g.vertex_count)))
+
+
+@pytest.mark.parametrize(
+    "text, generated, brute",
+    [
+        ("2,0,-1;0,2,-1;-1,-1,3", 16, 96),
+        ("4,0,-1;0,4,-1;-1,-1,5", 48, 96),
+        ("2,-1,0;0,2,-1;-1,0,2", 42, 336),
+        ("7,-1,0;0,7,-1;-1,0,7", 342, 342),
+    ],
+)
+def test_generated_group_of_census_divides_brute_force(text, generated, brute):
+    g = build_general_quotient(parse_matrix_arg(text))
+    order = generated_group(g).order
+    assert order == generated
+    assert brute_force_automorphisms(g).order == brute
+    assert brute % order == 0

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import neighbors_definitional
 
 from heawood_kit.lattice import canonicalize, from_ambient, to_ambient, w_vector
 from heawood_kit.tiling import (
@@ -15,7 +16,6 @@ from heawood_kit.tiling import (
     face_vertices,
     is_tiling_vertex,
     neighbors,
-    neighbors_definitional,
     permutahedron_membership,
     rotate_partition,
     tiles_containing,
