@@ -170,9 +170,11 @@ def hamiltonian_backtracking(
     """Exhaustive cycle search with a node budget.
 
     Outcome none-found is a proof only when the search space was exhausted
-    within budget; otherwise the result is flagged indeterminate.
+    within budget; otherwise the result is flagged indeterminate.  The
+    budget is ``DEFAULT_HAMILTONIAN_BUDGET`` nodes unless ``budget`` is
+    given; HEAWOOD_CAP is a vertex cap and does not change it.
     """
-    limit = budget if budget is not None else search_cap(DEFAULT_HAMILTONIAN_BUDGET)
+    limit = budget if budget is not None else DEFAULT_HAMILTONIAN_BUDGET
     n = g.vertex_count
     if n == 0:
         return HamiltonianWalkResult("general-backtracking", "none-found", 0)

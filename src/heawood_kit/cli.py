@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from math import factorial
 from typing import Optional, Sequence
@@ -60,12 +59,20 @@ def emit_text(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def refuse_above_cap(
+    d: int, order: int, what: str = "build", default: int = DEFAULT_BUILD_CAP
+) -> None:
+    """Refuse with exit 3, before any work, a quotient of d!·order vertices
+    above the cap (HEAWOOD_CAP, else the default)."""
+    vertices = factorial(d) * order
+    cap = symmetry.search_cap(default)
+    if vertices > cap:
+        raise symmetry.CapExceeded(f"{vertices} vertices above {what} cap {cap}")
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
-    vertices = factorial(k.d) * k.order()
-    cap = symmetry.search_cap(DEFAULT_BUILD_CAP)
-    if vertices > cap:
-        raise symmetry.CapExceeded(f"{vertices} vertices above build cap {cap}")
+    refuse_above_cap(k.d, k.order())
     if args.torus:
         complex_ = build_torus_complex(k)
         if args.format == "off":
@@ -110,6 +117,7 @@ def cmd_fvector(args: argparse.Namespace) -> int:
     if args.mode in ("formula", "both"):
         payload["formula"] = formula
     if args.mode in ("enumerate", "both"):
+        refuse_above_cap(k.d, k.order())
         enumerated = list(build_torus_complex(k).fvector_enumerated())
         payload["enumerated"] = enumerated
         if args.mode == "both":
@@ -120,6 +128,9 @@ def cmd_fvector(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
+    refuse_above_cap(k.d, k.order())
+    if args.mode in ("brute", "compare"):
+        refuse_above_cap(k.d, k.order(), "search", symmetry.DEFAULT_SEARCH_CAP)
     graph = build_heawood_graph(k)
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("generated", "compare"):
@@ -147,6 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         emit(payload, args.output)
         return EXIT_OK
+    refuse_above_cap(k.d, k.order())
     graph = build_heawood_graph(k)
     if args.bipartite:
         report = analysis.is_bipartite(graph)
@@ -170,6 +182,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     matrix = artifacts.parse_matrix_arg(args.matrix)
     order = quotient_order_general(matrix)
+    refuse_above_cap(matrix.cols - 1, order)
     graph = build_general_quotient(matrix, d=matrix.cols - 1)
     all_ones = (1,) * matrix.cols
     emit(
@@ -215,14 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="quotient graphs and triangulated tori of the "
         "permutahedral tiling",
     )
-    parser.add_argument("--seed", type=int, default=0, help="rng seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct the graph or torus")
     p.add_argument("-k", required=True, help="signature, e.g. 1,1,1")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--graph", action="store_true", default=True)
-    group.add_argument("--torus", action="store_true")
+    p.add_argument("--torus", action="store_true")
     p.add_argument("--format", choices=["summary", "dot", "json-graph", "off"],
                    default="summary")
     p.add_argument("-o", "--output")
@@ -289,7 +299,6 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    random.seed(args.seed)
     try:
         return args.func(args)
     except (InvalidSignature, ShapeError, NotSimplicial, InfiniteQuotient,

@@ -78,8 +78,8 @@ def simplicial_automorphism_order(c: SimplicialComplex) -> int:
     """Order of the facet-preserving vertex permutation group.
 
     Every simplicial automorphism is a 1-skeleton automorphism, so the
-    skeleton group is enumerated and filtered to the permutations that
-    send facets to facets.
+    skeleton group is closed from the generators the search returns and
+    filtered to the permutations that send facets to facets.
     """
     from .quotient import skeleton_graph
 

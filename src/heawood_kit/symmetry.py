@@ -2,14 +2,17 @@
 
 Generator families with closed-form orders: translations along the basis
 vectors, the point reflection, and coordinate rotation when the signature
-allows it.  An independent backtracking search with color refinement
-verifies group orders from scratch.
+allows it.  An independent exact search, by individualization and color
+refinement with orbit pruning, verifies group orders from scratch: it
+returns generators of the full group and its order without listing the
+elements.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .intlin import IntMatrix, integer_span_contains
@@ -60,12 +63,15 @@ class VertexPermutation:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    generators: tuple[VertexPermutation, ...]
-    elements: frozenset[VertexPermutation]
+    """A permutation group given by generators, with its order."""
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    generators: tuple[VertexPermutation, ...]
+    order: int
+
+    @cached_property
+    def elements(self) -> frozenset[VertexPermutation]:
+        """Every element, closed from the generators on first use."""
+        return frozenset(_closure(self.generators, DEFAULT_CLOSURE_CAP))
 
     def __contains__(self, perm: VertexPermutation) -> bool:
         return perm in self.elements
@@ -143,15 +149,11 @@ def admitted_cyclic_order(k: KSignature) -> int:
     raise AssertionError("shift n is always admitted")
 
 
-def group_closure(
-    gens: Iterable[VertexPermutation], cap: int = DEFAULT_CLOSURE_CAP
-) -> PermutationGroup:
+def _closure(
+    gens: tuple[VertexPermutation, ...], cap: int
+) -> set[VertexPermutation]:
     """All products of the generators, by breadth-first composition."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("need at least one generator (identity works)")
-    n = len(gens[0].images)
-    identity = VertexPermutation.identity(n)
+    identity = VertexPermutation.identity(len(gens[0].images))
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -165,7 +167,17 @@ def group_closure(
                     if len(elements) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return PermutationGroup(generators=gens, elements=frozenset(elements))
+    return elements
+
+
+def group_closure(
+    gens: Iterable[VertexPermutation], cap: int = DEFAULT_CLOSURE_CAP
+) -> PermutationGroup:
+    """The group the generators generate, its order counted by closure."""
+    gens = tuple(gens)
+    if not gens:
+        raise ValueError("need at least one generator (identity works)")
+    return PermutationGroup(generators=gens, order=len(_closure(gens, cap)))
 
 
 def generated_group(g: QuotientGraph) -> PermutationGroup:
@@ -196,19 +208,58 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
 def refine_colors(
     g: QuotientGraph, initial: Optional[Sequence[int]] = None
 ) -> tuple[int, ...]:
-    """Iterative neighborhood-color refinement down to a stable coloring."""
-    n = g.vertex_count
-    colors = list(initial) if initial is not None else [len(g.adjacency[i]) for i in range(n)]
+    """Iterative neighborhood-color refinement down to a stable coloring.
+
+    Each round colors a vertex by the rank of its color and the sorted
+    colors of its neighbors, so the result does not depend on vertex labels
+    and keeps the order of the colors it splits.  A round that splits no
+    cell returns.
+    """
+    adjacency = g.adjacency
+    colors = list(initial) if initial is not None else [len(nbrs) for nbrs in adjacency]
+    cells = len(set(colors))
     while True:
         signatures = [
-            (colors[i], tuple(sorted(colors[j] for j in g.adjacency[i])))
-            for i in range(n)
+            (c, tuple(sorted([colors[j] for j in nbrs])))
+            for c, nbrs in zip(colors, adjacency)
         ]
         palette = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [palette[sig] for sig in signatures]
-        if new_colors == colors:
+        colors = [palette[sig] for sig in signatures]
+        if len(palette) == cells:
             return tuple(colors)
-        colors = new_colors
+        cells = len(palette)
+
+
+def _individualize(
+    g: QuotientGraph, colors: Sequence[int], v: int
+) -> tuple[int, ...]:
+    """Give v a color below all others, then refine again."""
+    marked = list(colors)
+    marked[v] = -1
+    return refine_colors(g, marked)
+
+
+def _target(colors: Sequence[int]) -> int:
+    """First vertex of the first non-singleton cell, or -1 if discrete."""
+    sizes: dict[int, int] = {}
+    for c in colors:
+        sizes[c] = sizes.get(c, 0) + 1
+    cell = min((c for c, size in sizes.items() if size > 1), default=None)
+    return -1 if cell is None else colors.index(cell)
+
+
+def _orbit(gens: Iterable[VertexPermutation], vertex: int) -> set[int]:
+    images = [p.images for p in gens]
+    seen = {vertex}
+    stack = [vertex]
+    while stack:
+        v = stack.pop()
+        for img in images:
+            w = img[v]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def brute_force_automorphisms(
@@ -216,76 +267,76 @@ def brute_force_automorphisms(
     cap: Optional[int] = None,
     initial_colors: Optional[Sequence[int]] = None,
 ) -> PermutationGroup:
-    """Exact automorphism group by backtracking over a BFS vertex order.
+    """Exact automorphism group by individualization and refinement.
 
-    Candidate images are filtered by refined colors and by bitmask
-    agreement of mapped neighborhoods, which prunes hard enough for the
-    group orders at hand.
+    The refined coloring is individualized at base points b_1, b_2, ...
+    (each the first vertex of the first non-singleton cell) until it is
+    discrete, which gives a chain of pointwise stabilizers.  From the
+    deepest level up, the generators found so far generate the stabilizer
+    of b_1..b_i; for each y in b_i's cell not yet in b_i's orbit under
+    them, one automorphism mapping b_i to y is searched for by
+    individualizing y and, level by level, each candidate for the next
+    base point, pruning a branch as soon as its cell sizes differ from the
+    chain's.  A leaf counts only if it preserves adjacency.  The order is
+    the product of the orbit sizes (McKay & Piperno 2014 for the search;
+    Seress 2003 for orders read off a stabilizer chain).  Given
+    ``initial_colors``, only automorphisms that keep those colors count.
     """
     n = g.vertex_count
     limit = cap if cap is not None else search_cap()
     if n > limit:
         raise CapExceeded(f"vertex count {n} above search cap {limit}")
-    colors = refine_colors(g, initial_colors)
-    color_class = {}
-    for i, c in enumerate(colors):
-        color_class.setdefault(c, []).append(i)
-    adj_mask = [0] * n
-    for i, nbrs in enumerate(g.adjacency):
-        for j in nbrs:
-            adj_mask[i] |= 1 << j
+    chain = [refine_colors(g, initial_colors)]
+    base: list[int] = []
+    while (b := _target(chain[-1])) >= 0:
+        base.append(b)
+        chain.append(_individualize(g, chain[-1], b))
+    shapes = [sorted(colors) for colors in chain]
+    leaf_position = {c: v for v, c in enumerate(chain[-1])}
 
-    # order vertices so each one touches an earlier one where possible
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        queue = [root]
-        seen[root] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    def extend(level: int, colors: tuple[int, ...]) -> Optional[list[int]]:
+        """Images of an automorphism taking chain[level] to colors, or None.
 
-    images = [-1] * n
-    used = [False] * n
-    found: list[tuple[int, ...]] = []
+        Refinement keeps the order of the colors it splits, so colorings
+        with the same cell sizes at every level give the same colors to
+        matching cells; the leaf maps each vertex to its namesake.
+        """
+        if sorted(colors) != shapes[level]:
+            return None
+        if level == len(base):
+            images = [0] * n
+            for v, c in enumerate(colors):
+                images[leaf_position[c]] = v
+            return images if is_automorphism(g, images) else None
+        cell = chain[level][base[level]]
+        for y in range(n):
+            if colors[y] == cell:
+                images = extend(level + 1, _individualize(g, colors, y))
+                if images is not None:
+                    return images
+        return None
 
-    def backtrack(pos: int, placed_mask: int) -> None:
-        if pos == n:
-            found.append(tuple(images))
-            return
-        v = order[pos]
-        mapped_nbr_mask = 0
-        for w in g.adjacency[v]:
-            if images[w] >= 0:
-                mapped_nbr_mask |= 1 << images[w]
-        for y in color_class[colors[v]]:
-            if used[y]:
+    gens: list[VertexPermutation] = []
+    order = 1
+    for level in reversed(range(len(base))):
+        colors, b = chain[level], base[level]
+        seen = _orbit(gens, b)
+        for y in range(n):
+            if colors[y] != colors[b] or y in seen:
                 continue
-            # neighbors of y among already-placed images must be exactly
-            # the images of v's already-mapped neighbors
-            if adj_mask[y] & placed_mask != mapped_nbr_mask:
-                continue
-            images[v] = y
-            used[y] = True
-            backtrack(pos + 1, placed_mask | (1 << y))
-            images[v] = -1
-            used[y] = False
-
-    backtrack(0, 0)
-    perms = [VertexPermutation(imgs) for imgs in found]
-    identity = VertexPermutation.identity(n)
-    gens = tuple(p for p in perms if p != identity) or (identity,)
-    return PermutationGroup(generators=gens, elements=frozenset(perms))
+            images = extend(level + 1, _individualize(g, colors, y))
+            if images is not None:
+                gens.append(VertexPermutation(tuple(images)))
+                seen = _orbit(gens, b)
+        order *= len(seen)
+    return PermutationGroup(
+        generators=tuple(gens) or (VertexPermutation.identity(n),), order=order
+    )
 
 
 def orbit(group: PermutationGroup, vertex: int) -> set[int]:
-    return {perm.images[vertex] for perm in group.elements}
+    """Images of a vertex under the group, by walking its generators."""
+    return _orbit(group.generators, vertex)
 
 
 def verify_exceptional_W(g: QuotientGraph) -> bool:

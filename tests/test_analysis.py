@@ -166,6 +166,12 @@ def test_backtracking_hamiltonian():
     assert r.outcome == "indeterminate"
 
 
+def test_backtracking_budget_ignores_vertex_cap(monkeypatch):
+    monkeypatch.setenv("HEAWOOD_CAP", "300")
+    r = hamiltonian_backtracking(graph((2, 2, 2)))
+    assert r.outcome == "hamiltonian-cycle"
+
+
 def test_chromatic_examples():
     assert chromatic_number(graph((1, 1, 1))) == 2
     assert chromatic_number(triangle()) == 3

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -252,4 +256,42 @@ def test_cli_build_refuses_above_vertex_cap(capsys, monkeypatch, extra):
     assert "refused" in err
     monkeypatch.setenv("HEAWOOD_CAP", "14")
     code, _, _ = run_cli(capsys, "build", "-k", "1,1,1", *extra)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fvector", "-k", "40,40,40,40"),
+        ("aut", "-k", "40,40,40,40", "--generated"),
+        ("analyze", "-k", "40,40,40,40", "--bipartite"),
+    ],
+    ids=["fvector", "aut", "analyze"],
+)
+def test_cli_refuses_above_vertex_cap_before_building(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("HEAWOOD_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "heawood_kit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "1594566 vertices above build cap" in proc.stderr
+
+
+def test_cli_census_and_search_refuse_above_cap(capsys, monkeypatch):
+    monkeypatch.delenv("HEAWOOD_CAP", raising=False)
+    code, out, err = run_cli(capsys, "aut", "-k", "2,2,2,2", "--brute")
+    assert code == 3 and out == ""
+    assert "390 vertices above search cap 200" in err
+    monkeypatch.setenv("HEAWOOD_CAP", "15")
+    code, _, err = run_cli(capsys, "census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3")
+    assert code == 3
+    assert "16 vertices" in err
+    monkeypatch.setenv("HEAWOOD_CAP", "16")
+    code, _, _ = run_cli(capsys, "census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3")
     assert code == 0

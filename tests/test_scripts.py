@@ -1,0 +1,22 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_aut_survey_runs_and_orders_divide():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    env.pop("HEAWOOD_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "aut_survey.py"),
+         "--n", "3", "--max-entry", "2"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    rows = json.loads(proc.stdout)["survey"]
+    assert len(rows) == 8
+    for row in rows:
+        assert row["brute"] % row["generated"] == 0

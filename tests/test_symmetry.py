@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,7 @@ from heawood_kit.symmetry import (
     cyclic_C,
     generated_group,
     group_closure,
+    is_automorphism,
     orbit,
     rotation_R,
     translation_generators,
@@ -155,3 +157,73 @@ def test_generated_group_of_census_divides_brute_force(text, generated, brute):
     assert order == generated
     assert brute_force_automorphisms(g).order == brute
     assert brute % order == 0
+
+
+CUBIC_NEEDS_BACKTRACKING = [
+    (0, 2), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4),
+    (3, 6), (4, 9), (5, 7), (5, 8), (6, 8), (7, 9), (8, 9),
+]
+
+
+def graph_from_edges(n, edges):
+    nbrs = [set() for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return QuotientGraph(
+        d=1,
+        labels=tuple((i,) for i in range(n)),
+        adjacency=tuple(tuple(sorted(s)) for s in nbrs),
+    )
+
+
+def test_search_matches_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def networkx_order(reference):
+        return sum(1 for _ in GraphMatcher(reference, reference).isomorphisms_iter())
+
+    rng = random.Random(20140101)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8])
+        edges = [
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p
+        ]
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(edges)
+        expected = networkx_order(reference)
+        assert brute_force_automorphisms(graph_from_edges(n, edges)).order == expected
+    # refinement cannot split a regular graph, so these need individualization;
+    # on the first, a search that never backtracks finds half of the group
+    regular = [nx.Graph(CUBIC_NEEDS_BACKTRACKING)] + [
+        nx.random_regular_graph(3, 10, seed=seed) for seed in range(60)
+    ]
+    for reference in regular:
+        g = graph_from_edges(10, reference.edges())
+        assert brute_force_automorphisms(g).order == networkx_order(reference)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        graph((1, 1, 1)),
+        graph((2, 1, 2)),
+        build_general_quotient(parse_matrix_arg("2,0,-1;0,2,-1;-1,-1,3")),
+    ],
+    ids=["1,1,1", "2,1,2", "census"],
+)
+def test_search_generators_generate_the_group(g):
+    group = brute_force_automorphisms(g)
+    assert all(is_automorphism(g, gen.images) for gen in group.generators)
+    assert group_closure(group.generators).order == group.order
+
+
+def test_search_keeps_initial_colors():
+    # the 6-cycle with one vertex marked: only the reflection through it stays
+    group = brute_force_automorphisms(cycle_graph(6), initial_colors=[1, 0, 0, 0, 0, 0])
+    assert group.order == 2
+    assert orbit(group, 0) == {0}
+    assert orbit(group, 1) == {1, 5}
