@@ -135,23 +135,21 @@ def hamiltonian_alternating(k: KSignature, i: int) -> HamiltonianWalkResult:
     minus_even = i % n  # e_i - e_{i+1}
     minus_odd = (i - 2) % n  # e_i - e_{i-1}
 
-    seed = g.key_of(tuple(range(1, n + 1)))
-    seed_idx = g.index[seed]
-    current = seed
-    cycle = [seed_idx]
+    point = list(range(1, n + 1))
+    seed = current = g.vertex_of(point)
+    cycle = [seed]
     parity = 0
     while True:
-        step = list(current)
-        step[plus] += 1
-        step[minus_even if parity == 0 else minus_odd] -= 1
-        nxt = g.key_of(tuple(step))
-        if g.index[nxt] not in g.adjacency[g.index[current]]:
+        point[plus] += 1
+        point[minus_even if parity == 0 else minus_odd] -= 1
+        nxt = g.vertex_of(point)
+        if nxt not in g.adjacency[current]:
             raise CycleError("walk left the graph")
         parity ^= 1
         current = nxt
         if current == seed and parity == 0:
             break
-        cycle.append(g.index[current])
+        cycle.append(current)
         if len(cycle) > 2 * g.vertex_count + 2:
             raise CycleError("walk failed to close")
     whole = len(set(cycle)) == len(cycle) == g.vertex_count

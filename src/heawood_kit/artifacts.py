@@ -79,7 +79,8 @@ def import_graph_json(text: str) -> QuotientGraph:
         adjacency[j].add(i)
     signature = None
     if payload.get("signature"):
-        signature = KSignature(tuple(payload["signature"]))
+        entries = tuple(payload["signature"])
+        signature = KSignature(entries, delta=0 in entries)
     return QuotientGraph(
         d=payload["meta"]["d"],
         labels=labels,

@@ -166,7 +166,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if report.odd_cycle:
             payload["odd_cycle_length"] = len(report.odd_cycle)
     if args.six_cycles:
-        seed = graph.index[graph.key_of(tuple(range(1, k.n + 1)))]
+        seed = graph.vertex_of(range(1, k.n + 1))
         cycles = analysis.six_cycles_through(graph, seed)
         payload["six_cycles"] = [
             [artifacts.coord_label(graph.labels[v]) for v in c.vertices]

@@ -10,48 +10,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial
-from operator import add
-from typing import Optional, Sequence
+from operator import add, sub
+from typing import Callable, Optional, Sequence
 
 from .intlin import IntMatrix
 from .lattice import (
     KSignature,
     Reducer,
-    class_canonicalizer,
     enumerate_fundamental,
     from_ambient,
     signature_reducer,
     smith_reduction,
     to_ambient,
 )
-from .tiling import base_permutation
+from .tiling import SliceError, base_permutation, is_tiling_vertex
 
 VertexKey = tuple[int, ...]
+Locator = Callable[[VertexKey], int]
 
 
 class NotSimplicial(ValueError):
     """A facet repeats a vertex or a facet list repeats a facet."""
-
-
-def _key_with_reducer(x: Sequence[int], reduce_class: Reducer) -> VertexKey:
-    """Canonical coordinates of the class of a tiling vertex.
-
-    For each residue shift there is one way to write x as base permutation
-    plus lattice vector; reducing the lattice part and re-embedding gives a
-    class invariant.  The minimum over shifts is taken so the key is well
-    defined even when the reducer's image is not shift-aligned.
-    """
-    cands = []
-    for c in range(len(x)):
-        p = base_permutation(x, c)
-        rep = reduce_class(from_ambient(tuple(xa - pa for xa, pa in zip(x, p))))
-        cands.append(tuple(map(add, p, to_ambient(rep))))
-    return min(cands)
-
-
-def vertex_key(x: Sequence[int], k: KSignature) -> VertexKey:
-    """Canonical representative coordinates of x modulo the sublattice of k."""
-    return _key_with_reducer(tuple(x), signature_reducer(k))
 
 
 @dataclass(frozen=True)
@@ -60,7 +39,8 @@ class QuotientGraph:
 
     Vertices are canonical keys sorted lexicographically; labels default to
     the keys but dual graphs reuse the type with facet labels.  A quotient
-    keeps the reducer it was built with, so ``key_of`` costs no set-up.
+    keeps the closed-form index it was built with, so ``vertex_of`` finds
+    the vertex of a tiling point with one reduction.
     """
 
     d: int
@@ -69,18 +49,13 @@ class QuotientGraph:
     signature: Optional[KSignature] = None
     general_matrix: Optional[IntMatrix] = None
     index: dict = field(default_factory=dict, compare=False, repr=False)
-    reducer: Optional[Reducer] = field(default=None, compare=False, repr=False)
+    locate: Optional[Locator] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.index:
             object.__setattr__(
                 self, "index", {lab: i for i, lab in enumerate(self.labels)}
             )
-        if self.reducer is None and self.signature is not None:
-            object.__setattr__(self, "reducer", signature_reducer(self.signature))
-        elif self.reducer is None and self.general_matrix is not None:
-            reducer = class_canonicalizer(self.general_matrix)
-            object.__setattr__(self, "reducer", reducer)
 
     @property
     def vertex_count(self) -> int:
@@ -98,16 +73,23 @@ class QuotientGraph:
             if i < j
         ]
 
-    def key_of(self, x: Sequence[int]) -> VertexKey:
-        if self.reducer is None:
+    def vertex_of(self, x: Sequence[int]) -> int:
+        """Index of the vertex that the tiling point x maps to."""
+        if self.locate is None:
             raise ValueError("graph carries no quotient data")
-        return _key_with_reducer(tuple(x), self.reducer)
+        x = tuple(x)
+        if len(x) != self.d + 1 or not is_tiling_vertex(x):
+            raise SliceError(f"{x} is not a vertex of the tiling")
+        return self.locate(x)
+
+    def key_of(self, x: Sequence[int]) -> VertexKey:
+        return self.labels[self.vertex_of(x)]
 
 
 def _build_quotient(
     d: int, reduce_class: Reducer, classes: Sequence[tuple[int, ...]]
-) -> tuple[tuple[VertexKey, ...], tuple[tuple[int, ...], ...], tuple]:
-    """Sorted labels, adjacency and tile-class facets of a quotient.
+) -> tuple[tuple[VertexKey, ...], tuple[tuple[int, ...], ...], tuple, Locator]:
+    """Sorted labels, adjacency, tile-class facets and index of a quotient.
 
     Each vertex is x = p + amb(a) for exactly one permutation p with
     p_1 = 1 and one class a, so it is numbered rank(p) * D + index(a).
@@ -116,7 +98,9 @@ def _build_quotient(
     the least of p shifted down by t plus the embedded tile class is its
     label.  Swapping values v, v+1 >= 2 of p keeps a; wrapping the value
     d+1 round to 2 lands in the last tile class; the last neighbour undoes
-    a wrap.  So each vertex costs d reductions.
+    a wrap.  So each vertex costs d reductions.  The index of a tiling
+    point x takes the p with p_1 = 1, the shift x_1 - 1, and reduces
+    x - p once.
     """
     n, size = d + 1, len(classes)
     index = {a: i for i, a in enumerate(classes)}
@@ -147,20 +131,30 @@ def _build_quotient(
             adjacency[u] += [s * size + ci for s in swaps] + [w]
             adjacency[w].append(u)
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    position = {u: i for i, u in enumerate(order)}
+    position = [0] * len(order)
+    for i, u in enumerate(order):
+        position[u] = i
+
+    def locate(x: VertexKey) -> int:
+        p = base_permutation(x, x[0] - 1)
+        a = reduce_class(from_ambient(tuple(map(sub, x, p))))
+        return position[rank[p] * size + index[a]]
+
     return (
         tuple(labels[u] for u in order),
         tuple(tuple(sorted({position[w] for w in adjacency[u]})) for u in order),
         tuple(facets[u] for u in order),
+        locate,
     )
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
     """Quotient graph of a signature, numbered by the closed-form index."""
-    reducer = signature_reducer(k)
-    labels, adj, _ = _build_quotient(k.d, reducer, enumerate_fundamental(k))
+    labels, adj, _, locate = _build_quotient(
+        k.d, signature_reducer(k), enumerate_fundamental(k)
+    )
     return QuotientGraph(
-        d=k.d, labels=labels, adjacency=adj, signature=k, reducer=reducer
+        d=k.d, labels=labels, adjacency=adj, signature=k, locate=locate
     )
 
 
@@ -174,9 +168,9 @@ def build_general_quotient(rows: IntMatrix, d: int = 2) -> QuotientGraph:
     if rows.cols != d + 1:
         raise ValueError("matrix width must be d+1")
     reducer, classes = smith_reduction(rows)  # raises when infinite
-    labels, adj, _ = _build_quotient(d, reducer, classes)
+    labels, adj, _, locate = _build_quotient(d, reducer, classes)
     return QuotientGraph(
-        d=d, labels=labels, adjacency=adj, general_matrix=rows, reducer=reducer
+        d=d, labels=labels, adjacency=adj, general_matrix=rows, locate=locate
     )
 
 
@@ -234,7 +228,7 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     if k.delta:
         raise NotSimplicial("zero entries void the simplicial guarantees")
     classes = enumerate_fundamental(k)
-    _, _, facets = _build_quotient(k.d, signature_reducer(k), classes)
+    _, _, facets, _ = _build_quotient(k.d, signature_reducer(k), classes)
     complex_ = SimplicialComplex(
         vertex_count=len(classes),
         facets=facets,
@@ -294,6 +288,3 @@ def skeleton_graph(c: SimplicialComplex) -> QuotientGraph:
         adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
     )
 
-
-def euler_characteristic(c: SimplicialComplex) -> int:
-    return c.euler_characteristic()

@@ -89,7 +89,7 @@ def perm_from_coordinate_map(
     g: QuotientGraph, fn: Callable[[tuple[int, ...]], Sequence[int]]
 ) -> VertexPermutation:
     """Lift a coordinate-level map to a verified vertex permutation."""
-    images = tuple(g.index[g.key_of(fn(label))] for label in g.labels)
+    images = tuple(g.vertex_of(fn(label)) for label in g.labels)
     perm = VertexPermutation(images)
     if not is_automorphism(g, images):
         raise NotAnAutomorphism("coordinate map breaks adjacency")
@@ -353,9 +353,9 @@ def verify_exceptional_W(g: QuotientGraph) -> bool:
     ]
     mapping = {}
     for a, b in swaps:
-        ka, kb = g.key_of(a), g.key_of(b)
-        mapping[g.index[ka]] = g.index[kb]
-        mapping[g.index[kb]] = g.index[ka]
+        ia, ib = g.vertex_of(a), g.vertex_of(b)
+        mapping[ia] = ib
+        mapping[ib] = ia
     images = tuple(mapping.get(i, i) for i in range(g.vertex_count))
     if sorted(images) != list(range(g.vertex_count)):
         return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from heawood_kit.lattice import from_ambient, to_ambient
+from heawood_kit.lattice import KSignature, from_ambient, signature_reducer, to_ambient
 from heawood_kit.tiling import (
     base_permutation,
     is_tiling_vertex,
@@ -33,6 +33,11 @@ def key(x: Sequence[int], reduce_class: Reducer) -> tuple[int, ...]:
         if best is None or cand < best:
             best = cand
     return best
+
+
+def vertex_key(x: Sequence[int], k: KSignature) -> tuple[int, ...]:
+    """Canonical representative coordinates of x modulo the sublattice of k."""
+    return key(tuple(x), signature_reducer(k))
 
 
 def bfs_quotient(d: int, reduce_class: Reducer):

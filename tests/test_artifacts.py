@@ -47,15 +47,19 @@ def test_dot_export_structure():
 
 
 def test_json_round_trip():
-    g = graph((2, 1, 2))
-    text = export_graph_json(g)
-    payload = json.loads(text)
-    assert payload["schema"] == "heawood-kit/1"
-    assert payload["signature"] == [2, 1, 2]
-    h = import_graph_json(text)
-    assert h.vertex_count == g.vertex_count
-    assert h.adjacency == g.adjacency
-    assert h.labels == g.labels
+    delta = build_heawood_graph(KSignature((3, 3, 0), delta=True))
+    for g, entries in ((graph((2, 1, 2)), [2, 1, 2]), (delta, [3, 3, 0])):
+        text = export_graph_json(g)
+        payload = json.loads(text)
+        assert payload["schema"] == "heawood-kit/1"
+        assert payload["signature"] == entries
+        h = import_graph_json(text)
+        assert h.vertex_count == g.vertex_count
+        assert h.adjacency == g.adjacency
+        assert h.labels == g.labels
+        assert h.signature == g.signature
+        with pytest.raises(ValueError, match="no quotient data"):
+            h.vertex_of(g.labels[0])
 
 
 def test_exports_are_byte_stable():

@@ -10,7 +10,7 @@ from heawood_kit.fixtures import (
     load_fixture,
     simplicial_automorphism_order,
 )
-from heawood_kit.quotient import NotSimplicial, dual_graph, euler_characteristic
+from heawood_kit.quotient import NotSimplicial, dual_graph
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +26,7 @@ def surface_dual():
 def test_counts_and_euler_characteristic():
     c = surface()
     assert c.fvector_enumerated() == (24, 84, 56)
-    assert euler_characteristic(c) == -4
+    assert c.euler_characteristic() == -4
     c.validate()
 
 

@@ -4,7 +4,7 @@ from math import factorial
 
 import oracles
 import pytest
-from oracles import stirling2_recurrence
+from oracles import stirling2_recurrence, vertex_key
 
 from heawood_kit import lattice
 from heawood_kit.intlin import IntMatrix, build_mk
@@ -13,7 +13,9 @@ from heawood_kit.lattice import (
     class_canonicalizer,
     enumerate_fundamental,
     reduce_to_fundamental,
+    signature_reducer,
     sublattice_contains,
+    to_ambient,
     w_vector,
 )
 from heawood_kit.quotient import (
@@ -23,12 +25,11 @@ from heawood_kit.quotient import (
     build_heawood_graph,
     build_torus_complex,
     dual_graph,
-    euler_characteristic,
     fvector_formula,
     skeleton_graph,
     stirling2,
-    vertex_key,
 )
+from heawood_kit.tiling import SliceError, neighbors
 
 
 @lru_cache(maxsize=None)
@@ -165,10 +166,10 @@ def test_dual_graph_triangle():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(torus((1, 1, 1))) == 0
-    assert euler_characteristic(torus((1, 1, 1, 1))) == 15 - 105 + 180 - 90 == 0
+    assert torus((1, 1, 1)).euler_characteristic() == 0
+    assert torus((1, 1, 1, 1)).euler_characteristic() == 15 - 105 + 180 - 90 == 0
     for entries in [(2, 1, 2), (1, 3, 2), (2, 2, 2, 1)]:
-        assert euler_characteristic(torus(entries)) == 0
+        assert torus(entries).euler_characteristic() == 0
 
 
 def test_face_class_census_matches_formula():
@@ -309,3 +310,51 @@ def test_key_of_reuses_the_quotients_reducer(build, monkeypatch):
         shifted = tuple(a + b for a, b in zip(label, w_vector(1, g.d)))
         assert g.key_of(shifted) in g.index
     assert calls == []
+
+
+LOOKUP_QUOTIENTS = (
+    [pytest.param(KSignature(e), id=str(e)) for e in ORACLE_SIGNATURES]
+    + [pytest.param(KSignature(e, delta=True), id=f"delta{e}") for e in ORACLE_DELTAS]
+    + [pytest.param(IntMatrix.from_rows(r), id=f"census{r}") for r in ORACLE_CENSUS]
+)
+
+
+@pytest.mark.parametrize("quotient", LOOKUP_QUOTIENTS)
+def test_vertex_of_matches_the_key_oracle(quotient):
+    if isinstance(quotient, KSignature):
+        g, rows = build_heawood_graph(quotient), quotient.matrix().row_list()
+        reducer = signature_reducer(quotient)
+    else:
+        g, rows = build_general_quotient(quotient), quotient.row_list()
+        reducer = class_canonicalizer(quotient)
+    shift = to_ambient([2 * a - b for a, b in zip(rows[0], rows[-1])])
+    for label in g.labels:
+        shifted = tuple(a + b for a, b in zip(label, shift))
+        for x in [label, shifted] + neighbors(label):
+            assert g.vertex_of(x) == g.index[oracles.key(x, reducer)]
+
+
+def test_vertex_of_reduces_once(monkeypatch):
+    g = graph((2, 1, 2))
+    calls = []
+    original = lattice.reduce_to_fundamental
+
+    def counting(a, k):
+        calls.append(a)
+        return original(a, k)
+
+    monkeypatch.setattr(lattice, "reduce_to_fundamental", counting)
+    far = tuple(a + 7 * b for a, b in zip((1, 2, 3), w_vector(2, 2)))
+    for x in [(1, 2, 3), far] + neighbors(far):
+        calls.clear()
+        g.vertex_of(x)
+        assert len(calls) == 1
+
+
+def test_vertex_of_refuses_points_off_the_tiling():
+    with pytest.raises(SliceError, match=r"\(1, 5, 4, 0\)"):
+        graph((1, 1, 1, 1)).key_of((1, 5, 4, 0))
+    with pytest.raises(SliceError, match=r"\(1, 1, 1\)"):
+        graph((1, 1, 1)).key_of((1, 1, 1))
+    with pytest.raises(ValueError, match="no quotient data"):
+        dual_graph(torus((1, 1, 1))).vertex_of((1, 2, 3))

@@ -20,3 +20,23 @@ def test_aut_survey_runs_and_orders_divide():
     assert len(rows) == 8
     for row in rows:
         assert row["brute"] % row["generated"] == 0
+
+
+def test_hamiltonicity_sweep_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    env.pop("HEAWOOD_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "hamiltonicity_sweep.py"),
+         "--n", "3", "--max-entry", "2"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    rows = json.loads(proc.stdout)["sweep"]
+    assert len(rows) == 8
+    for row in rows:
+        for walk in row["alternating"].values():
+            if walk["outcome"] == "hamiltonian-cycle":
+                assert walk["length"] == row["vertices"]
+            else:
+                assert walk["outcome"] == "premature-closure"
+                assert walk["length"] < row["vertices"]
