@@ -24,13 +24,13 @@ def sweep(n: int, max_entry: int, budget: int) -> list[dict]:
     rows = []
     for entries in product(range(1, max_entry + 1), repeat=n):
         k = KSignature(entries)
-        outcomes = {}
-        for i in range(1, n + 1):
-            r = hamiltonian_alternating(k, i)
-            outcomes[i] = {"outcome": r.outcome, "length": r.length}
+        walks = {i: hamiltonian_alternating(k, i) for i in range(1, n + 1)}
+        outcomes = {
+            i: {"outcome": r.outcome, "length": r.length} for i, r in walks.items()
+        }
         row = {
             "k": list(entries),
-            "vertices": hamiltonian_alternating(k, 1).vertices,
+            "vertices": walks[1].vertices,
             "alternating": outcomes,
             "any_alternating_hamiltonian": any(
                 o["outcome"] == "hamiltonian-cycle" for o in outcomes.values()

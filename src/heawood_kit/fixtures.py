@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .quotient import NotSimplicial, SimplicialComplex, dual_graph
+from .quotient import NotSimplicial, QuotientGraph, SimplicialComplex, dual_graph
 from .symmetry import brute_force_automorphisms
 
 KLEIN_VERTEX_COUNT = 24
@@ -77,23 +77,23 @@ def klein_quartic() -> SimplicialComplex:
 def simplicial_automorphism_order(c: SimplicialComplex) -> int:
     """Order of the facet-preserving vertex permutation group.
 
-    Every simplicial automorphism is a 1-skeleton automorphism, so the
-    skeleton group is closed from the generators the search returns and
-    filtered to the permutations that send facets to facets.
+    One search on the vertex-facet incidence graph, vertices and facets
+    colored apart: its automorphisms are the simplicial automorphisms
+    together with the facet permutations they induce, and since facets
+    are distinct vertex sets the vertex permutation fixes the facet one.
     """
-    from .quotient import skeleton_graph
-
-    skeleton = skeleton_graph(c)
-    group = brute_force_automorphisms(skeleton, cap=c.vertex_count)
-    facet_set = set(c.facets)
-    count = 0
-    for perm in group.elements:
-        if all(
-            tuple(sorted(perm.images[v] for v in facet)) in facet_set
-            for facet in c.facets
-        ):
-            count += 1
-    return count
+    v = c.vertex_count
+    stars: list[list[int]] = [[] for _ in range(v)]
+    for f, facet in enumerate(c.facets):
+        for u in facet:
+            stars[u].append(v + f)
+    adjacency = tuple(map(tuple, stars)) + tuple(c.facets)
+    size = len(adjacency)
+    incidence = QuotientGraph(
+        d=1, labels=tuple((i,) for i in range(size)), adjacency=adjacency
+    )
+    colors = [0] * v + [1] * len(c.facets)
+    return brute_force_automorphisms(incidence, cap=size, initial_colors=colors).order
 
 
 def klein_quartic_aut_order() -> dict[str, int]:

@@ -2,7 +2,8 @@
 
 Generator families with closed-form orders: translations along the basis
 vectors, the point reflection, and coordinate rotation when the signature
-allows it.  An independent exact search, by individualization and color
+allows it; the order of the group they generate is the size of the orbit
+of a base.  An independent exact search, by individualization and color
 refinement with orbit pruning, verifies group orders from scratch: it
 returns generators of the full group and its order without listing the
 elements.
@@ -10,6 +11,7 @@ elements.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,8 +34,18 @@ class CapExceeded(RuntimeError):
 
 
 def search_cap(default: int = DEFAULT_SEARCH_CAP) -> int:
+    """HEAWOOD_CAP when set, which must be a positive integer, else the default."""
     value = os.environ.get("HEAWOOD_CAP")
-    return int(value) if value else default
+    if not value:
+        return default
+    problem = f"HEAWOOD_CAP must be a positive integer, not {value!r}"
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(problem) from None
+    if cap <= 0:
+        raise ValueError(problem)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -149,25 +161,39 @@ def admitted_cyclic_order(k: KSignature) -> int:
     raise AssertionError("shift n is always admitted")
 
 
+def _orbit_tuples(
+    gens: Iterable[VertexPermutation],
+    points: tuple[int, ...],
+    cap: int = DEFAULT_CLOSURE_CAP,
+) -> set[tuple[int, ...]]:
+    """Images of a tuple of vertices under the group, by breadth-first search."""
+    images = [p.images for p in gens]
+    seen = {points}
+    frontier = [points]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for img in images:
+                u = tuple(map(img.__getitem__, t))
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+                    if len(seen) > cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
+        frontier = nxt
+    return seen
+
+
 def _closure(
     gens: tuple[VertexPermutation, ...], cap: int
 ) -> set[VertexPermutation]:
-    """All products of the generators, by breadth-first composition."""
-    identity = VertexPermutation.identity(len(gens[0].images))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for elem in frontier:
-            for gen in gens:
-                prod = gen * elem
-                if prod not in elements:
-                    elements.add(prod)
-                    nxt.append(prod)
-                    if len(elements) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-        frontier = nxt
-    return elements
+    """All products of the generators.
+
+    The image array of gen * elem is that of elem mapped through gen, so
+    the elements are the orbit of the identity's image array.
+    """
+    identity = tuple(range(len(gens[0].images)))
+    return {VertexPermutation(t) for t in _orbit_tuples(gens, identity, cap)}
 
 
 def group_closure(
@@ -181,11 +207,15 @@ def group_closure(
 
 
 def generated_group(g: QuotientGraph) -> PermutationGroup:
-    """Closure of translations, reflection, and admitted rotations.
+    """Group of translations, reflection, and admitted rotations.
 
     A rotation is admitted when it maps the quotient's lattice to itself:
     for a signature when it fixes the entries, for a general matrix when
     every rotated row stays in the span of the rows and the all-ones row.
+    The order is read off a base without listing elements: refinement
+    commutes with every automorphism, so one that fixes the base of the
+    search fixes every vertex, and each element of the group moves the
+    base tuple to a different image.
     """
     gens = list(translation_generators(g))
     gens.append(rotation_R(g))
@@ -202,41 +232,135 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
         shift = next(admitted, n)
     if shift < n:
         gens.append(cyclic_C(g, shift))
-    return group_closure(gens)
+    _, base = _base_chain(g)
+    return PermutationGroup(
+        generators=tuple(gens), order=len(_orbit_tuples(gens, tuple(base)))
+    )
 
 
 def refine_colors(
     g: QuotientGraph, initial: Optional[Sequence[int]] = None
 ) -> tuple[int, ...]:
-    """Iterative neighborhood-color refinement down to a stable coloring.
+    """Coarsest equitable coloring finer than the initial one.
 
-    Each round colors a vertex by the rank of its color and the sorted
-    colors of its neighbors, so the result does not depend on vertex labels
-    and keeps the order of the colors it splits.  A round that splits no
-    cell returns.
+    Colors are cell starts: a vertex's color is the number of vertices in
+    the cells before its own, the cells ordered by their initial values
+    (degrees by default).  Refinement splits cells (McKay & Piperno 2014):
+    splitter cells leave a heap in color order; a splitter counts, for each
+    vertex adjacent to it, that vertex's neighbours inside it, and every
+    cell it touches splits into parts by count, in increasing count order
+    in place of the old cell.  Every step depends only on colors and
+    counts, so the result does not depend on vertex labels.
     """
     adjacency = g.adjacency
-    colors = list(initial) if initial is not None else [len(nbrs) for nbrs in adjacency]
-    cells = len(set(colors))
-    while True:
-        signatures = [
-            (c, tuple(sorted([colors[j] for j in nbrs])))
-            for c, nbrs in zip(colors, adjacency)
-        ]
-        palette = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
-        colors = [palette[sig] for sig in signatures]
-        if len(palette) == cells:
-            return tuple(colors)
-        cells = len(palette)
+    values = initial if initial is not None else [len(nbrs) for nbrs in adjacency]
+    colors = [0] * len(adjacency)
+    cells: dict[int, set[int]] = {}
+    start, last = 0, None
+    for pos, v in enumerate(sorted(range(len(adjacency)), key=values.__getitem__)):
+        if values[v] != last:
+            start, last = pos, values[v]
+            cells[start] = set()
+        cells[start].add(v)
+        colors[v] = start
+    return _refine(adjacency, colors, cells, list(cells))
+
+
+def _refine(
+    adjacency: Sequence[Sequence[int]],
+    colors: list[int],
+    cells: dict[int, set[int]],
+    splitters: list[int],
+) -> tuple[int, ...]:
+    """Split cells against the queued splitters until the coloring is equitable.
+
+    ``cells`` maps each cell start to its vertices and ``splitters`` is a
+    heap of starts.  A split keeps the first part at the old start, so its
+    vertices keep their color, and queues the new parts: all of them when
+    the old cell was queued, else all but the first largest, since counts
+    into that part follow from counts into the old cell and the others.
+    """
+    queued = set(splitters)
+    n = len(colors)
+    while splitters and len(cells) < n:
+        splitter = heapq.heappop(splitters)
+        queued.discard(splitter)
+        counts: dict[int, int] = {}
+        for w in cells[splitter]:
+            for u in adjacency[w]:
+                counts[u] = counts.get(u, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for u in counts:
+            touched.setdefault(colors[u], []).append(u)
+        for start, hit in touched.items():
+            cell = cells[start]
+            if len(cell) == 1:
+                continue
+            by_count: dict[int, list[int]] = {}
+            for u in hit:
+                by_count.setdefault(counts[u], []).append(u)
+            parts = [by_count[c] for c in sorted(by_count)]
+            if len(hit) < len(cell):
+                cell.difference_update(hit)  # count 0 comes first
+            elif len(parts) == 1:
+                continue
+            else:
+                cell = cells[start] = set(parts.pop(0))
+            starts = [start]
+            pos = start + len(cell)
+            for part in parts:
+                cells[pos] = set(part)
+                for v in part:
+                    colors[v] = pos
+                starts.append(pos)
+                pos += len(part)
+            if start in queued:
+                fresh = starts[1:]
+            else:
+                largest = max(starts, key=lambda s: len(cells[s]))
+                fresh = [s for s in starts if s != largest]
+            for pos in fresh:
+                heapq.heappush(splitters, pos)
+                queued.add(pos)
+    return tuple(colors)
 
 
 def _individualize(
     g: QuotientGraph, colors: Sequence[int], v: int
 ) -> tuple[int, ...]:
-    """Give v a color below all others, then refine again."""
-    marked = list(colors)
-    marked[v] = -1
-    return refine_colors(g, marked)
+    """Split v off at the front of its cell, then refine against it.
+
+    The input coloring is equitable, so the singleton is the only splitter
+    needed: counts into the rest of v's old cell follow from the two.
+    """
+    colors = list(colors)
+    cells: dict[int, set[int]] = {}
+    for u, c in enumerate(colors):
+        cells.setdefault(c, set()).add(u)
+    start = colors[v]
+    rest = cells[start]
+    rest.discard(v)
+    cells[start] = {v}
+    cells[start + 1] = rest
+    for u in rest:
+        colors[u] = start + 1
+    return _refine(g.adjacency, colors, cells, [start])
+
+
+def _base_chain(
+    g: QuotientGraph, initial_colors: Optional[Sequence[int]] = None
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Refined colorings individualized at base points until discrete.
+
+    Each base point is the first vertex of the first non-singleton cell;
+    the chain holds the coloring before each point and the discrete one.
+    """
+    chain = [refine_colors(g, initial_colors)]
+    base: list[int] = []
+    while (b := _target(chain[-1])) >= 0:
+        base.append(b)
+        chain.append(_individualize(g, chain[-1], b))
+    return chain, base
 
 
 def _target(colors: Sequence[int]) -> int:
@@ -249,17 +373,7 @@ def _target(colors: Sequence[int]) -> int:
 
 
 def _orbit(gens: Iterable[VertexPermutation], vertex: int) -> set[int]:
-    images = [p.images for p in gens]
-    seen = {vertex}
-    stack = [vertex]
-    while stack:
-        v = stack.pop()
-        for img in images:
-            w = img[v]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    return {t[0] for t in _orbit_tuples(gens, (vertex,))}
 
 
 def brute_force_automorphisms(
@@ -286,11 +400,7 @@ def brute_force_automorphisms(
     limit = cap if cap is not None else search_cap()
     if n > limit:
         raise CapExceeded(f"vertex count {n} above search cap {limit}")
-    chain = [refine_colors(g, initial_colors)]
-    base: list[int] = []
-    while (b := _target(chain[-1])) >= 0:
-        base.append(b)
-        chain.append(_individualize(g, chain[-1], b))
+    chain, base = _base_chain(g, initial_colors)
     shapes = [sorted(colors) for colors in chain]
     leaf_position = {c: v for v, c in enumerate(chain[-1])}
 

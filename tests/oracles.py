@@ -6,6 +6,10 @@ by reducing all d+1 of its residue-shift offsets and keeps going until no
 new key appears.  It is slow, with d+1 reductions per neighbour of every
 vertex, but it shares nothing with the closed-form index beyond the tiling
 and the reducers, so the graphs and facets of both must agree exactly.
+
+``refine_rounds`` is the package's original colour refinement: it re-signs
+every vertex in every round, where ``refine_colors`` splits cells, and
+both must reach the same coarsest equitable partition.
 """
 
 from __future__ import annotations
@@ -68,6 +72,28 @@ def torus_facets(labels, reduce_class: Reducer, classes):
         tuple(sorted(class_index[reduce_class(offset)] for offset in tiles_containing(x)))
         for x in labels
     )
+
+
+def refine_rounds(
+    adjacency: Sequence[Sequence[int]], initial: Sequence[int]
+) -> tuple[int, ...]:
+    """Colour refinement in rounds, the package's original ``refine_colors``.
+
+    Each round colours a vertex by the rank of its colour and the sorted
+    colours of its neighbours; a round that splits no cell returns.
+    """
+    colors = list(initial)
+    cells = len(set(colors))
+    while True:
+        signatures = [
+            (c, tuple(sorted([colors[j] for j in nbrs])))
+            for c, nbrs in zip(colors, adjacency)
+        ]
+        palette = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
+        colors = [palette[sig] for sig in signatures]
+        if len(palette) == cells:
+            return tuple(colors)
+        cells = len(palette)
 
 
 def neighbors_definitional(x: Sequence[int]) -> list[tuple[int, ...]]:

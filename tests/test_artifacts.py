@@ -234,6 +234,15 @@ def test_cli_cap_exit_code(capsys, monkeypatch):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_cli_rejects_bad_cap_value(capsys, monkeypatch, value):
+    monkeypatch.setenv("HEAWOOD_CAP", value)
+    code, out, err = run_cli(capsys, "build", "-k", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert "HEAWOOD_CAP" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

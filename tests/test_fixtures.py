@@ -10,7 +10,8 @@ from heawood_kit.fixtures import (
     load_fixture,
     simplicial_automorphism_order,
 )
-from heawood_kit.quotient import NotSimplicial, dual_graph
+from heawood_kit.lattice import KSignature
+from heawood_kit.quotient import NotSimplicial, build_torus_complex, dual_graph
 
 
 @lru_cache(maxsize=None)
@@ -125,3 +126,10 @@ def test_simplicial_automorphism_order_small():
     # boundary of a triangle: the full symmetric group on three vertices
     c = complex_from_facets("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert simplicial_automorphism_order(c) == 6
+
+
+@pytest.mark.parametrize("entries, order", [((1, 1, 1), 42), ((2, 2, 2), 114)])
+def test_simplicial_automorphism_order_of_torus(entries, order):
+    # the skeleton of the (1,1,1) torus is K7 with 5040 automorphisms, of
+    # which only the 42 that send facets to facets count
+    assert simplicial_automorphism_order(build_torus_complex(KSignature(entries))) == order

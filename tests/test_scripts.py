@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from heawood_kit import analysis
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,23 @@ def test_hamiltonicity_sweep_runs():
             else:
                 assert walk["outcome"] == "premature-closure"
                 assert walk["length"] < row["vertices"]
+
+
+def test_hamiltonicity_sweep_builds_each_graph_once_per_walk(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "hamiltonicity_sweep", ROOT / "scripts" / "hamiltonicity_sweep.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+    build = analysis.build_heawood_graph
+
+    def counting_build(k):
+        calls.append(k.entries)
+        return build(k)
+
+    monkeypatch.setattr(analysis, "build_heawood_graph", counting_build)
+    rows = module.sweep(3, 2, 200_000)
+    assert len(rows) == 8
+    # one build per alternating walk: three directions for each signature
+    assert len(calls) == 24

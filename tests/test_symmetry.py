@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from heawood_kit import symmetry
 from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.lattice import KSignature
 from heawood_kit.quotient import QuotientGraph, build_general_quotient, build_heawood_graph
@@ -17,10 +18,12 @@ from heawood_kit.symmetry import (
     group_closure,
     is_automorphism,
     orbit,
+    refine_colors,
     rotation_R,
     translation_generators,
     verify_exceptional_W,
 )
+from oracles import refine_rounds
 
 
 @lru_cache(maxsize=None)
@@ -227,3 +230,95 @@ def test_search_keeps_initial_colors():
     assert group.order == 2
     assert orbit(group, 0) == {0}
     assert orbit(group, 1) == {1, 5}
+
+
+def partition(colors):
+    """The set partition of a coloring, color names ignored."""
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def random_graph(rng, n):
+    p = rng.choice([0.15, 0.3, 0.5, 0.7])
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return graph_from_edges(n, edges)
+
+
+def test_refine_colors_matches_round_oracle_on_random_graphs():
+    rng = random.Random(19812014)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n)
+        degrees = [len(nbrs) for nbrs in g.adjacency]
+        assert partition(refine_colors(g)) == partition(refine_rounds(g.adjacency, degrees))
+        initial = [rng.randrange(3) for _ in range(n)]
+        assert partition(refine_colors(g, initial)) == partition(
+            refine_rounds(g.adjacency, initial)
+        )
+
+
+@pytest.mark.parametrize("entries", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
+def test_individualized_refinement_matches_round_oracle(entries):
+    g = graph(entries)
+    chain, _ = symmetry._base_chain(g)
+    for colors in chain[:-1]:
+        for v in range(0, g.vertex_count, 5):
+            marked = list(colors)
+            marked[v] = -1
+            assert partition(symmetry._individualize(g, colors, v)) == partition(
+                refine_rounds(g.adjacency, marked)
+            )
+
+
+def test_refine_colors_is_label_independent():
+    # relabelling the vertices relabels the coloring, colors included
+    rng = random.Random(2014)
+    for entries in [(2, 1, 2), (1, 1, 1, 1)]:
+        g = graph(entries)
+        n = g.vertex_count
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inverse = {p: v for v, p in enumerate(perm)}
+        relabelled = QuotientGraph(
+            d=g.d,
+            labels=tuple((i,) for i in range(n)),
+            adjacency=tuple(
+                tuple(sorted(perm[u] for u in g.adjacency[inverse[v]]))
+                for v in range(n)
+            ),
+        )
+        for v in range(0, n, 7):
+            colors = symmetry._individualize(g, refine_colors(g), v)
+            moved = symmetry._individualize(
+                relabelled, refine_colors(relabelled), perm[v]
+            )
+            assert all(moved[perm[u]] == colors[u] for u in range(n))
+
+
+AUTOMORPHISM_SIGNATURES = [
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2),
+]
+CENSUS_MATRICES = [
+    "2,0,-1;0,2,-1;-1,-1,3",
+    "4,0,-1;0,4,-1;-1,-1,5",
+    "2,-1,0;0,2,-1;-1,0,2",
+    "7,-1,0;0,7,-1;-1,0,7",
+]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph(k) for k in AUTOMORPHISM_SIGNATURES]
+    + [build_general_quotient(parse_matrix_arg(text)) for text in CENSUS_MATRICES],
+    ids=[",".join(map(str, k)) for k in AUTOMORPHISM_SIGNATURES] + CENSUS_MATRICES,
+)
+def test_generated_group_order_from_base_matches_closure(g, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("generated_group listed group elements")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_closure", no_listing)
+        group = generated_group(g)
+    assert group.order == group_closure(group.generators).order
