@@ -2,9 +2,10 @@
 
 The tiling of the affine slice by permutahedra has a (d+1)-regular edge
 graph; quotienting by a finite-index sublattice attached to a signature
-k = (k_1, ..., k_{d+1}) yields a finite vertex-transitive graph and a dual
-triangulated d-torus.  This package constructs both, computes their exact
-invariants, and cross-checks every closed form against enumeration.
+k = (k_1, ..., k_{d+1}) yields a finite graph and a dual triangulated
+d-torus.  The graph is vertex-transitive on the d = 2 samples, but not
+in general for d >= 3.  This package constructs both, computes their
+exact invariants, and cross-checks every closed form against enumeration.
 """
 
 from .intlin import IntMatrix, build_mk, closed_form_dk, det, smith_normal_form

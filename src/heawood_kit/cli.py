@@ -71,6 +71,10 @@ def refuse_above_cap(
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if args.torus and args.format in ("dot", "json-graph"):
+        raise ValueError(f"--format {args.format} exports a graph, not --torus")
+    if not args.torus and args.format == "off":
+        raise ValueError("--format off exports a torus and needs --torus")
     k = parse_signature(args.k)
     refuse_above_cap(k.d, k.order())
     if args.torus:

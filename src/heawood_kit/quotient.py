@@ -98,13 +98,19 @@ def _build_quotient(
     the least of p shifted down by t plus the embedded tile class is its
     label.  Swapping values v, v+1 >= 2 of p keeps a; wrapping the value
     d+1 round to 2 lands in the last tile class; the last neighbour undoes
-    a wrap.  So each vertex costs d reductions.  The index of a tiling
-    point x takes the p with p_1 = 1, the shift x_1 - 1, and reduces
-    x - p once.
+    a wrap.  Subtracting e_j permutes the classes, so the table minus[j]
+    costs n·D reductions per quotient; tile t is tile t-1 stepped through
+    minus[j] for the j with p_j = t, d table steps per vertex.  The index
+    of a tiling point x takes the p with p_1 = 1, the shift x_1 - 1, and
+    reduces x - p once.
     """
     n, size = d + 1, len(classes)
     index = {a: i for i, a in enumerate(classes)}
     ambient = [to_ambient(a) for a in classes]
+    minus = [
+        [index[reduce_class(a[:j] + (a[j] - 1,) + a[j + 1 :])] for a in classes]
+        for j in range(n)
+    ]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     labels: list[VertexKey] = []
@@ -117,12 +123,12 @@ def _build_quotient(
             for v in range(2, n)
         ]
         wrap = rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)]
-        for ci, a in enumerate(classes):
+        steps = [minus[p.index(t)] for t in range(1, n)]
+        for ci in range(size):
             u = len(labels)
-            tiles = [ci] + [
-                index[reduce_class(tuple(x - (v <= t) for x, v in zip(a, p)))]
-                for t in range(1, n)
-            ]
+            tiles = [ci]
+            for step in steps:
+                tiles.append(step[tiles[-1]])
             labels.append(
                 min(tuple(map(add, q, ambient[c])) for q, c in zip(down, tiles))
             )

@@ -137,6 +137,21 @@ def test_cli_build_formats(capsys, tmp_path):
     assert import_graph_json(target.read_text()).vertex_count == 14
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--torus", "--format", "dot"),
+        ("--torus", "--format", "json-graph"),
+        ("--format", "off"),
+    ],
+)
+def test_cli_build_refuses_format_that_does_not_fit(capsys, extra):
+    code, out, err = run_cli(capsys, "build", "-k", "1,1,1", *extra)
+    assert code == 2
+    assert out == ""
+    assert "--torus" in err and f"--format {extra[-1]}" in err
+
+
 def test_cli_build_torus_summary(capsys):
     code, out, _ = run_cli(capsys, "build", "-k", "1,1,1", "--torus")
     payload = json.loads(out)

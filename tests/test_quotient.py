@@ -14,6 +14,7 @@ from heawood_kit.lattice import (
     enumerate_fundamental,
     reduce_to_fundamental,
     signature_reducer,
+    smith_reduction,
     sublattice_contains,
     to_ambient,
     w_vector,
@@ -21,6 +22,7 @@ from heawood_kit.lattice import (
 from heawood_kit.quotient import (
     NotSimplicial,
     SimplicialComplex,
+    _build_quotient,
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
@@ -349,6 +351,34 @@ def test_vertex_of_reduces_once(monkeypatch):
         calls.clear()
         g.vertex_of(x)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        (2, 1, 2),
+        (3, 3, 3, 3),
+        (3, 3, 0),
+        ORACLE_CENSUS[1],
+        build_mk((2, 1, 2, 1)).row_list(),
+    ],
+)
+def test_build_reduces_once_per_class_and_coordinate(source):
+    if isinstance(source[0], int):
+        k = KSignature(source, delta=0 in source)
+        d, reduce_class, classes = k.d, signature_reducer(k), enumerate_fundamental(k)
+    else:
+        m = IntMatrix.from_rows(source)
+        d, (reduce_class, classes) = m.cols - 1, smith_reduction(m)
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return reduce_class(a)
+
+    labels, _, _, _ = _build_quotient(d, counting, classes)
+    assert len(labels) == factorial(d) * len(classes)
+    assert len(calls) == (d + 1) * len(classes)
 
 
 def test_vertex_of_refuses_points_off_the_tiling():

@@ -123,6 +123,28 @@ def test_brute_force_transitive():
         assert len(orbit(group, 0)) == g.vertex_count
 
 
+@pytest.mark.parametrize(
+    "entries, sizes",
+    [
+        ((2, 2, 2), [38]),
+        ((1, 2, 3), [36]),
+        ((1, 1, 1, 1), [30, 60]),
+        ((2, 1, 2, 1), [64, 64, 64]),
+    ],
+)
+def test_brute_force_orbit_sizes(entries, sizes):
+    """The d = 2 samples are vertex-transitive; the d = 3 ones are not."""
+    g = graph(entries)
+    group = brute_force_automorphisms(g)
+    left = set(range(g.vertex_count))
+    found = []
+    while left:
+        o = orbit(group, min(left))
+        found.append(len(o))
+        left -= o
+    assert sorted(found) == sizes
+
+
 def test_brute_force_cap():
     with pytest.raises(CapExceeded):
         brute_force_automorphisms(graph((2, 2, 2)), cap=10)
