@@ -5,10 +5,11 @@ For each signature in the sweep, build the quotient graph, compute the
 order of the group generated by translations, the point reflection, and
 any admitted cyclic shift, then compare against full brute-force search.
 Signatures where the two differ carry extra symmetry beyond the generic
-construction.
+construction.  The exact search runs on every graph of at most --cap
+vertices; the default covers every d = 3 signature with entries up to 3.
 
 Usage:
-    python3 scripts/aut_survey.py [--max-entry 2] [--n 3] [--cap 200]
+    python3 scripts/aut_survey.py [--max-entry 2] [--n 3] [--cap 2000]
 """
 
 import argparse
@@ -52,7 +53,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=3, help="signature length")
     parser.add_argument("--max-entry", type=int, default=2)
-    parser.add_argument("--cap", type=int, default=200)
+    parser.add_argument("--cap", type=int, default=2000)
     parser.add_argument("-o", "--output")
     args = parser.parse_args()
     rows = survey(args.n, args.max_entry, args.cap)

@@ -272,6 +272,23 @@ def test_cli_hamiltonian_bad_input_exit_code(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (("build", "-k", "0,0,0"), "1 edges on 2 vertices, not 3"),
+        (("build", "-k", "0,0,1"), "4 edges on 4 vertices, not 6"),
+        (("census", "--matrix", "1,0,0;0,1,0;0,0,1"), "1 edges on 2 vertices, not 3"),
+        (("aut", "-k", "0,0,1", "--compare"), "4 edges on 4 vertices, not 6"),
+        (("analyze", "-k", "0,0,1", "--bipartite"), "4 edges on 4 vertices, not 6"),
+    ],
+)
+def test_cli_rejects_degenerate_quotient(capsys, argv, counts):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "degenerate quotient" in err and counts in err
+
+
 @pytest.mark.parametrize("extra", [(), ("--torus",)])
 def test_cli_build_refuses_above_vertex_cap(capsys, monkeypatch, extra):
     code, out, err = run_cli(capsys, "build", "-k", "40,40,40,40", *extra)

@@ -25,6 +25,20 @@ def test_aut_survey_runs_and_orders_divide():
         assert row["brute"] % row["generated"] == 0
 
 
+def test_aut_survey_runs_exact_search_on_d3_grid():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    env.pop("HEAWOOD_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "aut_survey.py"),
+         "--n", "4", "--max-entry", "2"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    rows = json.loads(proc.stdout)["survey"]
+    assert len(rows) == 16
+    assert all(row["exceptional"] is False for row in rows)
+
+
 def test_hamiltonicity_sweep_runs():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}

@@ -1,5 +1,7 @@
 import random
 from functools import lru_cache
+from itertools import product
+from math import factorial
 
 import pytest
 
@@ -229,6 +231,76 @@ def test_search_matches_networkx_on_random_graphs():
     for reference in regular:
         g = graph_from_edges(10, reference.edges())
         assert brute_force_automorphisms(g).order == networkx_order(reference)
+
+
+def test_search_matches_networkx_on_unions_of_cubic_graphs():
+    # a repeated component makes the graph not vertex-transitive and gives a
+    # failed branch an orbit of more than one vertex under the stabilizer
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def union_order(union):
+        # |Aut| of a disjoint union: |Aut(C)|^m · m! for each component C repeated m times
+        classes = []
+        for nodes in nx.connected_components(union):
+            component = union.subgraph(nodes)
+            for entry in classes:
+                if nx.is_isomorphic(entry[0], component):
+                    entry[1] += 1
+                    break
+            else:
+                classes.append([component, 1])
+        order = 1
+        for component, m in classes:
+            aut = sum(1 for _ in GraphMatcher(component, component).isomorphisms_iter())
+            order *= aut**m * factorial(m)
+        return order
+
+    for seed in range(30):
+        rng = random.Random(seed)
+        parts = [
+            nx.random_regular_graph(3, 10, seed=rng.randrange(10**6))
+            for _ in range(rng.randint(1, 2))
+        ]
+        parts.append(parts[0])
+        rng.shuffle(parts)
+        union = nx.disjoint_union_all(parts)
+        g = graph_from_edges(union.number_of_nodes(), union.edges())
+        assert brute_force_automorphisms(g).order == union_order(union)
+
+
+@pytest.mark.parametrize(
+    "entries, most", [((1, 1, 1, 1), 15), ((2, 1, 2, 1), 20), ((2, 2, 2, 2), 25)]
+)
+def test_failed_branch_prunes_its_orbit(entries, most, monkeypatch):
+    # skipping only the failed vertex itself costs one refinement per vertex
+    # of the first cell: 67, 135 and 272 calls on these graphs
+    calls = 0
+    individualize = symmetry._individualize
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return individualize(*args)
+
+    monkeypatch.setattr(symmetry, "_individualize", counting)
+    brute_force_automorphisms(graph(entries), cap=400)
+    assert calls <= most
+
+
+@pytest.mark.parametrize(
+    "entries", list(product((1, 2), repeat=4)), ids=lambda k: ",".join(map(str, k))
+)
+def test_brute_force_equals_generated_on_d3_grid(entries):
+    g = graph(entries)
+    assert brute_force_automorphisms(g, cap=g.vertex_count).order == generated_group(g).order
+
+
+@pytest.mark.parametrize("entries, order", [((3, 3, 3, 3), 1400), ((1, 1, 1, 1, 1), 310)])
+def test_brute_force_orders_above_default_cap(entries, order):
+    g = graph(entries)
+    assert brute_force_automorphisms(g, cap=g.vertex_count).order == order
+    assert generated_group(g).order == order
 
 
 @pytest.mark.parametrize(
