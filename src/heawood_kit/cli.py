@@ -20,7 +20,6 @@ from .intlin import InvalidSignature, ShapeError, integer_span_contains
 from .lattice import InfiniteQuotient, KSignature, quotient_order_general
 from .quotient import (
     NotSimplicial,
-    QuotientGraph,
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
@@ -71,18 +70,6 @@ def refuse_above_cap(
         raise symmetry.CapExceeded(f"{vertices} vertices above {what} cap {cap}")
 
 
-def simple_graph(graph: QuotientGraph) -> QuotientGraph:
-    """The graph, or exit 2 when building it merged repeated edges: every
-    tiling vertex has d+1 neighbours, so 2·edges = (d+1)·vertices."""
-    expected = (graph.d + 1) * graph.vertex_count / 2
-    if graph.edge_count != expected:
-        raise ValueError(
-            f"degenerate quotient: {graph.edge_count} edges on {graph.vertex_count}"
-            f" vertices, not {expected:g}; repeated edges merged"
-        )
-    return graph
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     if args.torus and args.format in ("dot", "json-graph"):
         raise ValueError(f"--format {args.format} exports a graph, not --torus")
@@ -108,7 +95,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 args.output,
             )
         return EXIT_OK
-    graph = simple_graph(build_heawood_graph(k))
+    graph = build_heawood_graph(k)
     if args.format in ("dot", "json-graph"):
         fmt = "dot" if args.format == "dot" else "json"
         emit_text(artifacts.export_graph(graph, fmt), args.output)
@@ -148,7 +135,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
     refuse_above_cap(k.d, k.order())
     if args.mode in ("brute", "compare"):
         refuse_above_cap(k.d, k.order(), "search", symmetry.DEFAULT_SEARCH_CAP)
-    graph = simple_graph(build_heawood_graph(k))
+    graph = build_heawood_graph(k)
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("generated", "compare"):
         payload["generated"] = symmetry.generated_group(graph).order
@@ -163,6 +150,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
     payload: dict = {"signature": list(k.entries)}
+    refuse_above_cap(k.d, k.order())
     if args.hamiltonian is not None:
         result = analysis.hamiltonian_alternating(k, args.hamiltonian)
         payload.update(
@@ -175,8 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         emit(payload, args.output)
         return EXIT_OK
-    refuse_above_cap(k.d, k.order())
-    graph = simple_graph(build_heawood_graph(k))
+    graph = build_heawood_graph(k)
     if args.bipartite:
         report = analysis.is_bipartite(graph)
         payload["bipartite"] = report.bipartite
@@ -200,7 +187,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     matrix = artifacts.parse_matrix_arg(args.matrix)
     order = quotient_order_general(matrix)
     refuse_above_cap(matrix.cols - 1, order)
-    graph = simple_graph(build_general_quotient(matrix, d=matrix.cols - 1))
+    graph = build_general_quotient(matrix, d=matrix.cols - 1)
     all_ones = (1,) * matrix.cols
     emit(
         {

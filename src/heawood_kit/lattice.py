@@ -8,15 +8,19 @@ form subtracts the minimum so at least one entry is zero.
 The sublattice of a signature k is spanned (in coefficients, modulo the
 all-ones relation) by the rows of the banded matrix of that signature.  The
 finitely many classes of the quotient are indexed by the fundamental
-vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.
+vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
+names the class of any tuple by its Smith coordinates, for signatures,
+delta signatures and general matrices alike; ``reduce_to_fundamental``
+keeps the entry scan of strict signatures as an independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable, Sequence
+from operator import mul
+from typing import Optional, Sequence
 
 from .intlin import (
     IntMatrix,
@@ -30,8 +34,6 @@ from .intlin import (
 
 REDUCTION_GUARD = 10**6
 
-Reducer = Callable[[tuple[int, ...]], tuple[int, ...]]
-
 
 class ReductionFailure(RuntimeError):
     """The entry-correction loop did not terminate within the guard."""
@@ -43,6 +45,10 @@ class NotInLattice(ValueError):
 
 class InfiniteQuotient(ValueError):
     """A generator matrix spans a sublattice of deficient rank."""
+
+
+class NotATransversal(ValueError):
+    """Class representatives that repeat a class or miss one."""
 
 
 @dataclass(frozen=True)
@@ -137,15 +143,15 @@ def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     one into [0, k_i] by adding an integer multiple of row i of the banded
     matrix.  Phase two subtracts min(a) many all-ones vectors so some entry
     becomes zero.  For delta-mode signatures the scan may not terminate, so
-    those fall back to a table lookup keyed by the general canonical form.
+    those look the class up in the Smith coordinates of a ``ClassIndex``.
     """
-    if k.delta:
-        return _delta_reducer(k)(tuple(int(x) for x in a))
     n = k.n
     kk = k.entries
     vec = list(a)
     if len(vec) != n:
         raise InvalidSignature("coefficient length does not match signature")
+    if k.delta:
+        return ClassIndex(k.matrix(), enumerate_fundamental(k)).rep(vec)
     for _ in range(REDUCTION_GUARD):
         for i in range(n):
             if not 0 <= vec[i] <= kk[i]:
@@ -191,75 +197,56 @@ def quotient_order_general(rows: IntMatrix) -> int:
     return prod(_quotient_smith_form(rows).diagonal())
 
 
-def smith_reduction(rows: IntMatrix) -> tuple[Reducer, list[tuple[int, ...]]]:
-    """Canonical representative map for Z^n mod (row span + all-ones line).
+class ClassIndex:
+    """Smith coordinates of the classes of Z^n / (row span + all-ones line).
 
-    Works for any finite quotient, including delta-mode and general census
-    matrices.  Reduction happens in Smith coordinates: z = a @ v is reduced
-    entrywise mod the diagonal, then mapped back through v^{-1} and min-zero
-    normalized.  Equal outputs iff equal classes.  The classes, listed
-    second and sorted, are the images of the box 0 <= z_j < diag_j.
+    With s = u @ [rows; 1] @ v in Smith form, a -> z = a @ v mod diag maps
+    the quotient isomorphically onto the product of the cyclic groups
+    Z/diag_j.  Only the columns of v whose diagonal entry exceeds 1 are
+    kept, so on a cyclic quotient z is a single dot product.  The classes
+    are listed by representative: the given ones, which must hit every
+    class once, or else the sorted min-zero images of the box
+    0 <= z_j < diag_j.
     """
-    n = rows.cols
-    snf = _quotient_smith_form(rows)
-    diag, v, v_inv = snf.diagonal(), snf.v, snf.v_inv
 
-    def from_smith(z: Sequence[int]) -> tuple[int, ...]:
-        return canonicalize(
-            [sum(z[i] * v_inv[i, j] for i in range(n)) for j in range(n)]
+    def __init__(
+        self, rows: IntMatrix, classes: Optional[Sequence[tuple[int, ...]]] = None
+    ) -> None:
+        snf = _quotient_smith_form(rows)
+        n = rows.cols
+        kept = [j for j, x in enumerate(snf.diagonal()) if x > 1]
+        self.moduli = tuple(snf.diagonal()[j] for j in kept)
+        self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
+        if classes is None:
+            back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
+            classes = sorted(
+                canonicalize([sum(map(mul, z, col)) for col in back])
+                for z in product(*(range(x) for x in self.moduli))
+            )
+        self.classes = [tuple(a) for a in classes]
+        self.keys = [self.key(a) for a in self.classes]
+        self.position = {z: i for i, z in enumerate(self.keys)}
+        order = prod(self.moduli)
+        if len(self.position) != len(self.classes) or len(self.classes) != order:
+            raise NotATransversal(
+                f"{len(self.classes)} representatives hit {len(self.position)}"
+                f" of {order} classes"
+            )
+
+    def key(self, a: Sequence[int]) -> tuple[int, ...]:
+        """Smith coordinates z = a @ v mod diag of the class of a."""
+        return tuple(
+            [sum(map(mul, a, col)) % x for col, x in zip(self.columns, self.moduli)]
         )
 
-    def reduce_class(a: tuple[int, ...]) -> tuple[int, ...]:
-        return from_smith(
-            [sum(a[i] * v[i, j] for i in range(n)) % diag[j] for j in range(n)]
-        )
+    def rep(self, a: Sequence[int]) -> tuple[int, ...]:
+        """The listed representative of the class of a."""
+        return self.classes[self.position[self.key(a)]]
 
-    classes = sorted(from_smith(z) for z in product(*(range(x) for x in diag)))
-    return reduce_class, classes
-
-
-def class_canonicalizer(rows: IntMatrix) -> Reducer:
-    """The representative map of ``smith_reduction`` on its own."""
-    return smith_reduction(rows)[0]
-
-
-def signature_reducer(k: KSignature) -> Reducer:
-    """``reduce_to_fundamental`` for k, with any delta-mode table built once."""
-    if k.delta:
-        return _delta_reducer(k)
-    return lambda a: reduce_to_fundamental(a, k)
-
-
-@dataclass(frozen=True)
-class LatticeClass:
-    """A class of the quotient, carried by its fundamental representative."""
-
-    rep: tuple[int, ...]
-    signature: KSignature = field(compare=False)
-
-    def __post_init__(self) -> None:
-        kk = self.signature.entries
-        ok = (
-            len(self.rep) == len(kk)
-            and all(0 <= r <= x for r, x in zip(self.rep, kk))
-            and 0 in self.rep
-        )
-        if not ok:
-            raise InvalidSignature("representative is not a fundamental vector")
-
-
-def _delta_reducer(k: KSignature) -> Reducer:
-    """Map general canonical classes onto fundamental vectors for delta k."""
-    general = class_canonicalizer(k.matrix())
-    table = {general(f): f for f in enumerate_fundamental(k)}
-    if len(table) != len(enumerate_fundamental(k)):
-        raise ReductionFailure("fundamental vectors collide in delta mode")
-
-    def reduce_class(a: tuple[int, ...]) -> tuple[int, ...]:
-        key = general(a)
-        try:
-            return table[key]
-        except KeyError:
-            raise ReductionFailure("class without fundamental representative") from None
-
-    return reduce_class
+    def minus(self, j: int) -> list[int]:
+        """Position of the class of a - e_j, for each listed class a."""
+        row = [col[j] for col in self.columns]
+        return [
+            self.position[tuple([(x - r) % m for x, r, m in zip(z, row, self.moduli)])]
+            for z in self.keys
+        ]

@@ -15,12 +15,10 @@ from typing import Callable, Optional, Sequence
 
 from .intlin import IntMatrix
 from .lattice import (
+    ClassIndex,
     KSignature,
-    Reducer,
     enumerate_fundamental,
     from_ambient,
-    signature_reducer,
-    smith_reduction,
     to_ambient,
 )
 from .tiling import SliceError, base_permutation, is_tiling_vertex
@@ -33,6 +31,10 @@ class NotSimplicial(ValueError):
     """A facet repeats a vertex or a facet list repeats a facet."""
 
 
+class DegenerateQuotient(ValueError):
+    """A quotient graph in which some vertex has fewer than d+1 neighbours."""
+
+
 @dataclass(frozen=True)
 class QuotientGraph:
     """Finite (d+1)-regular graph with stable vertex indexing.
@@ -40,7 +42,7 @@ class QuotientGraph:
     Vertices are canonical keys sorted lexicographically; labels default to
     the keys but dual graphs reuse the type with facet labels.  A quotient
     keeps the closed-form index it was built with, so ``vertex_of`` finds
-    the vertex of a tiling point with one reduction.
+    the vertex of a tiling point from its Smith coordinates.
     """
 
     d: int
@@ -87,7 +89,7 @@ class QuotientGraph:
 
 
 def _build_quotient(
-    d: int, reduce_class: Reducer, classes: Sequence[tuple[int, ...]]
+    d: int, index: ClassIndex
 ) -> tuple[tuple[VertexKey, ...], tuple[tuple[int, ...], ...], tuple, Locator]:
     """Sorted labels, adjacency, tile-class facets and index of a quotient.
 
@@ -98,19 +100,18 @@ def _build_quotient(
     the least of p shifted down by t plus the embedded tile class is its
     label.  Swapping values v, v+1 >= 2 of p keeps a; wrapping the value
     d+1 round to 2 lands in the last tile class; the last neighbour undoes
-    a wrap.  Subtracting e_j permutes the classes, so the table minus[j]
-    costs n·D reductions per quotient; tile t is tile t-1 stepped through
-    minus[j] for the j with p_j = t, d table steps per vertex.  The index
-    of a tiling point x takes the p with p_1 = 1, the shift x_1 - 1, and
-    reduces x - p once.
+    a wrap.  Subtracting e_j permutes the classes, and in Smith
+    coordinates it subtracts row j of v, so the table minus[j] needs no
+    reduction; tile t is tile t-1 stepped through minus[j] for the j with
+    p_j = t, d table steps per vertex.  The index of a tiling point x
+    takes the p with p_1 = 1, the shift x_1 - 1, and the Smith
+    coordinates of x - p.  A quotient in which some vertex has fewer
+    than d+1 distinct neighbours raises ``DegenerateQuotient``.
     """
-    n, size = d + 1, len(classes)
-    index = {a: i for i, a in enumerate(classes)}
+    n, classes = d + 1, index.classes
+    size = len(classes)
     ambient = [to_ambient(a) for a in classes]
-    minus = [
-        [index[reduce_class(a[:j] + (a[j] - 1,) + a[j + 1 :])] for a in classes]
-        for j in range(n)
-    ]
+    minus = [index.minus(j) for j in range(n)]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     labels: list[VertexKey] = []
@@ -140,24 +141,29 @@ def _build_quotient(
     position = [0] * len(order)
     for i, u in enumerate(order):
         position[u] = i
+    neighbours = tuple(
+        tuple(sorted({position[w] for w in adjacency[u]})) for u in order
+    )
+    if any(len(nbrs) < n for nbrs in neighbours):
+        edges = sum(map(len, neighbours)) // 2
+        raise DegenerateQuotient(
+            f"degenerate quotient: {edges} edges on {len(order)} vertices,"
+            f" not {n * len(order) // 2}; repeated edges merged"
+        )
 
     def locate(x: VertexKey) -> int:
         p = base_permutation(x, x[0] - 1)
-        a = reduce_class(from_ambient(tuple(map(sub, x, p))))
-        return position[rank[p] * size + index[a]]
+        z = index.key(from_ambient(tuple(map(sub, x, p))))
+        return position[rank[p] * size + index.position[z]]
 
-    return (
-        tuple(labels[u] for u in order),
-        tuple(tuple(sorted({position[w] for w in adjacency[u]})) for u in order),
-        tuple(facets[u] for u in order),
-        locate,
-    )
+    facets_sorted = tuple(facets[u] for u in order)
+    return tuple(labels[u] for u in order), neighbours, facets_sorted, locate
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
     """Quotient graph of a signature, numbered by the closed-form index."""
     labels, adj, _, locate = _build_quotient(
-        k.d, signature_reducer(k), enumerate_fundamental(k)
+        k.d, ClassIndex(k.matrix(), enumerate_fundamental(k))
     )
     return QuotientGraph(
         d=k.d, labels=labels, adjacency=adj, signature=k, locate=locate
@@ -173,8 +179,8 @@ def build_general_quotient(rows: IntMatrix, d: int = 2) -> QuotientGraph:
     """
     if rows.cols != d + 1:
         raise ValueError("matrix width must be d+1")
-    reducer, classes = smith_reduction(rows)  # raises when infinite
-    labels, adj, _, locate = _build_quotient(d, reducer, classes)
+    # ClassIndex raises when the quotient is infinite
+    labels, adj, _, locate = _build_quotient(d, ClassIndex(rows))
     return QuotientGraph(
         d=d, labels=labels, adjacency=adj, general_matrix=rows, locate=locate
     )
@@ -234,7 +240,7 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     if k.delta:
         raise NotSimplicial("zero entries void the simplicial guarantees")
     classes = enumerate_fundamental(k)
-    _, _, facets, _ = _build_quotient(k.d, signature_reducer(k), classes)
+    _, _, facets, _ = _build_quotient(k.d, ClassIndex(k.matrix(), classes))
     complex_ = SimplicialComplex(
         vertex_count=len(classes),
         facets=facets,

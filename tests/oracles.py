@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from heawood_kit.lattice import KSignature, from_ambient, signature_reducer, to_ambient
+from heawood_kit.lattice import (
+    KSignature,
+    from_ambient,
+    reduce_to_fundamental,
+    to_ambient,
+)
 from heawood_kit.tiling import (
     base_permutation,
     is_tiling_vertex,
@@ -41,7 +46,7 @@ def key(x: Sequence[int], reduce_class: Reducer) -> tuple[int, ...]:
 
 def vertex_key(x: Sequence[int], k: KSignature) -> tuple[int, ...]:
     """Canonical representative coordinates of x modulo the sublattice of k."""
-    return key(tuple(x), signature_reducer(k))
+    return key(tuple(x), lambda a: reduce_to_fundamental(a, k))
 
 
 def bfs_quotient(d: int, reduce_class: Reducer):

@@ -280,6 +280,7 @@ def test_cli_hamiltonian_bad_input_exit_code(capsys, argv, message):
         (("census", "--matrix", "1,0,0;0,1,0;0,0,1"), "1 edges on 2 vertices, not 3"),
         (("aut", "-k", "0,0,1", "--compare"), "4 edges on 4 vertices, not 6"),
         (("analyze", "-k", "0,0,1", "--bipartite"), "4 edges on 4 vertices, not 6"),
+        (("analyze", "-k", "0,0,1", "--hamiltonian", "1"), "4 edges on 4 vertices, not 6"),
     ],
 )
 def test_cli_rejects_degenerate_quotient(capsys, argv, counts):
@@ -287,6 +288,17 @@ def test_cli_rejects_degenerate_quotient(capsys, argv, counts):
     assert code == 2
     assert out == ""
     assert "degenerate quotient" in err and counts in err
+
+
+def test_cli_hamiltonian_refuses_above_vertex_cap(capsys, monkeypatch):
+    monkeypatch.setenv("HEAWOOD_CAP", "10")
+    code, out, err = run_cli(capsys, "analyze", "-k", "1,3,2", "--hamiltonian", "3")
+    assert code == 3 and out == ""
+    assert "36 vertices above build cap 10" in err
+    monkeypatch.setenv("HEAWOOD_CAP", "36")
+    code, out, _ = run_cli(capsys, "analyze", "-k", "1,3,2", "--hamiltonian", "3")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "hamiltonian-cycle"
 
 
 @pytest.mark.parametrize("extra", [(), ("--torus",)])

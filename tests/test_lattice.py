@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from heawood_kit.intlin import IntMatrix, InvalidSignature, build_mk, closed_form_dk, det
 from heawood_kit.lattice import (
+    ClassIndex,
     InfiniteQuotient,
     KSignature,
-    LatticeClass,
+    NotATransversal,
     NotInLattice,
     canonicalize,
-    class_canonicalizer,
     enumerate_fundamental,
     from_ambient,
     quotient_order_general,
@@ -121,13 +121,18 @@ def test_fundamental_pairwise_inequivalent():
                 assert not sublattice_contains(diff, k)
 
 
-def test_lattice_class_validation():
-    k = KSignature((1, 1, 1))
-    LatticeClass((1, 0, 1), k)
-    with pytest.raises(InvalidSignature):
-        LatticeClass((1, 1, 1), k)  # no zero entry
-    with pytest.raises(InvalidSignature):
-        LatticeClass((2, 0, 0), k)  # exceeds bound
+def test_class_index_refuses_classes_that_are_not_a_transversal():
+    k = KSignature((2, 1, 2))
+    classes = enumerate_fundamental(k)
+    ClassIndex(k.matrix(), classes)
+    same_class = tuple(a + r for a, r in zip(classes[1], k.matrix().row(0)))
+    for bad in [
+        classes[:-1] + classes[:1],  # a class twice, the last one missing
+        classes[:1] + [same_class] + classes[1:],  # a class under two names
+        classes[:-1],  # a class missing
+    ]:
+        with pytest.raises(NotATransversal):
+            ClassIndex(k.matrix(), bad)
 
 
 def test_quotient_order_general_examples():
@@ -152,7 +157,7 @@ def test_quotient_order_matches_closed_form(entries):
 def test_class_canonicalizer_agrees_with_reduction():
     for entries in [(1, 1, 1), (2, 1, 2), (1, 3, 2)]:
         k = KSignature(entries)
-        reducer = class_canonicalizer(k.matrix())
+        reducer = ClassIndex(k.matrix()).rep
         for a in product(range(-3, 4), repeat=3):
             for b in product(range(-3, 4), repeat=3):
                 if a >= b:

@@ -9,20 +9,18 @@ from oracles import stirling2_recurrence, vertex_key
 from heawood_kit import lattice
 from heawood_kit.intlin import IntMatrix, build_mk
 from heawood_kit.lattice import (
+    ClassIndex,
     KSignature,
-    class_canonicalizer,
     enumerate_fundamental,
     reduce_to_fundamental,
-    signature_reducer,
-    smith_reduction,
     sublattice_contains,
     to_ambient,
     w_vector,
 )
 from heawood_kit.quotient import (
+    DegenerateQuotient,
     NotSimplicial,
     SimplicialComplex,
-    _build_quotient,
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
@@ -286,7 +284,7 @@ def test_closed_form_index_matches_bfs_oracle_delta(entries):
 def test_closed_form_index_matches_bfs_oracle_census(rows):
     m = IntMatrix.from_rows(rows)
     g = build_general_quotient(m)
-    labels, adjacency = oracles.bfs_quotient(2, class_canonicalizer(m))
+    labels, adjacency = oracles.bfs_quotient(2, ClassIndex(m).rep)
     assert (g.labels, g.adjacency) == (labels, adjacency)
 
 
@@ -325,10 +323,10 @@ LOOKUP_QUOTIENTS = (
 def test_vertex_of_matches_the_key_oracle(quotient):
     if isinstance(quotient, KSignature):
         g, rows = build_heawood_graph(quotient), quotient.matrix().row_list()
-        reducer = signature_reducer(quotient)
+        reducer = lambda a: reduce_to_fundamental(a, quotient)  # noqa: E731
     else:
         g, rows = build_general_quotient(quotient), quotient.row_list()
-        reducer = class_canonicalizer(quotient)
+        reducer = ClassIndex(quotient).rep
     shift = to_ambient([2 * a - b for a, b in zip(rows[0], rows[-1])])
     for label in g.labels:
         shifted = tuple(a + b for a, b in zip(label, shift))
@@ -350,7 +348,7 @@ def test_vertex_of_reduces_once(monkeypatch):
     for x in [(1, 2, 3), far] + neighbors(far):
         calls.clear()
         g.vertex_of(x)
-        assert len(calls) == 1
+        assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -363,22 +361,39 @@ def test_vertex_of_reduces_once(monkeypatch):
         build_mk((2, 1, 2, 1)).row_list(),
     ],
 )
-def test_build_reduces_once_per_class_and_coordinate(source):
+def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
     if isinstance(source[0], int):
         k = KSignature(source, delta=0 in source)
-        d, reduce_class, classes = k.d, signature_reducer(k), enumerate_fundamental(k)
+        d, order = k.d, k.order()
+        build = lambda: build_heawood_graph(k)  # noqa: E731
     else:
         m = IntMatrix.from_rows(source)
-        d, (reduce_class, classes) = m.cols - 1, smith_reduction(m)
-    calls = []
+        d, order = m.cols - 1, lattice.quotient_order_general(m)
+        build = lambda: build_general_quotient(m, d=d)  # noqa: E731
+    calls = {"smith_normal_form": 0, "reduce_to_fundamental": 0}
+    for name in calls:
+        original = getattr(lattice, name)
 
-    def counting(a):
-        calls.append(a)
-        return reduce_class(a)
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
 
-    labels, _, _, _ = _build_quotient(d, counting, classes)
-    assert len(labels) == factorial(d) * len(classes)
-    assert len(calls) == (d + 1) * len(classes)
+        monkeypatch.setattr(lattice, name, counting)
+    assert build().vertex_count == factorial(d) * order
+    assert calls == {"smith_normal_form": 1, "reduce_to_fundamental": 0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_heawood_graph(KSignature((0, 0, 1), delta=True)),
+        lambda: build_general_quotient(IntMatrix.identity(3)),
+    ],
+    ids=["delta(0, 0, 1)", "census identity"],
+)
+def test_builders_refuse_degenerate_quotients(build):
+    with pytest.raises(DegenerateQuotient, match="edges on .* vertices, not"):
+        build()
 
 
 def test_vertex_of_refuses_points_off_the_tiling():
