@@ -168,12 +168,6 @@ def _project2(x: Sequence[float]) -> tuple[float, float]:
     return px, py
 
 
-def _tile_center(rep: Sequence[int]) -> tuple[float, float]:
-    amb = to_ambient(rep)
-    base = [2.0 + a for a in amb]  # centroid of the base hexagon is (2,2,2)
-    return _project2(base)
-
-
 def _hexagon_points(rep: Sequence[int]) -> list[tuple[float, float]]:
     amb = to_ambient(rep)
     return [

@@ -16,10 +16,9 @@ from math import factorial
 from typing import Optional, Sequence
 
 from . import analysis, artifacts, fixtures, symmetry
-from .intlin import InvalidSignature, ShapeError, integer_span_contains
-from .lattice import InfiniteQuotient, KSignature, quotient_order_general
+from .intlin import InvalidSignature, integer_span_contains
+from .lattice import KSignature, quotient_order_general
 from .quotient import (
-    NotSimplicial,
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
@@ -187,7 +186,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     matrix = artifacts.parse_matrix_arg(args.matrix)
     order = quotient_order_general(matrix)
     refuse_above_cap(matrix.cols - 1, order)
-    graph = build_general_quotient(matrix, d=matrix.cols - 1)
+    graph = build_general_quotient(matrix)
     all_ones = (1,) * matrix.cols
     emit(
         {
@@ -305,8 +304,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidSignature, ShapeError, NotSimplicial, InfiniteQuotient,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except symmetry.CapExceeded as exc:

@@ -58,11 +58,6 @@ class IntMatrix:
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [tuple(self[i, j] for i in range(self.rows)) for j in range(self.cols)]
-        )
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeError("inner dimensions differ")

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from .intlin import (
     IntMatrix,
     InvalidSignature,
+    ShapeError,
     SnfResult,
     build_mk,
     closed_form_dk,
@@ -84,11 +85,6 @@ class KSignature:
 
     def order(self) -> int:
         return closed_form_dk(self.entries)
-
-    def cyclic_shift(self, s: int) -> "KSignature":
-        n = self.n
-        s %= n
-        return KSignature(self.entries[s:] + self.entries[:s], delta=self.delta)
 
 
 def canonicalize(a: Sequence[int]) -> tuple[int, ...]:
@@ -179,8 +175,17 @@ def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
 
 
 def _quotient_smith_form(rows: IntMatrix) -> SnfResult:
-    """Smith form of the rows plus an all-ones row; raises when infinite."""
+    """Smith form of the rows plus an all-ones row.
+
+    Raises ``ShapeError`` for fewer than three columns, since the tiling
+    has dimension d >= 2, and ``InfiniteQuotient`` when the quotient is
+    infinite.
+    """
     n = rows.cols
+    if n < 3:
+        raise ShapeError(
+            f"generator matrix has {n} columns; the tiling needs d + 1 >= 3"
+        )
     snf = smith_normal_form(IntMatrix.from_rows(rows.row_list() + [(1,) * n]))
     diag = snf.diagonal()
     if len(diag) < n or any(x == 0 for x in diag):
@@ -206,7 +211,8 @@ class ClassIndex:
     kept, so on a cyclic quotient z is a single dot product.  The classes
     are listed by representative: the given ones, which must hit every
     class once, or else the sorted min-zero images of the box
-    0 <= z_j < diag_j.
+    0 <= z_j < diag_j.  The generator ``rows`` are kept: a vector lies in
+    the sublattice exactly when its Smith coordinates are all zero.
     """
 
     def __init__(
@@ -214,6 +220,7 @@ class ClassIndex:
     ) -> None:
         snf = _quotient_smith_form(rows)
         n = rows.cols
+        self.rows = rows
         kept = [j for j, x in enumerate(snf.diagonal()) if x > 1]
         self.moduli = tuple(snf.diagonal()[j] for j in kept)
         self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
@@ -242,6 +249,17 @@ class ClassIndex:
     def rep(self, a: Sequence[int]) -> tuple[int, ...]:
         """The listed representative of the class of a."""
         return self.classes[self.position[self.key(a)]]
+
+    def admits_rotation(self, shift: int) -> bool:
+        """Does rotating coordinates by shift map the lattice to itself?
+
+        It does when every rotated generator row has Smith coordinates
+        zero; the image then has the same finite index, so it is the
+        lattice.
+        """
+        return not any(
+            any(self.key(r[-shift:] + r[:-shift])) for r in self.rows.row_list()
+        )
 
     def minus(self, j: int) -> list[int]:
         """Position of the class of a - e_j, for each listed class a."""

@@ -41,23 +41,17 @@ class QuotientGraph:
 
     Vertices are canonical keys sorted lexicographically; labels default to
     the keys but dual graphs reuse the type with facet labels.  A quotient
-    keeps the closed-form index it was built with, so ``vertex_of`` finds
-    the vertex of a tiling point from its Smith coordinates.
+    keeps the lattice it was built from, as the ``ClassIndex`` of its
+    generator rows, and ``vertex_of`` finds the vertex of a tiling point
+    from its Smith coordinates.
     """
 
     d: int
     labels: tuple[VertexKey, ...]
     adjacency: tuple[tuple[int, ...], ...]
     signature: Optional[KSignature] = None
-    general_matrix: Optional[IntMatrix] = None
-    index: dict = field(default_factory=dict, compare=False, repr=False)
+    lattice: Optional[ClassIndex] = field(default=None, compare=False, repr=False)
     locate: Optional[Locator] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.index:
-            object.__setattr__(
-                self, "index", {lab: i for i, lab in enumerate(self.labels)}
-            )
 
     @property
     def vertex_count(self) -> int:
@@ -89,12 +83,13 @@ class QuotientGraph:
 
 
 def _build_quotient(
-    d: int, index: ClassIndex
-) -> tuple[tuple[VertexKey, ...], tuple[tuple[int, ...], ...], tuple, Locator]:
-    """Sorted labels, adjacency, tile-class facets and index of a quotient.
+    index: ClassIndex, signature: Optional[KSignature] = None
+) -> tuple[QuotientGraph, tuple]:
+    """Graph and tile-class facets of the quotient by the rows of an index.
 
-    Each vertex is x = p + amb(a) for exactly one permutation p with
-    p_1 = 1 and one class a, so it is numbered rank(p) * D + index(a).
+    The dimension d is the width of the rows minus one.  Each vertex is
+    x = p + amb(a) for exactly one permutation p with p_1 = 1 and one
+    class a, so it is numbered rank(p) * D + index(a).
     For each shift t, x lies in the tile at offset a - e(S_t), S_t the
     positions of the values 1..t in p: those classes are its facet, and
     the least of p shifted down by t plus the embedded tile class is its
@@ -108,7 +103,8 @@ def _build_quotient(
     coordinates of x - p.  A quotient in which some vertex has fewer
     than d+1 distinct neighbours raises ``DegenerateQuotient``.
     """
-    n, classes = d + 1, index.classes
+    n, classes = index.rows.cols, index.classes
+    d = n - 1
     size = len(classes)
     ambient = [to_ambient(a) for a in classes]
     minus = [index.minus(j) for j in range(n)]
@@ -156,34 +152,31 @@ def _build_quotient(
         z = index.key(from_ambient(tuple(map(sub, x, p))))
         return position[rank[p] * size + index.position[z]]
 
-    facets_sorted = tuple(facets[u] for u in order)
-    return tuple(labels[u] for u in order), neighbours, facets_sorted, locate
+    graph = QuotientGraph(
+        d=d,
+        labels=tuple(labels[u] for u in order),
+        adjacency=neighbours,
+        signature=signature,
+        lattice=index,
+        locate=locate,
+    )
+    return graph, tuple(facets[u] for u in order)
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
     """Quotient graph of a signature, numbered by the closed-form index."""
-    labels, adj, _, locate = _build_quotient(
-        k.d, ClassIndex(k.matrix(), enumerate_fundamental(k))
-    )
-    return QuotientGraph(
-        d=k.d, labels=labels, adjacency=adj, signature=k, locate=locate
-    )
+    return _build_quotient(ClassIndex(k.matrix(), enumerate_fundamental(k)), k)[0]
 
 
-def build_general_quotient(rows: IntMatrix, d: int = 2) -> QuotientGraph:
+def build_general_quotient(rows: IntMatrix) -> QuotientGraph:
     """Quotient graph for an arbitrary finite-quotient generator matrix.
 
-    The sublattice is the integer row span plus the all-ones line; vertex
-    count comes out as (d+1)!/(d+1) times the quotient order, which for
-    d=2 is twice the order.
+    The sublattice is the integer row span plus the all-ones line, and d
+    is the width of the matrix minus one; the graph has d! times the
+    quotient order vertices.  ``ClassIndex`` raises for a matrix narrower
+    than three columns and for an infinite quotient.
     """
-    if rows.cols != d + 1:
-        raise ValueError("matrix width must be d+1")
-    # ClassIndex raises when the quotient is infinite
-    labels, adj, _, locate = _build_quotient(d, ClassIndex(rows))
-    return QuotientGraph(
-        d=d, labels=labels, adjacency=adj, general_matrix=rows, locate=locate
-    )
+    return _build_quotient(ClassIndex(rows))[0]
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     if k.delta:
         raise NotSimplicial("zero entries void the simplicial guarantees")
     classes = enumerate_fundamental(k)
-    _, _, facets, _ = _build_quotient(k.d, ClassIndex(k.matrix(), classes))
+    _, facets = _build_quotient(ClassIndex(k.matrix(), classes))
     complex_ = SimplicialComplex(
         vertex_count=len(classes),
         facets=facets,

@@ -1,7 +1,7 @@
 """Automorphism groups of quotient graphs.
 
 Generator families with closed-form orders: translations along the basis
-vectors, the point reflection, and coordinate rotation when the signature
+vectors, the point reflection, and coordinate rotation when the lattice
 allows it; the order of the group they generate is the size of the orbit
 of a base.  An independent exact search, by individualization and color
 refinement with orbit pruning, verifies group orders from scratch: it
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .intlin import IntMatrix, integer_span_contains
 from .lattice import KSignature, w_vector
 from .quotient import QuotientGraph
 
@@ -136,23 +135,24 @@ def rotation_R(g: QuotientGraph) -> VertexPermutation:
 
 
 def cyclic_C(g: QuotientGraph, shift: int = 1) -> VertexPermutation:
-    """Coordinate rotation by a shift, admitted only when k is shift-invariant."""
+    """Coordinate rotation by a shift, admitted only when the lattice allows it."""
     n = g.d + 1
     shift %= n
-    k = g.signature
-    if k is not None:
-        kk = k.entries
-        if any(kk[(i + shift) % n] != kk[i] for i in range(n)):
-            raise NotAnAutomorphism(
-                f"signature is not invariant under shift {shift}"
-            )
+    if g.lattice is None:
+        raise ValueError("graph carries no quotient data")
+    if not g.lattice.admits_rotation(shift):
+        raise NotAnAutomorphism(f"lattice is not invariant under shift {shift}")
     return perm_from_coordinate_map(
         g, lambda x: tuple(x[(j - shift) % n] for j in range(n))
     )
 
 
 def admitted_cyclic_order(k: KSignature) -> int:
-    """Order of the admitted coordinate-rotation subgroup."""
+    """Order of the admitted coordinate-rotation subgroup, from the entries.
+
+    A shift counts when it fixes the entries of k, which keeps the rows of
+    its banded matrix and so the lattice.
+    """
     n = k.n
     kk = k.entries
     for s in range(1, n + 1):
@@ -209,27 +209,17 @@ def group_closure(
 def generated_group(g: QuotientGraph) -> PermutationGroup:
     """Group of translations, reflection, and admitted rotations.
 
-    A rotation is admitted when it maps the quotient's lattice to itself:
-    for a signature when it fixes the entries, for a general matrix when
-    every rotated row stays in the span of the rows and the all-ones row.
-    The order is read off a base without listing elements: refinement
-    commutes with every automorphism, so one that fixes the base of the
-    search fixes every vertex, and each element of the group moves the
-    base tuple to a different image.
+    A rotation is admitted when the lattice allows it: when every rotated
+    generator row has Smith coordinates zero.  The least admitted shift
+    generates the admitted rotations.  The order is read off a base
+    without listing elements: refinement commutes with every automorphism,
+    so one that fixes the base of the search fixes every vertex, and each
+    element of the group moves the base tuple to a different image.
     """
     gens = list(translation_generators(g))
     gens.append(rotation_R(g))
     n = g.d + 1
-    if g.signature is not None:
-        shift = n // admitted_cyclic_order(g.signature)
-    else:
-        rows = g.general_matrix.row_list()
-        span = IntMatrix.from_rows(rows + [(1,) * n])
-        admitted = (
-            s for s in range(1, n)
-            if all(integer_span_contains(span, r[-s:] + r[:-s]) for r in rows)
-        )
-        shift = next(admitted, n)
+    shift = next((s for s in range(1, n) if g.lattice.admits_rotation(s)), n)
     if shift < n:
         gens.append(cyclic_C(g, shift))
     _, base = _base_chain(g)

@@ -196,7 +196,7 @@ def test_criterion_12_six_cycle_census():
     for v in range(g.vertex_count):
         assert len(six_cycles_through(g, v)) == 6
     g = graph((2, 2, 2))
-    seed = g.index[g.key_of((1, 2, 3))]
+    seed = g.vertex_of((1, 2, 3))
     assert len(six_cycles_through(g, seed)) == 3
 
 

@@ -72,11 +72,11 @@ def test_bipartite_for_even_d():
 
 def test_six_cycles_counts():
     g = graph((1, 1, 2))
-    seed = g.index[g.key_of((1, 2, 3))]
+    seed = g.vertex_of((1, 2, 3))
     assert len(six_cycles_through(g, seed)) == 6
 
     g = graph((2, 2, 2))
-    seed = g.index[g.key_of((1, 2, 3))]
+    seed = g.vertex_of((1, 2, 3))
     assert len(six_cycles_through(g, seed)) == 3
 
     assert len(six_cycles_through(cycle_graph(6), 0)) == 1
@@ -112,7 +112,7 @@ def test_six_cycles_listed_sequences():
 
     expected = set()
     for cycle, closure in zip(listed, closures):
-        indices = [g.index[g.key_of(x)] for x in cycle]
+        indices = [g.vertex_of(x) for x in cycle]
         assert len(set(indices)) == 6
         assert g.key_of(closure) == g.key_of((1, 2, 3))
         # consecutive listed vertices really are edges, closing at the seed
@@ -120,7 +120,7 @@ def test_six_cycles_listed_sequences():
             assert b in g.adjacency[a]
         expected.add(canonical(indices))
 
-    seed = g.index[g.key_of((1, 2, 3))]
+    seed = g.vertex_of((1, 2, 3))
     reported = {canonical(list(c.vertices)) for c in six_cycles_through(g, seed)}
     assert reported == expected
 

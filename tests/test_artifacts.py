@@ -290,6 +290,18 @@ def test_cli_rejects_degenerate_quotient(capsys, argv, counts):
     assert "degenerate quotient" in err and counts in err
 
 
+@pytest.mark.parametrize("matrix, width", [("3", 1), ("", 0), ("2,-1;-1,2", 2)])
+def test_cli_census_refuses_matrices_narrower_than_three_columns(
+    capsys, monkeypatch, matrix, width
+):
+    # the width check runs before the cap check, so a cap of 1 does not matter
+    monkeypatch.setenv("HEAWOOD_CAP", "1")
+    code, out, err = run_cli(capsys, "census", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert f"generator matrix has {width} columns" in err
+
+
 def test_cli_hamiltonian_refuses_above_vertex_cap(capsys, monkeypatch):
     monkeypatch.setenv("HEAWOOD_CAP", "10")
     code, out, err = run_cli(capsys, "analyze", "-k", "1,3,2", "--hamiltonian", "3")

@@ -7,7 +7,7 @@ import pytest
 from oracles import stirling2_recurrence, vertex_key
 
 from heawood_kit import lattice
-from heawood_kit.intlin import IntMatrix, build_mk
+from heawood_kit.intlin import IntMatrix, ShapeError, build_mk
 from heawood_kit.lattice import (
     ClassIndex,
     KSignature,
@@ -227,7 +227,7 @@ def test_general_quotient_matches_strict_mode():
     g_general = build_general_quotient(build_mk((1, 1, 1)))
     assert g_general.vertex_count == g_strict.vertex_count
     assert g_general.edge_count == g_strict.edge_count
-    phi = [g_general.index[g_general.key_of(label)] for label in g_strict.labels]
+    phi = [g_general.vertex_of(label) for label in g_strict.labels]
     assert sorted(phi) == list(range(g_strict.vertex_count))
     for i, nbrs in enumerate(g_strict.adjacency):
         assert {phi[j] for j in nbrs} == set(g_general.adjacency[phi[i]])
@@ -308,7 +308,7 @@ def test_key_of_reuses_the_quotients_reducer(build, monkeypatch):
     for label in g.labels[:5]:
         assert g.key_of(label) == label
         shifted = tuple(a + b for a, b in zip(label, w_vector(1, g.d)))
-        assert g.key_of(shifted) in g.index
+        assert g.key_of(shifted) in g.labels
     assert calls == []
 
 
@@ -328,10 +328,11 @@ def test_vertex_of_matches_the_key_oracle(quotient):
         g, rows = build_general_quotient(quotient), quotient.row_list()
         reducer = ClassIndex(quotient).rep
     shift = to_ambient([2 * a - b for a, b in zip(rows[0], rows[-1])])
+    index = {label: i for i, label in enumerate(g.labels)}
     for label in g.labels:
         shifted = tuple(a + b for a, b in zip(label, shift))
         for x in [label, shifted] + neighbors(label):
-            assert g.vertex_of(x) == g.index[oracles.key(x, reducer)]
+            assert g.vertex_of(x) == index[oracles.key(x, reducer)]
 
 
 def test_vertex_of_reduces_once(monkeypatch):
@@ -369,7 +370,7 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
     else:
         m = IntMatrix.from_rows(source)
         d, order = m.cols - 1, lattice.quotient_order_general(m)
-        build = lambda: build_general_quotient(m, d=d)  # noqa: E731
+        build = lambda: build_general_quotient(m)  # noqa: E731
     calls = {"smith_normal_form": 0, "reduce_to_fundamental": 0}
     for name in calls:
         original = getattr(lattice, name)
@@ -394,6 +395,11 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
 def test_builders_refuse_degenerate_quotients(build):
     with pytest.raises(DegenerateQuotient, match="edges on .* vertices, not"):
         build()
+
+
+def test_general_quotient_refuses_matrices_narrower_than_three_columns():
+    with pytest.raises(ShapeError, match="generator matrix has 2 columns"):
+        build_general_quotient(IntMatrix.from_rows([(2, -1), (-1, 2)]))
 
 
 def test_vertex_of_refuses_points_off_the_tiling():

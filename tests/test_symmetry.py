@@ -5,9 +5,9 @@ from math import factorial
 
 import pytest
 
-from heawood_kit import symmetry
+from heawood_kit import intlin, lattice, symmetry
 from heawood_kit.artifacts import parse_matrix_arg
-from heawood_kit.lattice import KSignature
+from heawood_kit.lattice import ClassIndex, KSignature
 from heawood_kit.quotient import QuotientGraph, build_general_quotient, build_heawood_graph
 from heawood_kit.symmetry import (
     CapExceeded,
@@ -66,7 +66,7 @@ def test_rotation_R():
     g = graph((1, 1, 1))
     r = rotation_R(g)
     assert (r * r).images == tuple(range(g.vertex_count))
-    assert r.images[g.index[g.key_of((1, 2, 3))]] == g.index[g.key_of((3, 2, 1))]
+    assert r.images[g.vertex_of((1, 2, 3))] == g.vertex_of((3, 2, 1))
     for entries in [(2, 1, 2), (1, 3, 2), (2, 2, 2)]:
         rotation_R(graph(entries))  # adjacency verified on construction
 
@@ -83,6 +83,37 @@ def test_cyclic_C_admission():
     assert admitted_cyclic_order(KSignature((2, 2, 2))) == 3
     for s in range(1, 4):
         cyclic_C(graph((2, 2, 2)), s)
+
+
+def test_admitted_cyclic_order_matches_the_lattice_rule():
+    for n, top in [(3, 4), (4, 3), (5, 2)]:
+        for entries in product(range(top + 1), repeat=n):
+            k = KSignature(entries, delta=0 in entries)
+            index = ClassIndex(k.matrix())
+            shift = next(s for s in range(1, n + 1) if index.admits_rotation(s))
+            assert admitted_cyclic_order(k) == n // shift, entries
+
+
+@pytest.mark.parametrize("text", ["2,0,-1;0,2,-1;-1,-1,3", "7,-1,0;0,7,-1;-1,0,7"])
+def test_generated_group_of_census_needs_no_smith_form(text, monkeypatch):
+    g = build_general_quotient(parse_matrix_arg(text))
+    calls = []
+    original = intlin.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (intlin, lattice):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    generated_group(g)
+    assert calls == []
+
+
+def test_cyclic_C_refuses_a_rotation_the_census_lattice_does_not_allow():
+    g = build_general_quotient(parse_matrix_arg("2,0,-1;0,2,-1;-1,-1,3"))
+    with pytest.raises(NotAnAutomorphism, match="lattice is not invariant"):
+        cyclic_C(g, 1)
 
 
 def test_group_closure_examples():
