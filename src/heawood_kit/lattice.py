@@ -17,6 +17,7 @@ keeps the entry scan of strict signatures as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import mul
@@ -139,7 +140,8 @@ def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     one into [0, k_i] by adding an integer multiple of row i of the banded
     matrix.  Phase two subtracts min(a) many all-ones vectors so some entry
     becomes zero.  For delta-mode signatures the scan may not terminate, so
-    those look the class up in the Smith coordinates of a ``ClassIndex``.
+    those look the class up in the Smith coordinates of a ``ClassIndex``,
+    built once per signature and kept for the next call.
     """
     n = k.n
     kk = k.entries
@@ -147,7 +149,7 @@ def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     if len(vec) != n:
         raise InvalidSignature("coefficient length does not match signature")
     if k.delta:
-        return ClassIndex(k.matrix(), enumerate_fundamental(k)).rep(vec)
+        return _delta_index(k).rep(vec)
     for _ in range(REDUCTION_GUARD):
         for i in range(n):
             if not 0 <= vec[i] <= kk[i]:
@@ -162,6 +164,12 @@ def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     m = min(vec)
     rep = tuple(x - m for x in vec)
     return rep
+
+
+@lru_cache(maxsize=16)
+def _delta_index(k: KSignature) -> "ClassIndex":
+    """Class index of a delta signature, one Smith form per signature."""
+    return ClassIndex(k.matrix(), enumerate_fundamental(k))
 
 
 def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
@@ -261,10 +269,13 @@ class ClassIndex:
             any(self.key(r[-shift:] + r[:-shift])) for r in self.rows.row_list()
         )
 
-    def minus(self, j: int) -> list[int]:
-        """Position of the class of a - e_j, for each listed class a."""
-        row = [col[j] for col in self.columns]
+    def shifted(self, z: Sequence[int]) -> list[int]:
+        """Position of the class with coordinates keys[c] + z, for each class c.
+
+        Smith coordinates are linear mod diag, so this is the class of
+        a + b for each listed class a when z is the key of b.
+        """
         return [
-            self.position[tuple([(x - r) % m for x, r, m in zip(z, row, self.moduli)])]
-            for z in self.keys
+            self.position[tuple([(x + y) % m for x, y, m in zip(key, z, self.moduli)])]
+            for key in self.keys
         ]

@@ -8,10 +8,11 @@ classes and whose facets correspond one-to-one with graph vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb, factorial
 from operator import add, sub
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intlin import IntMatrix
 from .lattice import (
@@ -24,7 +25,6 @@ from .lattice import (
 from .tiling import SliceError, base_permutation, is_tiling_vertex
 
 VertexKey = tuple[int, ...]
-Locator = Callable[[VertexKey], int]
 
 
 class NotSimplicial(ValueError):
@@ -42,8 +42,12 @@ class QuotientGraph:
     Vertices are canonical keys sorted lexicographically; labels default to
     the keys but dual graphs reuse the type with facet labels.  A quotient
     keeps the lattice it was built from, as the ``ClassIndex`` of its
-    generator rows, and ``vertex_of`` finds the vertex of a tiling point
-    from its Smith coordinates.
+    generator rows, and the numbering it was built in: the tiling point
+    p + amb(a), p a permutation with p_1 = 1 and a a listed class, has
+    number rank[p] * D + (position of a's class), and ``position`` maps
+    that number to the vertex index in label order.  ``number_of`` finds
+    the number of any tiling point from its Smith coordinates, and
+    ``vertex_of`` its vertex.
     """
 
     d: int
@@ -51,7 +55,10 @@ class QuotientGraph:
     adjacency: tuple[tuple[int, ...], ...]
     signature: Optional[KSignature] = None
     lattice: Optional[ClassIndex] = field(default=None, compare=False, repr=False)
-    locate: Optional[Locator] = field(default=None, compare=False, repr=False)
+    rank: Optional[dict[VertexKey, int]] = field(
+        default=None, compare=False, repr=False
+    )
+    position: Optional[list[int]] = field(default=None, compare=False, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -69,14 +76,30 @@ class QuotientGraph:
             if i < j
         ]
 
-    def vertex_of(self, x: Sequence[int]) -> int:
-        """Index of the vertex that the tiling point x maps to."""
-        if self.locate is None:
+    @cached_property
+    def neighbour_sets(self) -> tuple[frozenset[int], ...]:
+        """The adjacency rows as sets, built on first use."""
+        return tuple(map(frozenset, self.adjacency))
+
+    def number_of(self, x: Sequence[int]) -> int:
+        """Build-order number of the vertex that the tiling point x maps to.
+
+        It takes the p with p_1 = 1 and the shift x_1 - 1, and the Smith
+        coordinates of x - p.
+        """
+        if self.rank is None:
             raise ValueError("graph carries no quotient data")
         x = tuple(x)
         if len(x) != self.d + 1 or not is_tiling_vertex(x):
             raise SliceError(f"{x} is not a vertex of the tiling")
-        return self.locate(x)
+        p = base_permutation(x, x[0] - 1)
+        index = self.lattice
+        z = index.key(from_ambient(tuple(map(sub, x, p))))
+        return self.rank[p] * len(index.classes) + index.position[z]
+
+    def vertex_of(self, x: Sequence[int]) -> int:
+        """Index of the vertex that the tiling point x maps to."""
+        return self.position[self.number_of(x)]
 
     def key_of(self, x: Sequence[int]) -> VertexKey:
         return self.labels[self.vertex_of(x)]
@@ -98,16 +121,16 @@ def _build_quotient(
     a wrap.  Subtracting e_j permutes the classes, and in Smith
     coordinates it subtracts row j of v, so the table minus[j] needs no
     reduction; tile t is tile t-1 stepped through minus[j] for the j with
-    p_j = t, d table steps per vertex.  The index of a tiling point x
-    takes the p with p_1 = 1, the shift x_1 - 1, and the Smith
-    coordinates of x - p.  A quotient in which some vertex has fewer
-    than d+1 distinct neighbours raises ``DegenerateQuotient``.
+    p_j = t, d table steps per vertex.  The graph keeps ``rank`` and the
+    sort's ``position`` so that ``number_of`` and ``vertex_of`` can index
+    any tiling point.  A quotient in which some vertex has fewer than d+1
+    distinct neighbours raises ``DegenerateQuotient``.
     """
     n, classes = index.rows.cols, index.classes
     d = n - 1
     size = len(classes)
     ambient = [to_ambient(a) for a in classes]
-    minus = [index.minus(j) for j in range(n)]
+    minus = [index.shifted(index.key([0] * j + [-1] + [0] * (d - j))) for j in range(n)]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     labels: list[VertexKey] = []
@@ -147,18 +170,14 @@ def _build_quotient(
             f" not {n * len(order) // 2}; repeated edges merged"
         )
 
-    def locate(x: VertexKey) -> int:
-        p = base_permutation(x, x[0] - 1)
-        z = index.key(from_ambient(tuple(map(sub, x, p))))
-        return position[rank[p] * size + index.position[z]]
-
     graph = QuotientGraph(
         d=d,
         labels=tuple(labels[u] for u in order),
         adjacency=neighbours,
         signature=signature,
         lattice=index,
-        locate=locate,
+        rank=rank,
+        position=position,
     )
     return graph, tuple(facets[u] for u in order)
 

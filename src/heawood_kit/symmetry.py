@@ -2,11 +2,12 @@
 
 Generator families with closed-form orders: translations along the basis
 vectors, the point reflection, and coordinate rotation when the lattice
-allows it; the order of the group they generate is the size of the orbit
-of a base.  An independent exact search, by individualization and color
-refinement with orbit pruning, verifies group orders from scratch: it
-returns generators of the full group and its order without listing the
-elements.
+allows it; each is lifted from the tiling in closed form on the build
+numbering of the quotient, and the order of the group they generate is
+the size of the orbit of a base.  An independent exact search, by
+individualization and color refinement with orbit pruning, verifies
+group orders from scratch: it returns generators of the full group and
+its order without listing the elements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lattice import KSignature, w_vector
@@ -89,9 +91,10 @@ class PermutationGroup:
 
 
 def is_automorphism(g: QuotientGraph, images: Sequence[int]) -> bool:
-    nbr_sets = [set(nbrs) for nbrs in g.adjacency]
+    """Does the vertex map send each neighbour set onto its image's?"""
+    targets = g.neighbour_sets
     for i, nbrs in enumerate(g.adjacency):
-        if {images[j] for j in nbrs} != nbr_sets[images[i]]:
+        if {images[j] for j in nbrs} != targets[images[i]]:
             return False
     return True
 
@@ -99,10 +102,40 @@ def is_automorphism(g: QuotientGraph, images: Sequence[int]) -> bool:
 def perm_from_coordinate_map(
     g: QuotientGraph, fn: Callable[[tuple[int, ...]], Sequence[int]]
 ) -> VertexPermutation:
-    """Lift a coordinate-level map to a verified vertex permutation."""
-    images = tuple(g.vertex_of(fn(label)) for label in g.labels)
-    perm = VertexPermutation(images)
-    if not is_automorphism(g, images):
+    """Lift an affine map of the tiling to a verified vertex permutation.
+
+    ``fn`` must be affine, x -> Lx + t, with L a coordinate permutation or
+    its negative; the generators below are of that kind.  Then the vertex
+    x = p + amb(a) of build number rank(p) * D + class(a) maps to
+    fn(p) + amb(La): its permutation p' depends on p alone, and the
+    class of fn(x) - p' is that of fn(p) - p' plus that of La, since
+    Smith coordinates are linear mod diag.  So the lift locates the d!
+    points fn(p) through ``number_of``, tiling check included, keys the D
+    classes La = fn(a) - fn(0), and adds the two on the class index, one
+    table per distinct class of fn(p) - p'; no vertex is looked up.  The
+    image array must be a bijection that preserves adjacency.
+    """
+    if g.rank is None:
+        raise ValueError("graph carries no quotient data")
+    index, position = g.lattice, g.position
+    size = len(index.classes)
+    origin = fn((0,) * (g.d + 1))
+    turned = [
+        index.position[index.key(tuple(map(sub, fn(a), origin)))]
+        for a in index.classes
+    ]
+    tables: dict[int, list[int]] = {}
+    images = [0] * g.vertex_count
+    for p, r in g.rank.items():
+        image_rank, shift = divmod(g.number_of(fn(p)), size)
+        if shift not in tables:
+            shifted = index.shifted(index.keys[shift])
+            tables[shift] = [shifted[t] for t in turned]
+        start, target = r * size, image_rank * size
+        for c, image in enumerate(tables[shift]):
+            images[position[start + c]] = position[target + image]
+    perm = VertexPermutation(tuple(images))
+    if not is_automorphism(g, perm.images):
         raise NotAnAutomorphism("coordinate map breaks adjacency")
     return perm
 
@@ -211,10 +244,13 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
 
     A rotation is admitted when the lattice allows it: when every rotated
     generator row has Smith coordinates zero.  The least admitted shift
-    generates the admitted rotations.  The order is read off a base
-    without listing elements: refinement commutes with every automorphism,
-    so one that fixes the base of the search fixes every vertex, and each
-    element of the group moves the base tuple to a different image.
+    generates the admitted rotations.  Each of the d + 1 or d + 2
+    generators costs d! point lookups and D class keys, then one
+    adjacency check; the base chain is the rest of the work.  The order
+    is read off a base without listing elements: refinement commutes
+    with every automorphism, so one that fixes the base of the search
+    fixes every vertex, and each element of the group moves the base
+    tuple to a different image.
     """
     gens = list(translation_generators(g))
     gens.append(rotation_R(g))

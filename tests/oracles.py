@@ -7,6 +7,11 @@ new key appears.  It is slow, with d+1 reductions per neighbour of every
 vertex, but it shares nothing with the closed-form index beyond the tiling
 and the reducers, so the graphs and facets of both must agree exactly.
 
+``lift_per_vertex`` is the package's original generator lift: it looks
+up the image of every vertex label through ``vertex_of``, where
+``perm_from_coordinate_map`` tabulates the map once per permutation and
+once per class, so their image arrays must agree exactly.
+
 ``refine_rounds`` is the package's original colour refinement: it re-signs
 every vertex in every round, where ``refine_colors`` splits cells, and
 both must reach the same coarsest equitable partition.
@@ -77,6 +82,11 @@ def torus_facets(labels, reduce_class: Reducer, classes):
         tuple(sorted(class_index[reduce_class(offset)] for offset in tiles_containing(x)))
         for x in labels
     )
+
+
+def lift_per_vertex(g, fn: Callable[[tuple[int, ...]], Sequence[int]]):
+    """Image array of a coordinate map, one ``vertex_of`` per vertex."""
+    return tuple(g.vertex_of(fn(label)) for label in g.labels)
 
 
 def refine_rounds(

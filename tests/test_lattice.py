@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heawood_kit import intlin, lattice
 from heawood_kit.intlin import IntMatrix, InvalidSignature, build_mk, closed_form_dk, det
 from heawood_kit.lattice import (
     ClassIndex,
@@ -176,3 +177,19 @@ def test_delta_mode_reduction():
         for row in k.matrix().row_list():
             shifted = tuple(x + g for x, g in zip(rep, row))
             assert reduce_to_fundamental(shifted, k) == rep
+
+
+def test_delta_reduction_keeps_its_class_index(monkeypatch):
+    # one Smith form per delta signature, not one per call
+    rep = reduce_to_fundamental((9, -4, 6), KSignature((6, 6, 0), delta=True))
+    calls = []
+    original = intlin.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (intlin, lattice):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    assert reduce_to_fundamental((9, -4, 6), KSignature((6, 6, 0), delta=True)) == rep
+    assert calls == []

@@ -2,12 +2,13 @@ import random
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import add
 
 import pytest
 
-from heawood_kit import intlin, lattice, symmetry
+from heawood_kit import intlin, lattice, quotient, symmetry
 from heawood_kit.artifacts import parse_matrix_arg
-from heawood_kit.lattice import ClassIndex, KSignature
+from heawood_kit.lattice import ClassIndex, KSignature, w_vector
 from heawood_kit.quotient import QuotientGraph, build_general_quotient, build_heawood_graph
 from heawood_kit.symmetry import (
     CapExceeded,
@@ -25,7 +26,7 @@ from heawood_kit.symmetry import (
     translation_generators,
     verify_exceptional_W,
 )
-from oracles import refine_rounds
+from oracles import lift_per_vertex, refine_rounds
 
 
 @lru_cache(maxsize=None)
@@ -447,3 +448,70 @@ def test_generated_group_order_from_base_matches_closure(g, monkeypatch):
         patch.setattr(symmetry, "_closure", no_listing)
         group = generated_group(g)
     assert group.order == group_closure(group.generators).order
+
+
+def test_is_automorphism_reads_unsorted_rows():
+    # a 6-cycle whose rows list the next vertex before the previous one
+    g = QuotientGraph(
+        d=1,
+        labels=tuple((i,) for i in range(6)),
+        adjacency=tuple(((i + 1) % 6, (i - 1) % 6) for i in range(6)),
+    )
+    assert is_automorphism(g, tuple(range(6)))
+    assert is_automorphism(g, tuple((-i) % 6 for i in range(6)))
+    # swapping 0 and 1 sends the edge {1, 2} to {0, 2}
+    assert not is_automorphism(g, (1, 0, 2, 3, 4, 5))
+
+
+LIFT_QUOTIENTS = [
+    KSignature((2, 2, 2)),
+    KSignature((1, 2, 3)),
+    KSignature((2, 1, 2, 1)),
+    KSignature((3, 3, 3, 3)),
+    KSignature((1, 1, 1, 1, 1)),
+    KSignature((6, 6, 0), delta=True),
+    KSignature((3, 3, 0), delta=True),
+    KSignature((2, 0, 2, 1), delta=True),
+] + CENSUS_MATRICES
+
+
+@pytest.mark.parametrize(
+    "source",
+    LIFT_QUOTIENTS,
+    ids=[
+        s if isinstance(s, str) else ",".join(map(str, s.entries)) for s in LIFT_QUOTIENTS
+    ],
+)
+def test_generators_match_the_per_vertex_lift(source):
+    if isinstance(source, str):
+        g = build_general_quotient(parse_matrix_arg(source))
+    else:
+        g = build_heawood_graph(source)
+    n = g.d + 1
+    for i, gen in enumerate(translation_generators(g), 1):
+        w = w_vector(i, g.d)
+        assert gen.images == lift_per_vertex(g, lambda x: tuple(map(add, x, w)))
+    reflected = lift_per_vertex(g, lambda x: tuple(n + 1 - a for a in x))
+    assert rotation_R(g).images == reflected
+    for s in range(1, n):
+        if g.lattice.admits_rotation(s):
+            rotated = lift_per_vertex(g, lambda x: tuple(x[(j - s) % n] for j in range(n)))
+            assert cyclic_C(g, s).images == rotated
+
+
+@pytest.mark.parametrize("entries", [(2, 1, 2, 1), (2, 2, 2, 2)])
+def test_generators_locate_one_point_per_permutation(entries, monkeypatch):
+    # a lift that looks up every vertex makes one call per vertex and generator
+    g = graph(entries)
+    calls = 0
+    original = lattice.from_ambient
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return original(v)
+
+    for module in (lattice, quotient):
+        monkeypatch.setattr(module, "from_ambient", counting)
+    group = generated_group(g)
+    assert calls <= factorial(g.d) * len(group.generators)
