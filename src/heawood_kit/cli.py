@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 from . import analysis, artifacts, fixtures, symmetry
 from .intlin import InvalidSignature, integer_span_contains
-from .lattice import KSignature, quotient_order_general
+from .lattice import ClassIndex, KSignature
 from .quotient import (
+    alternating_sum,
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
@@ -42,20 +43,20 @@ def parse_signature(text: str, delta: bool = False) -> KSignature:
 
 def emit(payload: dict, out: Optional[str]) -> None:
     payload = {"schema": artifacts.SCHEMA, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 def emit_text(text: str, out: Optional[str]) -> None:
-    if out:
+    """Write text to the -o file, else to stdout; a file that cannot be
+    written is a validation error naming its path."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def refuse_above_cap(
@@ -81,14 +82,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         if args.format == "off":
             emit_text(artifacts.export_complex_off(complex_), args.output)
         else:
+            fvector = complex_.fvector_enumerated()
             emit(
                 {
                     "signature": list(k.entries),
                     "torus": {
                         "vertices": complex_.vertex_count,
                         "facets": [list(f) for f in complex_.facets],
-                        "fvector": list(complex_.fvector_enumerated()),
-                        "euler_characteristic": complex_.euler_characteristic(),
+                        "fvector": list(fvector),
+                        "euler_characteristic": alternating_sum(fvector),
                     },
                 },
                 args.output,
@@ -184,14 +186,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     matrix = artifacts.parse_matrix_arg(args.matrix)
-    order = quotient_order_general(matrix)
-    refuse_above_cap(matrix.cols - 1, order)
-    graph = build_general_quotient(matrix)
+    index = ClassIndex(matrix)
+    refuse_above_cap(matrix.cols - 1, index.order)
+    graph = build_general_quotient(index)
     all_ones = (1,) * matrix.cols
     emit(
         {
             "matrix": [list(r) for r in matrix.row_list()],
-            "quotient_order": order,
+            "quotient_order": index.order,
             "vertices": graph.vertex_count,
             "edges": graph.edge_count,
             "all_ones_in_span": integer_span_contains(matrix, all_ones),

@@ -17,10 +17,10 @@ keeps the entry scan of strict signatures as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import product, repeat
 from math import prod
-from operator import mul
+from operator import add, mod, mul
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -174,12 +174,7 @@ def _delta_index(k: KSignature) -> "ClassIndex":
 
 def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
     """All fundamental vectors of k in lexicographic order."""
-    out = [
-        a
-        for a in product(*(range(x + 1) for x in k.entries))
-        if min(a) == 0
-    ]
-    return out
+    return [a for a in product(*(range(x + 1) for x in k.entries)) if 0 in a]
 
 
 def _quotient_smith_form(rows: IntMatrix) -> SnfResult:
@@ -216,11 +211,13 @@ class ClassIndex:
     With s = u @ [rows; 1] @ v in Smith form, a -> z = a @ v mod diag maps
     the quotient isomorphically onto the product of the cyclic groups
     Z/diag_j.  Only the columns of v whose diagonal entry exceeds 1 are
-    kept, so on a cyclic quotient z is a single dot product.  The classes
-    are listed by representative: the given ones, which must hit every
-    class once, or else the sorted min-zero images of the box
-    0 <= z_j < diag_j.  The generator ``rows`` are kept: a vector lies in
-    the sublattice exactly when its Smith coordinates are all zero.
+    kept, so on a cyclic quotient z is a single dot product, and their
+    product is the ``order``.  The classes are listed by representative:
+    the given ones, which must hit every class once and are checked at
+    once, or else the sorted min-zero images of the box 0 <= z_j < diag_j,
+    listed on first use, so that the order can be read and refused before
+    any work in it.  The generator ``rows`` are kept: a vector lies in the
+    sublattice exactly when its Smith coordinates are all zero.
     """
 
     def __init__(
@@ -231,22 +228,33 @@ class ClassIndex:
         self.rows = rows
         kept = [j for j, x in enumerate(snf.diagonal()) if x > 1]
         self.moduli = tuple(snf.diagonal()[j] for j in kept)
+        self.order = prod(self.moduli)
         self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
-        if classes is None:
-            back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
-            classes = sorted(
-                canonicalize([sum(map(mul, z, col)) for col in back])
-                for z in product(*(range(x) for x in self.moduli))
-            )
-        self.classes = [tuple(a) for a in classes]
-        self.keys = [self.key(a) for a in self.classes]
-        self.position = {z: i for i, z in enumerate(self.keys)}
-        order = prod(self.moduli)
-        if len(self.position) != len(self.classes) or len(self.classes) != order:
+        self._back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
+        if classes is not None:
+            self.classes = [tuple(a) for a in classes]
+            self.position  # noqa: B018 - reading it checks a given listing now
+
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        return sorted(
+            canonicalize([sum(map(mul, z, col)) for col in self._back])
+            for z in product(*(range(x) for x in self.moduli))
+        )
+
+    @cached_property
+    def keys(self) -> list[tuple[int, ...]]:
+        return [self.key(a) for a in self.classes]
+
+    @cached_property
+    def position(self) -> dict[tuple[int, ...], int]:
+        position = {z: i for i, z in enumerate(self.keys)}
+        if len(position) != len(self.classes) or len(self.classes) != self.order:
             raise NotATransversal(
-                f"{len(self.classes)} representatives hit {len(self.position)}"
-                f" of {order} classes"
+                f"{len(self.classes)} representatives hit {len(position)}"
+                f" of {self.order} classes"
             )
+        return position
 
     def key(self, a: Sequence[int]) -> tuple[int, ...]:
         """Smith coordinates z = a @ v mod diag of the class of a."""
@@ -273,9 +281,13 @@ class ClassIndex:
         """Position of the class with coordinates keys[c] + z, for each class c.
 
         Smith coordinates are linear mod diag, so this is the class of
-        a + b for each listed class a when z is the key of b.
+        a + b for each listed class a when z is the key of b.  The sums are
+        taken one coordinate at a time over all the keys.
         """
-        return [
-            self.position[tuple([(x + y) % m for x, y, m in zip(key, z, self.moduli)])]
-            for key in self.keys
+        if not self.moduli:
+            return [0]
+        shifted = [
+            map(mod, map(add, column, repeat(y)), repeat(m))
+            for column, y, m in zip(zip(*self.keys), z, self.moduli)
         ]
+        return list(map(self.position.__getitem__, zip(*shifted)))

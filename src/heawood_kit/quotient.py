@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, compress, count, permutations, repeat
 from math import comb, factorial
-from operator import add, sub
-from typing import Optional, Sequence
+from operator import add, eq, mul, ne, sub
+from typing import Iterator, Optional, Sequence
 
 from .intlin import IntMatrix
 from .lattice import (
@@ -107,24 +107,26 @@ class QuotientGraph:
 
 def _build_quotient(
     index: ClassIndex, signature: Optional[KSignature] = None
-) -> tuple[QuotientGraph, tuple]:
+) -> tuple[QuotientGraph, Iterator[tuple[int, ...]]]:
     """Graph and tile-class facets of the quotient by the rows of an index.
 
     The dimension d is the width of the rows minus one.  Each vertex is
     x = p + amb(a) for exactly one permutation p with p_1 = 1 and one
-    class a, so it is numbered rank(p) * D + index(a).
-    For each shift t, x lies in the tile at offset a - e(S_t), S_t the
-    positions of the values 1..t in p: those classes are its facet, and
-    the least of p shifted down by t plus the embedded tile class is its
-    label.  Swapping values v, v+1 >= 2 of p keeps a; wrapping the value
-    d+1 round to 2 lands in the last tile class; the last neighbour undoes
-    a wrap.  Subtracting e_j permutes the classes, and in Smith
-    coordinates it subtracts row j of v, so the table minus[j] needs no
-    reduction; tile t is tile t-1 stepped through minus[j] for the j with
-    p_j = t, d table steps per vertex.  The graph keeps ``rank`` and the
-    sort's ``position`` so that ``number_of`` and ``vertex_of`` can index
-    any tiling point.  A quotient in which some vertex has fewer than d+1
-    distinct neighbours raises ``DegenerateQuotient``.
+    class a, numbered rank(p) * D + index(a); the build takes one p at a
+    time, in whole-list steps over the D classes.  For each shift t, x
+    lies in the tile at offset a - e(S_t), S_t the positions of the values
+    1..t in p: the tile classes T_t are T_{t-1} mapped through minus[j],
+    p_j = t, from T_0 = range(D), and the facets are zip(*T), formed
+    lazily since only the torus reads them.  The label is the least of p
+    shifted down by t plus amb(T_t), compared as an int in a balanced base
+    wider than twice any coordinate: the code is linear and keeps tuple
+    order, so a candidate costs one int add, t rides in the low digit and
+    one tuple is made per vertex.  Neighbours fill d+1 slots of D numbers:
+    swapping values v, v+1 >= 2 of p keeps a; wrapping d+1 round to 2
+    lands in T_d = a + e_j, p_j = d+1, which minus[j] undoes for the last
+    slot.  The graph keeps ``rank`` and the sort's ``position`` for
+    ``number_of`` and ``vertex_of``.  A quotient in which some vertex has
+    fewer than d+1 distinct neighbours raises ``DegenerateQuotient``.
     """
     n, classes = index.rows.cols, index.classes
     d = n - 1
@@ -133,53 +135,63 @@ def _build_quotient(
     minus = [index.shifted(index.key([0] * j + [-1] + [0] * (d - j))) for j in range(n)]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
+    # a candidate's coordinates lie within n + max|amb| of zero
+    base = 2 * (n + max(map(abs, chain.from_iterable(ambient)))) + 2
+    weights = [n * base ** (d - i) for i in range(n)]
+    ambient_codes = [sum(map(mul, weights, a)) for a in ambient]
     labels: list[VertexKey] = []
-    facets = []
-    adjacency: list[list[int]] = [[] for _ in range(len(perms) * size)]
-    for p in perms:
+    codes: list[int] = []
+    tile_columns: list[list[int]] = [[] for _ in range(n)]
+    slots: list[list[int]] = [[] for _ in range(d)]
+    back: list[list[int]] = [[] for _ in perms]
+    for r, p in enumerate(perms):
         down = [tuple((v - t - 1) % n + 1 for v in p) for t in range(n)]
-        swaps = [
-            rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]
-            for v in range(2, n)
+        tiles = [range(size)]
+        for t in range(1, n):
+            tiles.append(list(map(minus[p.index(t)].__getitem__, tiles[-1])))
+        candidates = [
+            map((sum(map(mul, weights, q)) + t).__add__,
+                map(ambient_codes.__getitem__, tile))
+            for t, (q, tile) in enumerate(zip(down, tiles))
         ]
+        best = list(map(min, *candidates))
+        codes += best
+        for c, code in enumerate(best):
+            t = code % n
+            labels.append(tuple(map(add, down[t], ambient[tiles[t][c]])))
+        for column, tile in zip(tile_columns, tiles):
+            column += tile
+        for slot, v in zip(slots, range(2, n)):
+            s = rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]
+            slot += range(s * size, s * size + size)
         wrap = rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)]
-        steps = [minus[p.index(t)] for t in range(1, n)]
-        for ci in range(size):
-            u = len(labels)
-            tiles = [ci]
-            for step in steps:
-                tiles.append(step[tiles[-1]])
-            labels.append(
-                min(tuple(map(add, q, ambient[c])) for q, c in zip(down, tiles))
-            )
-            facets.append(tuple(sorted(tiles)))
-            w = wrap * size + tiles[d]
-            adjacency[u] += [s * size + ci for s in swaps] + [w]
-            adjacency[w].append(u)
-    order = sorted(range(len(labels)), key=labels.__getitem__)
+        slots[-1] += map((wrap * size).__add__, tiles[d])
+        back[wrap] = list(map((r * size).__add__, minus[p.index(n)]))
+    slots.append(list(chain.from_iterable(back)))
+    if any(any(map(eq, a, b)) for a, b in combinations(slots, 2)):
+        edges = sum(map(len, map(set, zip(*slots)))) // 2
+        raise DegenerateQuotient(
+            f"degenerate quotient: {edges} edges on {len(codes)} vertices,"
+            f" not {n * len(codes) // 2}; repeated edges merged"
+        )
+    order = sorted(range(len(codes)), key=codes.__getitem__)
     position = [0] * len(order)
     for i, u in enumerate(order):
         position[u] = i
-    neighbours = tuple(
-        tuple(sorted({position[w] for w in adjacency[u]})) for u in order
-    )
-    if any(len(nbrs) < n for nbrs in neighbours):
-        edges = sum(map(len, neighbours)) // 2
-        raise DegenerateQuotient(
-            f"degenerate quotient: {edges} edges on {len(order)} vertices,"
-            f" not {n * len(order) // 2}; repeated edges merged"
-        )
-
+    columns = [
+        list(map(position.__getitem__, map(slot.__getitem__, order))) for slot in slots
+    ]
     graph = QuotientGraph(
         d=d,
-        labels=tuple(labels[u] for u in order),
-        adjacency=neighbours,
+        labels=tuple(map(labels.__getitem__, order)),
+        adjacency=tuple(map(tuple, map(sorted, zip(*columns)))),
         signature=signature,
         lattice=index,
         rank=rank,
         position=position,
     )
-    return graph, tuple(facets[u] for u in order)
+    tiles = [map(column.__getitem__, order) for column in tile_columns]
+    return graph, map(tuple, map(sorted, zip(*tiles)))
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
@@ -187,15 +199,18 @@ def build_heawood_graph(k: KSignature) -> QuotientGraph:
     return _build_quotient(ClassIndex(k.matrix(), enumerate_fundamental(k)), k)[0]
 
 
-def build_general_quotient(rows: IntMatrix) -> QuotientGraph:
+def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
     """Quotient graph for an arbitrary finite-quotient generator matrix.
 
     The sublattice is the integer row span plus the all-ones line, and d
     is the width of the matrix minus one; the graph has d! times the
     quotient order vertices.  ``ClassIndex`` raises for a matrix narrower
-    than three columns and for an infinite quotient.
+    than three columns and for an infinite quotient.  A caller that has
+    made the ``ClassIndex`` of the matrix already, to read its order,
+    passes the index instead and the build reuses its Smith form.
     """
-    return _build_quotient(ClassIndex(rows))[0]
+    index = rows if isinstance(rows, ClassIndex) else ClassIndex(rows)
+    return _build_quotient(index)[0]
 
 
 @dataclass(frozen=True)
@@ -211,35 +226,46 @@ class SimplicialComplex:
         return len(self.facets[0]) - 1 if self.facets else -1
 
     def validate(self) -> None:
-        seen = set()
-        width = len(self.facets[0]) if self.facets else 0
-        for idx, facet in enumerate(self.facets):
-            if len(facet) != width:
-                raise NotSimplicial(f"facet {idx} has mixed dimension")
-            if len(set(facet)) != len(facet):
-                raise NotSimplicial(f"facet {idx} repeats a vertex")
-            if tuple(sorted(facet)) != facet:
-                raise NotSimplicial(f"facet {idx} is not sorted")
-            if facet in seen:
-                raise NotSimplicial(f"facet {idx} duplicates an earlier one")
-            seen.add(facet)
-            if any(not 0 <= v < self.vertex_count for v in facet):
-                raise NotSimplicial(f"facet {idx} references unknown vertex")
+        """Raise ``NotSimplicial`` at the first facet a facet-by-facet scan
+        fails at: each check scans the whole list up to the earliest
+        failure of the checks before it."""
+        facets, vertices = self.facets, self.vertex_count
+        width = len(facets[0]) if facets else 0
+        checks = {
+            "has mixed dimension": lambda fs: map(ne, map(len, fs), repeat(width)),
+            "repeats a vertex": lambda fs: map(
+                ne, map(len, map(set, fs)), repeat(width)
+            ),
+            "is not sorted": lambda fs: map(ne, map(tuple, map(sorted, fs)), fs),
+            "duplicates an earlier one": lambda fs: map(
+                ne, map({}.setdefault, fs, count()), count()
+            ),
+            "references unknown vertex": lambda fs: (
+                f and not 0 <= f[0] <= f[-1] < vertices for f in fs
+            ),
+        }
+        end, failure = len(facets), None
+        for what, failures in checks.items():
+            idx = next(compress(count(), failures(facets[:end])), None)
+            if idx is not None:
+                end, failure = idx, what
+        if failure:
+            raise NotSimplicial(f"facet {end} {failure}")
 
     def faces(self, i: int) -> set[tuple[int, ...]]:
         """All i-dimensional faces as sorted vertex tuples."""
-        out = set()
-        for facet in self.facets:
-            out.update(combinations(facet, i + 1))
-        return out
+        return set(chain.from_iterable(map(combinations, self.facets, repeat(i + 1))))
 
     def fvector_enumerated(self) -> tuple[int, ...]:
         return tuple(len(self.faces(i)) for i in range(self.dim + 1))
 
     def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** i * count for i, count in enumerate(self.fvector_enumerated())
-        )
+        return alternating_sum(self.fvector_enumerated())
+
+
+def alternating_sum(fvector: Sequence[int]) -> int:
+    """Euler characteristic of a complex from its face counts."""
+    return sum((-1) ** i * f for i, f in enumerate(fvector))
 
 
 def build_torus_complex(k: KSignature) -> SimplicialComplex:
@@ -255,7 +281,7 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     _, facets = _build_quotient(ClassIndex(k.matrix(), classes))
     complex_ = SimplicialComplex(
         vertex_count=len(classes),
-        facets=facets,
+        facets=tuple(facets),
         vertex_labels=tuple(classes),
     )
     complex_.validate()
@@ -282,20 +308,39 @@ def fvector_formula(k: KSignature) -> tuple[int, ...]:
 
 
 def dual_graph(c: SimplicialComplex) -> QuotientGraph:
-    """Graph on facets, adjacent when they share a codimension-1 face."""
-    ridge_map: dict[tuple[int, ...], list[int]] = {}
-    for idx, facet in enumerate(c.facets):
+    """Graph on facets, adjacent when they share a codimension-1 face.
+
+    A ridge met again is paired at once with the facet that first showed
+    it.  If a ridge lies in three or more facets, or twice in one, every
+    ridge is also grouped with all its facets, each pair of which joins.
+    """
+    facets = c.facets
+    adjacency: list[set[int]] = [set() for _ in facets]
+    first: dict[tuple[int, ...], int] = {}
+    crowded = False
+    for idx, facet in enumerate(facets):
         for ridge in combinations(facet, len(facet) - 1):
-            ridge_map.setdefault(ridge, []).append(idx)
-    adjacency: list[set[int]] = [set() for _ in c.facets]
-    for sharing in ridge_map.values():
-        for i, j in combinations(sharing, 2):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+            j = first.setdefault(ridge, idx)
+            if j < 0:
+                crowded = True
+            elif j != idx:
+                adjacency[j].add(idx)
+                adjacency[idx].add(j)
+                first[ridge] = -1
+    # each sight was a first or a closing second one unless some pair is missing
+    if crowded or sum(map(len, facets)) != len(first) + list(first.values()).count(-1):
+        sharing: dict[tuple[int, ...], list[int]] = {}
+        for idx, facet in enumerate(facets):
+            for ridge in combinations(facet, len(facet) - 1):
+                sharing.setdefault(ridge, []).append(idx)
+        for group in sharing.values():
+            for i, j in combinations(group, 2):
+                adjacency[i].add(j)
+                adjacency[j].add(i)
     return QuotientGraph(
         d=c.dim,
-        labels=tuple(c.facets),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
+        labels=tuple(facets),
+        adjacency=tuple(map(tuple, map(sorted, adjacency))),
     )
 
 

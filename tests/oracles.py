@@ -12,6 +12,23 @@ up the image of every vertex label through ``vertex_of``, where
 ``perm_from_coordinate_map`` tabulates the map once per permutation and
 once per class, so their image arrays must agree exactly.
 
+``build_per_vertex`` is the package's original quotient builder: it
+walks every vertex in turn, stepping its d+1 tile classes, building the
+d+1 candidate label tuples and appending its neighbours, where
+``_build_quotient`` works a whole permutation at a time on integer-coded
+labels, so their labels, adjacency, facets and numbering must agree
+exactly.
+
+``validate_per_facet`` and ``dual_graph_grouped`` are the package's
+original facet checks and dual graph: one scans facet by facet and stops
+at the first failure, the other groups every ridge with all the facets
+holding it and joins each pair in a group.
+
+``OrderedPartition`` and ``TilingFace`` name the faces of the tiling by
+an ordered partition of [d+1] and a lattice offset, with block rotation
+trading against lattice translation; ``face_vertices`` and
+``permutahedron_membership`` check those names against coordinates.
+
 ``refine_rounds`` is the package's original colour refinement: it re-signs
 every vertex in every round, where ``refine_colors`` splits cells, and
 both must reach the same coarsest equitable partition.
@@ -19,18 +36,32 @@ both must reach the same coarsest equitable partition.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, permutations
+from operator import add
+from typing import Callable, Iterable, Optional, Sequence
 
 from heawood_kit.lattice import (
+    ClassIndex,
     KSignature,
+    canonicalize,
     from_ambient,
     reduce_to_fundamental,
     to_ambient,
 )
+from heawood_kit.quotient import (
+    DegenerateQuotient,
+    NotSimplicial,
+    QuotientGraph,
+    SimplicialComplex,
+)
 from heawood_kit.tiling import (
+    SliceError,
     base_permutation,
     is_tiling_vertex,
     neighbors,
+    slice_total,
     tiles_containing,
 )
 
@@ -84,6 +115,101 @@ def torus_facets(labels, reduce_class: Reducer, classes):
     )
 
 
+def build_per_vertex(index: ClassIndex, signature: Optional[KSignature] = None):
+    """Graph and facets of the quotient, one vertex at a time.
+
+    Vertex (p, a) is numbered rank(p) * D + index(a); its tiles are a
+    stepped through the tables minus[j], its label the least of p shifted
+    down by t plus the embedded tile class, and its neighbours the swaps
+    of values v, v+1 >= 2, the wrap of d+1 round to 2 and the undone wrap.
+    """
+    n, classes = index.rows.cols, index.classes
+    d = n - 1
+    size = len(classes)
+    ambient = [to_ambient(a) for a in classes]
+    minus = [index.shifted(index.key([0] * j + [-1] + [0] * (d - j))) for j in range(n)]
+    perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
+    rank = {p: r for r, p in enumerate(perms)}
+    labels = []
+    facets = []
+    adjacency = [[] for _ in range(len(perms) * size)]
+    for p in perms:
+        down = [tuple((v - t - 1) % n + 1 for v in p) for t in range(n)]
+        swaps = [
+            rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]
+            for v in range(2, n)
+        ]
+        wrap = rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)]
+        steps = [minus[p.index(t)] for t in range(1, n)]
+        for ci in range(size):
+            u = len(labels)
+            tiles = [ci]
+            for step in steps:
+                tiles.append(step[tiles[-1]])
+            labels.append(
+                min(tuple(map(add, q, ambient[c])) for q, c in zip(down, tiles))
+            )
+            facets.append(tuple(sorted(tiles)))
+            w = wrap * size + tiles[d]
+            adjacency[u] += [s * size + ci for s in swaps] + [w]
+            adjacency[w].append(u)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    position = [0] * len(order)
+    for i, u in enumerate(order):
+        position[u] = i
+    neighbours = tuple(
+        tuple(sorted({position[w] for w in adjacency[u]})) for u in order
+    )
+    if any(len(nbrs) < n for nbrs in neighbours):
+        edges = sum(map(len, neighbours)) // 2
+        raise DegenerateQuotient(
+            f"degenerate quotient: {edges} edges on {len(order)} vertices,"
+            f" not {n * len(order) // 2}; repeated edges merged"
+        )
+    graph = QuotientGraph(
+        d=d,
+        labels=tuple(labels[u] for u in order),
+        adjacency=neighbours,
+        signature=signature,
+        lattice=index,
+        rank=rank,
+        position=position,
+    )
+    return graph, tuple(facets[u] for u in order)
+
+
+def validate_per_facet(c: SimplicialComplex) -> None:
+    """Raise ``NotSimplicial`` at the first facet that fails a check."""
+    seen = set()
+    width = len(c.facets[0]) if c.facets else 0
+    for idx, facet in enumerate(c.facets):
+        if len(facet) != width:
+            raise NotSimplicial(f"facet {idx} has mixed dimension")
+        if len(set(facet)) != len(facet):
+            raise NotSimplicial(f"facet {idx} repeats a vertex")
+        if tuple(sorted(facet)) != facet:
+            raise NotSimplicial(f"facet {idx} is not sorted")
+        if facet in seen:
+            raise NotSimplicial(f"facet {idx} duplicates an earlier one")
+        seen.add(facet)
+        if any(not 0 <= v < c.vertex_count for v in facet):
+            raise NotSimplicial(f"facet {idx} references unknown vertex")
+
+
+def dual_graph_grouped(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the dual graph: facets sharing a ridge, by ridge groups."""
+    ridge_map: dict[tuple[int, ...], list[int]] = {}
+    for idx, facet in enumerate(c.facets):
+        for ridge in combinations(facet, len(facet) - 1):
+            ridge_map.setdefault(ridge, []).append(idx)
+    adjacency: list[set[int]] = [set() for _ in c.facets]
+    for sharing in ridge_map.values():
+        for i, j in combinations(sharing, 2):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+
+
 def lift_per_vertex(g, fn: Callable[[tuple[int, ...]], Sequence[int]]):
     """Image array of a coordinate map, one ``vertex_of`` per vertex."""
     return tuple(g.vertex_of(fn(label)) for label in g.labels)
@@ -135,3 +261,127 @@ def stirling2_recurrence(n: int, m: int) -> int:
     if m == 0:
         return 0
     return m * stirling2_recurrence(n - 1, m) + stirling2_recurrence(n - 1, m - 1)
+
+
+@dataclass(frozen=True)
+class OrderedPartition:
+    """Ordered tuple of disjoint blocks covering [d+1]."""
+
+    blocks: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        ground = set()
+        for b in self.blocks:
+            if not b:
+                raise ValueError("empty block")
+            if ground & b:
+                raise ValueError("blocks overlap")
+            ground |= set(b)
+        n = len(ground)
+        if ground != set(range(1, n + 1)):
+            raise ValueError("blocks must cover 1..d+1")
+
+    @classmethod
+    def of(cls, *blocks: Iterable[int]) -> "OrderedPartition":
+        return cls(tuple(frozenset(b) for b in blocks))
+
+    @property
+    def n(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def rotate(self) -> "OrderedPartition":
+        return OrderedPartition(self.blocks[1:] + self.blocks[:1])
+
+
+@dataclass(frozen=True)
+class TilingFace:
+    """A face of some tile: ordered partition plus lattice offset.
+
+    The offset is a canonical coefficient tuple.  The face name is
+    canonical when 1 lies in the first block.
+    """
+
+    partition: OrderedPartition
+    offset: tuple[int, ...]
+
+    @property
+    def is_canonical(self) -> bool:
+        return 1 in self.partition.blocks[0]
+
+
+def rotate_partition(f: TilingFace) -> TilingFace:
+    """Same geometric face, first block cycled to the back.
+
+    The rotated partition at offset zero equals the original partition
+    translated by the sum of w_b over b in the first block, so renaming
+    subtracts that block's indicator vector from the offset.
+    """
+    first = f.partition.blocks[0]
+    shifted = list(f.offset)
+    for b in first:
+        shifted[b - 1] -= 1
+    return TilingFace(f.partition.rotate(), canonicalize(shifted))
+
+
+def canonical_face(f: TilingFace) -> TilingFace:
+    """Rotate as few times as needed so 1 lands in the first block."""
+    g = TilingFace(f.partition, canonicalize(f.offset))
+    for _ in range(len(f.partition.blocks)):
+        if g.is_canonical:
+            return g
+        g = rotate_partition(g)
+    raise ValueError("element 1 missing from every block")
+
+
+def face_vertices(f: TilingFace) -> set[tuple[int, ...]]:
+    """Coordinate set of the face's vertices.
+
+    Block i receives the value range just above the preceding blocks;
+    vertices are all assignments of those values within each block,
+    translated by the ambient offset.
+    """
+    n = f.partition.n
+    shift = to_ambient(f.offset)
+    fills: list[list[dict[int, int]]] = []
+    lo = 1
+    for block in f.partition.blocks:
+        members = sorted(block)
+        values = range(lo, lo + len(block))
+        fills.append(
+            [dict(zip(members, perm)) for perm in permutations(values)]
+        )
+        lo += len(block)
+    out = set()
+    stack: list[dict[int, int]] = [{}]
+    for options in fills:
+        stack = [{**acc, **opt} for acc in stack for opt in options]
+    for assignment in stack:
+        out.add(tuple(assignment[a] + shift[a - 1] for a in range(1, n + 1)))
+    return out
+
+
+def permutahedron_membership(
+    point: Sequence[Fraction | int], offset: Sequence[int] | None = None
+) -> str:
+    """Classify a point against the tile at a given offset.
+
+    Returns 'interior', 'boundary', or 'outside' by checking every proper
+    subset inequality sum_{a in A} x_a >= 1 + ... + |A|.
+    """
+    n = len(point)
+    x = [Fraction(v) for v in point]
+    if offset is not None:
+        shift = to_ambient(offset)
+        x = [v - s for v, s in zip(x, shift)]
+    if sum(x) != slice_total(n):
+        raise SliceError("point is off the affine slice")
+    tight = False
+    for size in range(1, n):
+        floor = slice_total(size)
+        for subset in combinations(range(n), size):
+            s = sum(x[a] for a in subset)
+            if s < floor:
+                return "outside"
+            if s == floor:
+                tight = True
+    return "boundary" if tight else "interior"

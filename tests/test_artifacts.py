@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from heawood_kit import intlin, lattice
 from heawood_kit.artifacts import (
     DomainSpec,
     UnsupportedDimension,
@@ -24,7 +25,11 @@ from heawood_kit.artifacts import (
 from heawood_kit.cli import cli
 from heawood_kit.fixtures import klein_quartic
 from heawood_kit.lattice import KSignature
-from heawood_kit.quotient import build_heawood_graph, build_torus_complex
+from heawood_kit.quotient import (
+    SimplicialComplex,
+    build_heawood_graph,
+    build_torus_complex,
+)
 
 
 @lru_cache(maxsize=None)
@@ -364,3 +369,70 @@ def test_cli_census_and_search_refuse_above_cap(capsys, monkeypatch):
     monkeypatch.setenv("HEAWOOD_CAP", "16")
     code, _, _ = run_cli(capsys, "census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3")
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt", ["summary", "dot"])
+def test_cli_output_that_cannot_be_written_is_a_validation_error(capsys, tmp_path, fmt):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "build", "-k", "1,1,1", "--format", fmt,
+                             "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    code, _, err = run_cli(capsys, "build", "-k", "1,1,1", "-o", str(tmp_path))
+    assert code == 2
+    assert f"cannot write {tmp_path}" in err
+
+
+def count_smith_forms(monkeypatch) -> list:
+    calls = []
+    original = intlin.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (intlin, lattice):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls
+
+
+def test_cli_census_makes_two_smith_forms(capsys, monkeypatch):
+    # one for the class index, which gives the order, the cap check and
+    # the build; one for the span of the rows alone
+    calls = count_smith_forms(monkeypatch)
+    code, out, _ = run_cli(capsys, "census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3")
+    assert code == 0
+    assert json.loads(out)["vertices"] == 16
+    assert len(calls) == 2
+
+
+def test_cli_census_refuses_before_listing_classes():
+    # ClassIndex lists its classes on first use, so the order of a huge
+    # quotient is read and refused without listing them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("HEAWOOD_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "heawood_kit.cli", "census", "--matrix",
+         "100000,0,-1;0,100000,-1;-1,-1,100001"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 3
+    assert "20000400000 vertices above build cap" in proc.stderr
+
+
+def test_cli_build_torus_enumerates_faces_once(capsys, monkeypatch):
+    calls = []
+    original = SimplicialComplex.fvector_enumerated
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SimplicialComplex, "fvector_enumerated", counting)
+    code, out, _ = run_cli(capsys, "build", "-k", "2,1,2", "--torus")
+    assert code == 0
+    assert json.loads(out)["torus"]["euler_characteristic"] == 0
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -5,8 +6,10 @@ from math import factorial
 import oracles
 import pytest
 from oracles import stirling2_recurrence, vertex_key
+from test_symmetry import CENSUS_MATRICES
 
-from heawood_kit import lattice
+from heawood_kit import lattice, quotient
+from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.intlin import IntMatrix, ShapeError, build_mk
 from heawood_kit.lattice import (
     ClassIndex,
@@ -176,7 +179,7 @@ def test_face_class_census_matches_formula():
     # count canonical tiling faces per codimension directly via the
     # canonical-name construction: (partition with 1 first, class) pairs
     from heawood_kit.lattice import enumerate_fundamental
-    from heawood_kit.tiling import OrderedPartition
+    from oracles import OrderedPartition
 
     def ordered_partitions(n, blocks):
         def helper(remaining, parts_left):
@@ -409,3 +412,102 @@ def test_vertex_of_refuses_points_off_the_tiling():
         graph((1, 1, 1)).key_of((1, 1, 1))
     with pytest.raises(ValueError, match="no quotient data"):
         dual_graph(torus((1, 1, 1))).vertex_of((1, 2, 3))
+
+
+BUILDER_QUOTIENTS = (
+    [
+        pytest.param(KSignature(e), id=str(e))
+        for e in [(2, 1, 2), (3, 3, 3, 3), (2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1)]
+    ]
+    + [pytest.param(KSignature(e, delta=True), id=f"delta{e}") for e in ORACLE_DELTAS]
+    + [pytest.param(parse_matrix_arg(text), id=text) for text in CENSUS_MATRICES]
+)
+
+
+def class_index(source):
+    if isinstance(source, KSignature):
+        return ClassIndex(source.matrix(), enumerate_fundamental(source)), source
+    return ClassIndex(source), None
+
+
+@pytest.mark.parametrize("source", BUILDER_QUOTIENTS)
+def test_builder_matches_the_per_vertex_oracle(source):
+    index, k = class_index(source)
+    g, facets = quotient._build_quotient(index, k)
+    want, want_facets = oracles.build_per_vertex(index, k)
+    assert g.labels == want.labels
+    assert g.adjacency == want.adjacency
+    assert tuple(facets) == want_facets
+    assert g.rank == want.rank
+    assert g.position == want.position
+    assert g.signature == want.signature and g.lattice is index
+
+
+@pytest.mark.parametrize(
+    "source",
+    [KSignature((0, 0, 1), delta=True), IntMatrix.identity(3)],
+    ids=["delta(0, 0, 1)", "census identity"],
+)
+def test_builder_refuses_degenerate_quotients_as_the_oracle_does(source):
+    index, k = class_index(source)
+    with pytest.raises(DegenerateQuotient) as want:
+        oracles.build_per_vertex(index, k)
+    with pytest.raises(DegenerateQuotient) as got:
+        quotient._build_quotient(index, k)
+    assert str(got.value) == str(want.value)
+
+
+DUAL_COMPLEXES = {
+    "ridge in three facets": ((0, 1, 2), (0, 1, 3), (0, 1, 4)),
+    "ridge in four facets": ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (1, 2, 3)),
+    "boundary ridges": ((0, 1, 2), (1, 2, 3)),
+    "ridge twice in one facet": ((0, 0, 1), (0, 1, 2)),
+    "facet repeated": ((0, 1, 2), (0, 1, 2), (0, 1, 3)),
+    "one facet": ((0, 1, 2),),
+}
+
+
+@pytest.mark.parametrize("facets", DUAL_COMPLEXES.values(), ids=DUAL_COMPLEXES.keys())
+def test_dual_graph_matches_ridge_groups(facets):
+    c = SimplicialComplex(vertex_count=6, facets=facets)
+    assert dual_graph(c).adjacency == oracles.dual_graph_grouped(c)
+
+
+def test_dual_graph_of_tori_matches_ridge_groups():
+    for entries in [(1, 1, 1), (2, 1, 3, 1), (2, 2, 2, 2, 2)]:
+        c = torus(entries)
+        assert dual_graph(c).adjacency == oracles.dual_graph_grouped(c)
+
+
+def validation_outcome(check, c):
+    try:
+        check(c)
+    except NotSimplicial as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_stops_where_the_per_facet_scan_does():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(3000):
+        width = rng.randint(0, 4)
+        facets = []
+        for _ in range(rng.randint(0, 6)):
+            size = width if rng.random() < 0.85 else rng.randint(0, 4)
+            facet = [rng.randint(-1, 5) for _ in range(size)]
+            facets.append(tuple(sorted(facet) if rng.random() < 0.7 else facet))
+        if facets and rng.random() < 0.3:
+            facets.append(rng.choice(facets))
+        c = SimplicialComplex(vertex_count=rng.randint(0, 5), facets=tuple(facets))
+        want = validation_outcome(oracles.validate_per_facet, c)
+        assert validation_outcome(SimplicialComplex.validate, c) == want
+        outcomes.add(want and want.split(" ", 2)[2])
+    assert outcomes == {
+        None,
+        "has mixed dimension",
+        "repeats a vertex",
+        "is not sorted",
+        "duplicates an earlier one",
+        "references unknown vertex",
+    }

@@ -5,19 +5,21 @@ from itertools import permutations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import neighbors_definitional
-
-from heawood_kit.lattice import canonicalize, from_ambient, to_ambient, w_vector
-from heawood_kit.tiling import (
+from oracles import (
     OrderedPartition,
-    SliceError,
     TilingFace,
     canonical_face,
     face_vertices,
-    is_tiling_vertex,
-    neighbors,
+    neighbors_definitional,
     permutahedron_membership,
     rotate_partition,
+)
+
+from heawood_kit.lattice import canonicalize, from_ambient, to_ambient, w_vector
+from heawood_kit.tiling import (
+    SliceError,
+    is_tiling_vertex,
+    neighbors,
     tiles_containing,
 )
 
