@@ -7,14 +7,13 @@ mode.  Chromatic numbers are exact via DSATUR bounds plus backtracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intlin import InvalidSignature
 from .lattice import KSignature
+from .limits import CapExceeded, search_cap
 from .quotient import QuotientGraph, build_heawood_graph
-from .symmetry import CapExceeded, search_cap
 
 DEFAULT_CHROMATIC_CAP = 60
 DEFAULT_HAMILTONIAN_BUDGET = 10**6
@@ -24,8 +23,7 @@ class CycleError(RuntimeError):
     """A walk or cycle fails to be a closed path along graph edges."""
 
 
-@dataclass(frozen=True)
-class BipartiteReport:
+class BipartiteReport(NamedTuple):
     bipartite: bool
     coloring: Optional[tuple[int, ...]] = None
     odd_cycle: Optional[tuple[int, ...]] = None
@@ -64,8 +62,7 @@ def is_bipartite(g: QuotientGraph) -> BipartiteReport:
     return BipartiteReport(True, coloring=tuple(color))
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     length: int
     vertices: tuple[int, ...]
     classification: str
@@ -106,8 +103,7 @@ def _canonical_cycle(path: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class HamiltonianWalkResult:
+class HamiltonianWalkResult(NamedTuple):
     mode: str
     outcome: str
     length: int

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intlin import IntMatrix
 from .lattice import KSignature, canonicalize, enumerate_fundamental, to_ambient
+from .limits import SCHEMA
 from .quotient import QuotientGraph, SimplicialComplex
-
-SCHEMA = "heawood-kit/1"
 
 # figure axes: coordinate 1 at 240 degrees, 2 at 0, 3 at 120
 _AXES_2D = [
@@ -140,8 +138,7 @@ def export_complex_off(c: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(NamedTuple):
     """Derived domain basis of a signature.
 
     The basis rows live in coefficient space; their ambient images scaled
@@ -180,8 +177,7 @@ def _palette(i: int, total: int) -> str:
     return f"hsl({hue},60%,70%)"
 
 
-@dataclass(frozen=True)
-class RenderScene2D:
+class RenderScene2D(NamedTuple):
     k: KSignature
     hexagons: tuple[tuple[tuple[float, float], ...], ...]
     colors: tuple[str, ...]

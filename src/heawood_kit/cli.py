@@ -4,7 +4,9 @@ Subcommands build quotient graphs and torus complexes, compare f-vector
 formulas against enumeration, compute automorphism groups, run the graph
 analyses, process census matrices, render tiles, and dump fixtures.  All
 results are JSON on stdout unless -o routes them to a file.  Exit codes:
-0 success, 2 validation error, 3 cap or budget refusal.
+0 success, 2 validation error, 3 cap or budget refusal.  Only the core
+modules load with this one; a command imports the symmetry, analysis,
+export and fixture code it runs where it runs it, after its cap checks.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import sys
 from math import factorial
 from typing import Optional, Sequence
 
-from . import analysis, artifacts, fixtures, symmetry
 from .intlin import InvalidSignature, integer_span_contains
 from .lattice import ClassIndex, KSignature
+from .limits import DEFAULT_SEARCH_CAP, SCHEMA, CapExceeded, search_cap
 from .quotient import (
     alternating_sum,
     build_general_quotient,
@@ -42,7 +44,7 @@ def parse_signature(text: str, delta: bool = False) -> KSignature:
 
 
 def emit(payload: dict, out: Optional[str]) -> None:
-    payload = {"schema": artifacts.SCHEMA, **payload}
+    payload = {"schema": SCHEMA, **payload}
     emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
@@ -65,9 +67,9 @@ def refuse_above_cap(
     """Refuse with exit 3, before any work, a quotient of d!·order vertices
     above the cap (HEAWOOD_CAP, else the default)."""
     vertices = factorial(d) * order
-    cap = symmetry.search_cap(default)
+    cap = search_cap(default)
     if vertices > cap:
-        raise symmetry.CapExceeded(f"{vertices} vertices above {what} cap {cap}")
+        raise CapExceeded(f"{vertices} vertices above {what} cap {cap}")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -80,6 +82,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.torus:
         complex_ = build_torus_complex(k)
         if args.format == "off":
+            from . import artifacts
+
             emit_text(artifacts.export_complex_off(complex_), args.output)
         else:
             fvector = complex_.fvector_enumerated()
@@ -98,6 +102,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         return EXIT_OK
     graph = build_heawood_graph(k)
     if args.format in ("dot", "json-graph"):
+        from . import artifacts
+
         fmt = "dot" if args.format == "dot" else "json"
         emit_text(artifacts.export_graph(graph, fmt), args.output)
     else:
@@ -135,7 +141,9 @@ def cmd_aut(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
     refuse_above_cap(k.d, k.order())
     if args.mode in ("brute", "compare"):
-        refuse_above_cap(k.d, k.order(), "search", symmetry.DEFAULT_SEARCH_CAP)
+        refuse_above_cap(k.d, k.order(), "search", DEFAULT_SEARCH_CAP)
+    from . import symmetry
+
     graph = build_heawood_graph(k)
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("generated", "compare"):
@@ -152,6 +160,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
     payload: dict = {"signature": list(k.entries)}
     refuse_above_cap(k.d, k.order())
+    from . import analysis
+
     if args.hamiltonian is not None:
         result = analysis.hamiltonian_alternating(k, args.hamiltonian)
         payload.update(
@@ -171,10 +181,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if report.odd_cycle:
             payload["odd_cycle_length"] = len(report.odd_cycle)
     if args.six_cycles:
+        from .artifacts import coord_label
+
         seed = graph.vertex_of(range(1, k.n + 1))
         cycles = analysis.six_cycles_through(graph, seed)
         payload["six_cycles"] = [
-            [artifacts.coord_label(graph.labels[v]) for v in c.vertices]
+            [coord_label(graph.labels[v]) for v in c.vertices]
             for c in cycles
         ]
         payload["six_cycle_count"] = len(cycles)
@@ -185,7 +197,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    matrix = artifacts.parse_matrix_arg(args.matrix)
+    from .artifacts import parse_matrix_arg
+
+    matrix = parse_matrix_arg(args.matrix)
     index = ClassIndex(matrix)
     refuse_above_cap(matrix.cols - 1, index.order)
     graph = build_general_quotient(index)
@@ -205,6 +219,10 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
+    if k.d == 2:  # other dimensions have no scene and exit 2 below
+        refuse_above_cap(k.d, k.order())
+    from . import artifacts
+
     scene = artifacts.fundamental_tile_scene(k, domain=args.domain)
     emit_text(artifacts.render_svg(scene), args.output)
     return EXIT_OK
@@ -213,6 +231,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_fixture(args: argparse.Namespace) -> int:
     if args.name != "klein-quartic":
         raise InvalidSignature(f"unknown fixture {args.name!r}")
+    from . import fixtures
+
     complex_ = fixtures.klein_quartic()
     payload: dict = {
         "name": args.name,
@@ -309,7 +329,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except symmetry.CapExceeded as exc:
+    except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP
 

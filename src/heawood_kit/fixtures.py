@@ -7,9 +7,8 @@ the count checks here and in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .quotient import NotSimplicial, QuotientGraph, SimplicialComplex, dual_graph
 from .symmetry import brute_force_automorphisms
@@ -18,8 +17,7 @@ KLEIN_VERTEX_COUNT = 24
 KLEIN_FACET_COUNT = 56
 
 
-@dataclass(frozen=True)
-class NamedComplexFixture:
+class NamedComplexFixture(NamedTuple):
     name: str
     labels: tuple[str, ...]
     facets: tuple[tuple[str, ...], ...]

@@ -8,8 +8,7 @@ Everything here is exact; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ShapeError(ValueError):
@@ -20,19 +19,50 @@ class InvalidSignature(ValueError):
     """A parameter vector k fails its validity requirements."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Immutable value: the subclass sets its fields once, in ``__init__``.
+
+    Equality, hashing and the repr go over the ``_fields`` the subclass
+    names, in that order; assignment and deletion raise ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(Frozen):
     """Immutable row-major integer matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ShapeError("entry count does not match rows x cols")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -133,8 +163,7 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Smith normal form s = u @ input @ v with unimodular u, v; v_inv @ v = I."""
 
     s: IntMatrix

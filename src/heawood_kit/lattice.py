@@ -16,7 +16,6 @@ keeps the entry scan of strict signatures as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import prod
@@ -24,6 +23,7 @@ from operator import add, mod, mul
 from typing import Optional, Sequence
 
 from .intlin import (
+    Frozen,
     IntMatrix,
     InvalidSignature,
     ShapeError,
@@ -53,25 +53,25 @@ class NotATransversal(ValueError):
     """Class representatives that repeat a class or miss one."""
 
 
-@dataclass(frozen=True)
-class KSignature:
+class KSignature(Frozen):
     """Parameter vector k = (k_1, ..., k_{d+1}).
 
     Strict signatures have length >= 3 and all entries positive; zeros are
     admitted only when delta=True, and every derived object carries the flag.
     """
 
-    entries: tuple[int, ...]
-    delta: bool = False
+    _fields = ("entries", "delta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if len(self.entries) < 3:
+    def __init__(self, entries: Sequence[int], delta: bool = False) -> None:
+        entries = tuple(int(x) for x in entries)
+        if len(entries) < 3:
             raise InvalidSignature("signature needs at least three entries")
-        if any(x < 0 for x in self.entries):
+        if any(x < 0 for x in entries):
             raise InvalidSignature("signature entries must be nonnegative")
-        if not self.delta and any(x == 0 for x in self.entries):
+        if not delta and any(x == 0 for x in entries):
             raise InvalidSignature("zero entries require delta mode")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def d(self) -> int:

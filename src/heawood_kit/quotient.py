@@ -7,14 +7,13 @@ classes and whose facets correspond one-to-one with graph vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, count, permutations, repeat
 from math import comb, factorial
 from operator import add, eq, mul, ne, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .intlin import IntMatrix
+from .intlin import Frozen, IntMatrix
 from .lattice import (
     ClassIndex,
     KSignature,
@@ -35,8 +34,7 @@ class DegenerateQuotient(ValueError):
     """A quotient graph in which some vertex has fewer than d+1 neighbours."""
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(Frozen):
     """Finite (d+1)-regular graph with stable vertex indexing.
 
     Vertices are canonical keys sorted lexicographically; labels default to
@@ -47,18 +45,29 @@ class QuotientGraph:
     number rank[p] * D + (position of a's class), and ``position`` maps
     that number to the vertex index in label order.  ``number_of`` finds
     the number of any tiling point from its Smith coordinates, and
-    ``vertex_of`` its vertex.
+    ``vertex_of`` its vertex.  Equality, hashing and the repr leave the
+    quotient data out.
     """
 
-    d: int
-    labels: tuple[VertexKey, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    signature: Optional[KSignature] = None
-    lattice: Optional[ClassIndex] = field(default=None, compare=False, repr=False)
-    rank: Optional[dict[VertexKey, int]] = field(
-        default=None, compare=False, repr=False
-    )
-    position: Optional[list[int]] = field(default=None, compare=False, repr=False)
+    _fields = ("d", "labels", "adjacency", "signature")
+
+    def __init__(
+        self,
+        d: int,
+        labels: tuple[VertexKey, ...],
+        adjacency: tuple[tuple[int, ...], ...],
+        signature: Optional[KSignature] = None,
+        lattice: Optional[ClassIndex] = None,
+        rank: Optional[dict[VertexKey, int]] = None,
+        position: Optional[list[int]] = None,
+    ) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "position", position)
 
     @property
     def vertex_count(self) -> int:
@@ -213,8 +222,7 @@ def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
     return _build_quotient(index)[0]
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Pure complex given by facets over integer-indexed vertices."""
 
     vertex_count: int
@@ -275,8 +283,7 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     facet of the d+1 tile classes containing it, in graph vertex order so
     the duality bijection is positional.
     """
-    if k.delta:
-        raise NotSimplicial("zero entries void the simplicial guarantees")
+    _refuse_delta(k)
     classes = enumerate_fundamental(k)
     _, facets = _build_quotient(ClassIndex(k.matrix(), classes))
     complex_ = SimplicialComplex(
@@ -286,6 +293,12 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     )
     complex_.validate()
     return complex_
+
+
+def _refuse_delta(k: KSignature) -> None:
+    """A delta signature has no torus: its zero entries void the checks."""
+    if k.delta:
+        raise NotSimplicial("zero entries void the simplicial guarantees")
 
 
 def stirling2(n: int, m: int) -> int:
@@ -299,7 +312,11 @@ def stirling2(n: int, m: int) -> int:
 
 
 def fvector_formula(k: KSignature) -> tuple[int, ...]:
-    """Closed-form face counts: f_i = i! S(d+1, i+1) D."""
+    """Closed-form face counts of the torus: f_i = i! S(d+1, i+1) D.
+
+    A delta signature is refused, as ``build_torus_complex`` refuses it.
+    """
+    _refuse_delta(k)
     d = k.d
     order = k.order()
     return tuple(

@@ -13,16 +13,15 @@ its order without listing the elements.
 from __future__ import annotations
 
 import heapq
-import os
-from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
+from .intlin import Frozen
 from .lattice import KSignature, w_vector
+from .limits import DEFAULT_SEARCH_CAP, CapExceeded, search_cap  # noqa: F401 - re-exported
 from .quotient import QuotientGraph
 
-DEFAULT_SEARCH_CAP = 200
 DEFAULT_CLOSURE_CAP = 10**6
 
 
@@ -30,34 +29,15 @@ class NotAnAutomorphism(ValueError):
     """A proposed vertex map fails to preserve adjacency."""
 
 
-class CapExceeded(RuntimeError):
-    """A search or closure grew past its configured cap."""
-
-
-def search_cap(default: int = DEFAULT_SEARCH_CAP) -> int:
-    """HEAWOOD_CAP when set, which must be a positive integer, else the default."""
-    value = os.environ.get("HEAWOOD_CAP")
-    if not value:
-        return default
-    problem = f"HEAWOOD_CAP must be a positive integer, not {value!r}"
-    try:
-        cap = int(value)
-    except ValueError:
-        raise ValueError(problem) from None
-    if cap <= 0:
-        raise ValueError(problem)
-    return cap
-
-
-@dataclass(frozen=True)
-class VertexPermutation:
+class VertexPermutation(Frozen):
     """Vertex map of a graph, stored as an image array."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(len(images))):
             raise NotAnAutomorphism("image array is not a bijection")
+        object.__setattr__(self, "images", images)
 
     def __mul__(self, other: "VertexPermutation") -> "VertexPermutation":
         # (self * other)(x) = self(other(x))
@@ -74,12 +54,14 @@ class VertexPermutation:
         return cls(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(Frozen):
     """A permutation group given by generators, with its order."""
 
-    generators: tuple[VertexPermutation, ...]
-    order: int
+    _fields = ("generators", "order")
+
+    def __init__(self, generators: tuple[VertexPermutation, ...], order: int) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "order", order)
 
     @cached_property
     def elements(self) -> frozenset[VertexPermutation]:

@@ -333,28 +333,98 @@ def test_cli_build_refuses_above_vertex_cap(capsys, monkeypatch, extra):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("fvector", "-k", "40,40,40,40"),
-        ("aut", "-k", "40,40,40,40", "--generated"),
-        ("analyze", "-k", "40,40,40,40", "--bipartite"),
-    ],
-    ids=["fvector", "aut", "analyze"],
-)
-def test_cli_refuses_above_vertex_cap_before_building(argv):
+def fresh_env() -> dict:
+    """Environment of a fresh interpreter that imports this checkout, no cap set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     env.pop("HEAWOOD_CAP", None)
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        (("fvector", "-k", "40,40,40,40"), 1594566),
+        (("aut", "-k", "40,40,40,40", "--generated"), 1594566),
+        (("analyze", "-k", "40,40,40,40", "--bipartite"), 1594566),
+        (("render", "-k", "300,300,300"), 541802),
+    ],
+    ids=["fvector", "aut", "analyze", "render"],
+)
+def test_cli_refuses_above_vertex_cap_before_building(argv, vertices):
     proc = subprocess.run(
         [sys.executable, "-m", "heawood_kit.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=fresh_env(), timeout=10,
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert "1594566 vertices above build cap" in proc.stderr
+    assert f"{vertices} vertices above build cap" in proc.stderr
+
+
+# Each command of the benchmark's cli workload, its exit code, and the
+# package modules it loads beyond the core that every command loads.
+CORE_MODULES = {"cli", "intlin", "lattice", "limits", "quotient", "tiling"}
+COMMAND_MODULES = [
+    (("build", "-k", "1,1,1"), 0, set()),
+    (("build", "-k", "3,3,3", "--torus"), 0, set()),
+    (("build", "-k", "10,10,10", "--format", "json-graph"), 0, {"artifacts"}),
+    (("build", "-k", "2,1,2", "--torus", "--format", "off"), 0, {"artifacts"}),
+    (("fvector", "-k", "2,1,2", "--both"), 0, set()),
+    (("aut", "-k", "1,1,1", "--compare"), 0, {"symmetry"}),
+    (("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles", "--chromatic"), 0,
+     {"analysis", "artifacts"}),
+    (("analyze", "-k", "1,3,2", "--hamiltonian", "3"), 0, {"analysis"}),
+    (("census", "--matrix", "2,-1,0;0,2,-1;-1,0,2"), 0, {"artifacts"}),
+    (("render", "-k", "2,1,2", "--domain", "parallelepiped"), 0, {"artifacts"}),
+    (("fixture", "klein-quartic", "--aut"), 0, {"fixtures", "symmetry", "data"}),
+    (("build", "-k", "1,-1,1"), 2, set()),
+    (("aut", "-k", "2,2,2,2", "--brute"), 3, set()),
+]
+LIST_MODULES = (
+    "import sys\n"
+    "from heawood_kit.cli import cli\n"
+    "code = cli(sys.argv[1:])\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, modules", COMMAND_MODULES,
+    ids=[" ".join(argv) for argv, _, _ in COMMAND_MODULES],
+)
+def test_cli_command_loads_only_the_modules_it_runs(argv, exit_code, modules):
+    # a fresh interpreter per command: it compiles every module it loads,
+    # and dataclasses alone pulls in inspect, ast and dis
+    proc = subprocess.run(
+        [sys.executable, "-c", LIST_MODULES, *argv],
+        capture_output=True, text=True, env=fresh_env(), timeout=20,
+    )
+    assert proc.returncode == exit_code
+    assert "Traceback" not in proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "dataclasses" not in loaded
+    package = {m.partition(".")[2] for m in loaded if m.startswith("heawood_kit.")}
+    assert package == CORE_MODULES | modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "-k", "0,1,1", "--torus"),
+        ("fvector", "-k", "0,1,1", "--formula"),
+        ("fvector", "-k", "0,1,1", "--enumerate"),
+        ("fvector", "-k", "0,1,1", "--both"),
+    ],
+    ids=["build-torus", "formula", "enumerate", "both"],
+)
+def test_cli_refuses_delta_signatures_without_a_torus(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero entries void the simplicial guarantees\n"
 
 
 def test_cli_census_and_search_refuse_above_cap(capsys, monkeypatch):
@@ -410,14 +480,10 @@ def test_cli_census_makes_two_smith_forms(capsys, monkeypatch):
 def test_cli_census_refuses_before_listing_classes():
     # ClassIndex lists its classes on first use, so the order of a huge
     # quotient is read and refused without listing them
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    env.pop("HEAWOOD_CAP", None)
     proc = subprocess.run(
         [sys.executable, "-m", "heawood_kit.cli", "census", "--matrix",
          "100000,0,-1;0,100000,-1;-1,-1,100001"],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=fresh_env(), timeout=10,
     )
     assert proc.returncode == 3
     assert "20000400000 vertices above build cap" in proc.stderr

@@ -6,15 +6,34 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heawood_kit"
 
 
-def test_package_has_no_assert_statement():
-    # python -O strips assert statements, so no check may rely on one
+def package_statements():
+    """(file:line, node) for every statement of the package source."""
     modules = sorted(PACKAGE.glob("**/*.py"))
     assert modules
-    found = [
-        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+    return [
+        (f"{path.relative_to(PACKAGE)}:{node.lineno}", node)
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.stmt)
+    ]
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so no check may rely on one
+    found = [
+        where for where, node in package_statements() if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_does_not_import_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, which every command would
+    # compile at start; records are NamedTuples or small explicit classes
+    found = [
+        where
+        for where, node in package_statements()
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and "dataclasses" in {a.name for a in node.names})
     ]
     assert found == []
 

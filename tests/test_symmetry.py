@@ -515,3 +515,30 @@ def test_generators_locate_one_point_per_permutation(entries, monkeypatch):
         monkeypatch.setattr(module, "from_ambient", counting)
     group = generated_group(g)
     assert calls <= factorial(g.d) * len(group.generators)
+
+
+def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():
+    g = graph((1, 1, 1))
+    bare = QuotientGraph(g.d, g.labels, adjacency=g.adjacency, signature=g.signature)
+    # the quotient data stays out of equality and hashing
+    assert bare == g and hash(bare) == hash(g) and bare.lattice is None
+    assert g != QuotientGraph(g.d, g.labels, g.adjacency)
+    swap = VertexPermutation((1, 0))
+    group = symmetry.PermutationGroup((swap,), 2)
+    values = [
+        (intlin.IntMatrix(1, 2, (3, 4)), intlin.IntMatrix(rows=1, cols=2, entries=(3, 4))),
+        (KSignature((1, 2, 0), True), KSignature(entries=[1, 2, 0], delta=True)),
+        (swap, VertexPermutation(images=(1, 0))),
+        (group, symmetry.PermutationGroup(generators=(swap,), order=2)),
+    ]
+    for value, same in values + [(g, bare)]:
+        assert value == same and hash(value) == hash(same)
+        assert repr(value) == repr(same)
+        with pytest.raises(AttributeError):
+            value.order = 1
+        with pytest.raises(AttributeError):
+            del value.entries
+    assert KSignature((1, 1, 1)) != KSignature((1, 1, 1), delta=True)
+    assert repr(KSignature((1, 2, 3))) == "KSignature(entries=(1, 2, 3), delta=False)"
+    assert group.elements == {swap, VertexPermutation.identity(2)}
+    assert g.neighbour_sets[0] == set(g.adjacency[0])
