@@ -11,7 +11,7 @@ import json
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .intlin import IntMatrix
+from .intlin import parse_matrix_arg  # noqa: F401 - re-exported
 from .lattice import KSignature, canonicalize, enumerate_fundamental, to_ambient
 from .limits import SCHEMA
 from .quotient import QuotientGraph, SimplicialComplex
@@ -257,13 +257,3 @@ def render_svg(scene: RenderScene2D, scale: float = 24.0) -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix_arg(text: str) -> IntMatrix:
-    """Parse a semicolon/comma matrix literal like '2,0,-1;0,2,-1;-1,-1,3'."""
-    rows = [
-        [int(v) for v in row.split(",") if v.strip() != ""]
-        for row in text.split(";")
-        if row.strip() != ""
-    ]
-    return IntMatrix.from_rows(rows)

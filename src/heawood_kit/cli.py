@@ -17,7 +17,7 @@ import sys
 from math import factorial
 from typing import Optional, Sequence
 
-from .intlin import InvalidSignature, integer_span_contains
+from .intlin import InvalidSignature, integer_span_contains, parse_matrix_arg
 from .lattice import ClassIndex, KSignature
 from .limits import DEFAULT_SEARCH_CAP, SCHEMA, CapExceeded, search_cap
 from .quotient import (
@@ -197,8 +197,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    from .artifacts import parse_matrix_arg
-
     matrix = parse_matrix_arg(args.matrix)
     index = ClassIndex(matrix)
     refuse_above_cap(matrix.cols - 1, index.order)

@@ -11,7 +11,6 @@ from importlib import resources
 from typing import NamedTuple, Sequence
 
 from .quotient import NotSimplicial, QuotientGraph, SimplicialComplex, dual_graph
-from .symmetry import brute_force_automorphisms
 
 KLEIN_VERTEX_COUNT = 24
 KLEIN_FACET_COUNT = 56
@@ -80,6 +79,8 @@ def simplicial_automorphism_order(c: SimplicialComplex) -> int:
     together with the facet permutations they induce, and since facets
     are distinct vertex sets the vertex permutation fixes the facet one.
     """
+    from .symmetry import brute_force_automorphisms
+
     v = c.vertex_count
     stars: list[list[int]] = [[] for _ in range(v)]
     for f, facet in enumerate(c.facets):
@@ -96,6 +97,8 @@ def simplicial_automorphism_order(c: SimplicialComplex) -> int:
 
 def klein_quartic_aut_order() -> dict[str, int]:
     """Simplicial and dual-graph automorphism orders of the fixture."""
+    from .symmetry import brute_force_automorphisms
+
     c = klein_quartic()
     dual = dual_graph(c)
     dual_order = brute_force_automorphisms(dual, cap=len(c.facets)).order

@@ -2,7 +2,8 @@
 
 Small dense matrices over Z with arbitrary-precision entries: Bareiss
 determinants, Smith normal form with unimodular transforms and the inverse
-of the column transform, and membership tests for integer row spans.
+of the column transform, membership tests for integer row spans, and
+the parser of matrix literals such as '2,0,-1;0,2,-1;-1,-1,3'.
 Everything here is exact; no floats.
 """
 
@@ -104,6 +105,16 @@ class IntMatrix(Frozen):
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
+
+
+def parse_matrix_arg(text: str) -> IntMatrix:
+    """Parse a semicolon/comma matrix literal like '2,0,-1;0,2,-1;-1,-1,3'."""
+    rows = [
+        [int(v) for v in row.split(",") if v.strip() != ""]
+        for row in text.split(";")
+        if row.strip() != ""
+    ]
+    return IntMatrix.from_rows(rows)
 
 
 def build_mk(k: Sequence[int]) -> IntMatrix:

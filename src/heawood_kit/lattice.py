@@ -291,3 +291,22 @@ class ClassIndex:
             for column, y, m in zip(zip(*self.keys), z, self.moduli)
         ]
         return list(map(self.position.__getitem__, zip(*shifted)))
+
+    def mapped(self, steps: Sequence[Sequence[int]]) -> list[int]:
+        """Position of the class of L·a for each listed class a.
+
+        ``steps[i]`` is the key of L·e_i for a linear map L.  Keys are
+        linear, so the key of L·a is the sum of a_i·steps[i] mod diag; as
+        in ``shifted``, the sums are taken one coordinate at a time over
+        all the classes.
+        """
+        if not self.moduli:
+            return [0]
+        entries = list(zip(*self.classes))
+        keys = []
+        for weights, m in zip(zip(*steps), self.moduli):
+            total = repeat(0)
+            for entry, w in zip(entries, weights):
+                total = map(add, total, map(mul, entry, repeat(w)))
+            keys.append(map(mod, total, repeat(m)))
+        return list(map(self.position.__getitem__, zip(*keys)))

@@ -31,11 +31,16 @@ trading against lattice translation; ``face_vertices`` and
 
 ``refine_rounds`` is the package's original colour refinement: it re-signs
 every vertex in every round, where ``refine_colors`` splits cells, and
-both must reach the same coarsest equitable partition.
+both must reach the same coarsest equitable partition.  ``refine_cells``
+is the package's earlier cell-splitting refinement, which counts and
+groups the touched vertices in separate passes per splitter; the
+colors themselves, cell order included, must agree with it exactly,
+since the base and the branch order of the search are read off them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -235,6 +240,68 @@ def refine_rounds(
         if len(palette) == cells:
             return tuple(colors)
         cells = len(palette)
+
+
+def refine_cells(
+    adjacency: Sequence[Sequence[int]],
+    colors: list[int],
+    cells: dict[int, set[int]],
+    splitters: list[int],
+) -> tuple[int, ...]:
+    """Split cells against the queued splitters until the coloring is equitable.
+
+    The package's earlier ``_refine``, which groups the touched vertices in
+    three passes per splitter and skips singleton cells after grouping.
+
+    ``cells`` maps each cell start to its vertices and ``splitters`` is a
+    heap of starts.  A split keeps the first part at the old start, so its
+    vertices keep their color, and queues the new parts: all of them when
+    the old cell was queued, else all but the first largest, since counts
+    into that part follow from counts into the old cell and the others.
+    """
+    queued = set(splitters)
+    n = len(colors)
+    while splitters and len(cells) < n:
+        splitter = heapq.heappop(splitters)
+        queued.discard(splitter)
+        counts: dict[int, int] = {}
+        for w in cells[splitter]:
+            for u in adjacency[w]:
+                counts[u] = counts.get(u, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for u in counts:
+            touched.setdefault(colors[u], []).append(u)
+        for start, hit in touched.items():
+            cell = cells[start]
+            if len(cell) == 1:
+                continue
+            by_count: dict[int, list[int]] = {}
+            for u in hit:
+                by_count.setdefault(counts[u], []).append(u)
+            parts = [by_count[c] for c in sorted(by_count)]
+            if len(hit) < len(cell):
+                cell.difference_update(hit)  # count 0 comes first
+            elif len(parts) == 1:
+                continue
+            else:
+                cell = cells[start] = set(parts.pop(0))
+            starts = [start]
+            pos = start + len(cell)
+            for part in parts:
+                cells[pos] = set(part)
+                for v in part:
+                    colors[v] = pos
+                starts.append(pos)
+                pos += len(part)
+            if start in queued:
+                fresh = starts[1:]
+            else:
+                largest = max(starts, key=lambda s: len(cells[s]))
+                fresh = [s for s in starts if s != largest]
+            for pos in fresh:
+                heapq.heappush(splitters, pos)
+                queued.add(pos)
+    return tuple(colors)
 
 
 def neighbors_definitional(x: Sequence[int]) -> list[tuple[int, ...]]:

@@ -113,6 +113,8 @@ def test_domain_vectors():
 def test_parse_matrix_arg():
     m = parse_matrix_arg("2,0,-1;0,2,-1;-1,-1,3")
     assert m.row_list() == [(2, 0, -1), (0, 2, -1), (-1, -1, 3)]
+    # the parser lives beside the matrix type; artifacts keeps the same name
+    assert parse_matrix_arg is intlin.parse_matrix_arg
 
 
 def run_cli(capsys, *argv):
@@ -376,9 +378,10 @@ COMMAND_MODULES = [
     (("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles", "--chromatic"), 0,
      {"analysis", "artifacts"}),
     (("analyze", "-k", "1,3,2", "--hamiltonian", "3"), 0, {"analysis"}),
-    (("census", "--matrix", "2,-1,0;0,2,-1;-1,0,2"), 0, {"artifacts"}),
+    (("census", "--matrix", "2,-1,0;0,2,-1;-1,0,2"), 0, set()),
     (("render", "-k", "2,1,2", "--domain", "parallelepiped"), 0, {"artifacts"}),
     (("fixture", "klein-quartic", "--aut"), 0, {"fixtures", "symmetry", "data"}),
+    (("fixture", "klein-quartic"), 0, {"fixtures", "data"}),
     (("build", "-k", "1,-1,1"), 2, set()),
     (("aut", "-k", "2,2,2,2", "--brute"), 3, set()),
 ]

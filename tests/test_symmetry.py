@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -6,7 +7,7 @@ from operator import add
 
 import pytest
 
-from heawood_kit import intlin, lattice, quotient, symmetry
+from heawood_kit import fixtures, intlin, lattice, quotient, symmetry
 from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.lattice import ClassIndex, KSignature, w_vector
 from heawood_kit.quotient import QuotientGraph, build_general_quotient, build_heawood_graph
@@ -26,7 +27,7 @@ from heawood_kit.symmetry import (
     translation_generators,
     verify_exceptional_W,
 )
-from oracles import lift_per_vertex, refine_rounds
+from oracles import lift_per_vertex, refine_cells, refine_rounds
 
 
 @lru_cache(maxsize=None)
@@ -388,18 +389,19 @@ def test_refine_colors_matches_round_oracle_on_random_graphs():
 @pytest.mark.parametrize("entries", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
 def test_individualized_refinement_matches_round_oracle(entries):
     g = graph(entries)
-    chain, _ = symmetry._base_chain(g)
+    chain, _, _ = symmetry._base_chain(g)
     for colors in chain[:-1]:
         for v in range(0, g.vertex_count, 5):
             marked = list(colors)
             marked[v] = -1
-            assert partition(symmetry._individualize(g, colors, v)) == partition(
+            assert partition(symmetry._individualize(g, colors, v)[0]) == partition(
                 refine_rounds(g.adjacency, marked)
             )
 
 
 def test_refine_colors_is_label_independent():
-    # relabelling the vertices relabels the coloring, colors included
+    # relabelling the vertices relabels the coloring, colors included, and
+    # leaves the trace as it is
     rng = random.Random(2014)
     for entries in [(2, 1, 2), (1, 1, 1, 1)]:
         g = graph(entries)
@@ -416,11 +418,136 @@ def test_refine_colors_is_label_independent():
             ),
         )
         for v in range(0, n, 7):
-            colors = symmetry._individualize(g, refine_colors(g), v)
-            moved = symmetry._individualize(
+            colors, trace = symmetry._individualize(g, refine_colors(g), v)
+            moved, moved_trace = symmetry._individualize(
                 relabelled, refine_colors(relabelled), perm[v]
             )
             assert all(moved[perm[u]] == colors[u] for u in range(n))
+            assert moved_trace == trace
+
+
+def cell_oracle(adjacency, colors, splitters):
+    """``refine_cells`` from a coloring by cell starts."""
+    cells = {}
+    for u, c in enumerate(colors):
+        cells.setdefault(c, set()).add(u)
+    return refine_cells(adjacency, list(colors), cells, list(splitters))
+
+
+def oracle_refine_colors(g, initial=None):
+    values = initial if initial is not None else [len(nbrs) for nbrs in g.adjacency]
+    ordered = sorted(values)
+    colors = [bisect_left(ordered, x) for x in values]
+    return cell_oracle(g.adjacency, colors, sorted(set(colors)))
+
+
+def oracle_individualize(g, colors, v):
+    start = colors[v]
+    marked = [c + 1 if c == start and u != v else c for u, c in enumerate(colors)]
+    return cell_oracle(g.adjacency, marked, [start])
+
+
+def random_multigraph(rng, n):
+    """A random graph whose rows may list a neighbour more than once."""
+    rows = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.3:
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    rows[a].append(b)
+                    rows[b].append(a)
+    return QuotientGraph(
+        d=1, labels=tuple((i,) for i in range(n)), adjacency=tuple(map(tuple, rows))
+    )
+
+
+def klein_incidence():
+    """The vertex-facet incidence graph of the Klein quartic, colored apart."""
+    c = fixtures.klein_quartic()
+    v = c.vertex_count
+    stars = [[] for _ in range(v)]
+    for f, facet in enumerate(c.facets):
+        for u in facet:
+            stars[u].append(v + f)
+    adjacency = tuple(map(tuple, stars)) + tuple(c.facets)
+    g = QuotientGraph(
+        d=1, labels=tuple((i,) for i in range(len(adjacency))), adjacency=adjacency
+    )
+    return g, [0] * v + [1] * len(c.facets)
+
+
+def assert_refinement_matches_cell_oracle(g, initial=None, stride=1):
+    assert refine_colors(g, initial) == oracle_refine_colors(g, initial)
+    chain, _, _ = symmetry._base_chain(g, initial)
+    for colors in chain[:-1]:
+        for v in range(0, g.vertex_count, stride):
+            if colors.count(colors[v]) > 1:
+                refined, _ = symmetry._individualize(g, colors, v)
+                assert refined == oracle_individualize(g, colors, v)
+
+
+def test_refinement_matches_cell_oracle_exactly_on_random_multigraphs():
+    # colors, not just partitions: the base and the branch order follow cell order
+    rng = random.Random(20141204)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        g = random_multigraph(rng, n)
+        assert_refinement_matches_cell_oracle(g)
+        assert_refinement_matches_cell_oracle(g, [rng.randrange(3) for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "source",
+    [(1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 1, 1, 1), (2, 1, 2, 1), "2,0,-1;0,2,-1;-1,-1,3"],
+    ids=lambda s: s if isinstance(s, str) else ",".join(map(str, s)),
+)
+def test_refinement_matches_cell_oracle_exactly_on_quotients(source):
+    if isinstance(source, str):
+        g = build_general_quotient(parse_matrix_arg(source))
+    else:
+        g = graph(source)
+    assert_refinement_matches_cell_oracle(g, stride=3)
+
+
+def test_refinement_matches_cell_oracle_exactly_on_the_klein_incidence_graph():
+    g, colors = klein_incidence()
+    assert_refinement_matches_cell_oracle(g, colors)
+    assert_refinement_matches_cell_oracle(g)
+
+
+@pytest.mark.parametrize("entries, order", [((1, 1, 1, 1), 120), ((2, 1, 2, 1), 128)])
+def test_trace_stops_failing_branches_early(entries, order, monkeypatch):
+    # a branch whose refinement departs from the first path's trace is
+    # stopped there; refined to the end, it fails the cell-shape check too
+    g = graph(entries)
+    individualize = symmetry._individualize
+    shapes, traces = [], []
+    stopped = 0
+
+    def checking(g, colors, v, trace=None):
+        nonlocal stopped
+        refined = individualize(g, colors, v, trace)
+        if trace is None:  # the first path, one base level after another
+            shapes.append(sorted(refined[0]))
+            traces.append(refined[1])
+        elif refined is None:
+            stopped += 1
+            level = next(i for i, t in enumerate(traces) if t is trace)
+            assert sorted(individualize(g, colors, v)[0]) != shapes[level]
+        return refined
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_individualize", checking)
+        group = brute_force_automorphisms(g, cap=g.vertex_count)
+    assert stopped > 0
+    assert group.order == order
+
+    def untraced(g, colors, v, trace=None):
+        return individualize(g, colors, v)
+
+    # without the stop the search visits more branches and finds the same group
+    monkeypatch.setattr(symmetry, "_individualize", untraced)
+    assert brute_force_automorphisms(g, cap=g.vertex_count) == group
 
 
 AUTOMORPHISM_SIGNATURES = [
