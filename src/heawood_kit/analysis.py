@@ -7,7 +7,6 @@ mode.  Chromatic numbers are exact via DSATUR bounds plus backtracking.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .intlin import InvalidSignature
@@ -317,10 +316,3 @@ def chromatic_number(g: QuotientGraph, cap: Optional[int] = None) -> int:
         if _colorable(g, t):
             return t
     return upper
-
-
-def heawood_number(p: int) -> int:
-    """Map-coloring bound for the orientable genus-p surface, all-integer."""
-    if p < 0:
-        raise ValueError("genus must be nonnegative")
-    return (7 + isqrt(1 + 48 * p)) // 2

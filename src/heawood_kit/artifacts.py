@@ -12,9 +12,9 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .intlin import parse_matrix_arg  # noqa: F401 - re-exported
-from .lattice import KSignature, canonicalize, enumerate_fundamental, to_ambient
+from .lattice import KSignature, enumerate_fundamental, to_ambient
 from .limits import SCHEMA
-from .quotient import QuotientGraph, SimplicialComplex
+from .quotient import QuotientGraph, SimplicialComplex, coord_label
 
 # figure axes: coordinate 1 at 240 degrees, 2 at 0, 3 at 120
 _AXES_2D = [
@@ -36,11 +36,6 @@ _HEX_ORDER = [
 
 class UnsupportedDimension(ValueError):
     pass
-
-
-def coord_label(x: Sequence[int]) -> str:
-    """Comma-separated coordinate string; negatives keep their minus sign."""
-    return ",".join(str(v) for v in x)
 
 
 def export_graph_dot(g: QuotientGraph) -> str:
@@ -66,33 +61,6 @@ def export_graph_json(g: QuotientGraph) -> str:
         },
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def import_graph_json(text: str) -> QuotientGraph:
-    payload = json.loads(text)
-    labels = tuple(tuple(v) for v in payload["vertices"])
-    adjacency: list[set[int]] = [set() for _ in labels]
-    for i, j in payload["edges"]:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    signature = None
-    if payload.get("signature"):
-        entries = tuple(payload["signature"])
-        signature = KSignature(entries, delta=0 in entries)
-    return QuotientGraph(
-        d=payload["meta"]["d"],
-        labels=labels,
-        adjacency=tuple(tuple(sorted(s)) for s in adjacency),
-        signature=signature,
-    )
-
-
-def export_graph(g: QuotientGraph, fmt: str = "json") -> str:
-    if fmt == "dot":
-        return export_graph_dot(g)
-    if fmt == "json":
-        return export_graph_json(g)
-    raise ValueError(f"unknown graph format {fmt!r}")
 
 
 def _complex_coordinates(c: SimplicialComplex) -> list[tuple[float, float, float]]:
@@ -136,27 +104,6 @@ def export_complex_off(c: SimplicialComplex) -> str:
     for facet in c.facets:
         lines.append(" ".join([str(len(facet))] + [str(v) for v in facet]))
     return "\n".join(lines) + "\n"
-
-
-class DomainSpec(NamedTuple):
-    """Derived domain basis of a signature.
-
-    The basis rows live in coefficient space; their ambient images scaled
-    by 1/(d+1) span the quotient fundamental domain.  The implied last
-    vector is minus the sum of the first d.
-    """
-
-    kind: str
-    k: KSignature
-    vectors: tuple[tuple[int, ...], ...]
-
-
-def domain_vectors(k: KSignature, kind: str = "parallelepiped") -> DomainSpec:
-    rows = k.matrix().row_list()
-    implied = tuple(-sum(r[j] for r in rows[:-1]) for j in range(k.n))
-    if canonicalize(implied) != canonicalize(rows[-1]):
-        raise AssertionError("basis rows lost the sum-to-zero identity")
-    return DomainSpec(kind=kind, k=k, vectors=tuple(rows))
 
 
 def _project2(x: Sequence[float]) -> tuple[float, float]:

@@ -25,6 +25,7 @@ from .quotient import (
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
+    coord_label,
     fvector_formula,
 )
 
@@ -36,11 +37,9 @@ EXIT_CAP = 3
 DEFAULT_BUILD_CAP = 200_000
 
 
-def parse_signature(text: str, delta: bool = False) -> KSignature:
+def parse_signature(text: str) -> KSignature:
     entries = tuple(int(v) for v in text.split(","))
-    if not delta and any(v == 0 for v in entries):
-        delta = True
-    return KSignature(entries, delta=delta)
+    return KSignature(entries, delta=0 in entries)
 
 
 def emit(payload: dict, out: Optional[str]) -> None:
@@ -104,8 +103,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.format in ("dot", "json-graph"):
         from . import artifacts
 
-        fmt = "dot" if args.format == "dot" else "json"
-        emit_text(artifacts.export_graph(graph, fmt), args.output)
+        if args.format == "dot":
+            emit_text(artifacts.export_graph_dot(graph), args.output)
+        else:
+            emit_text(artifacts.export_graph_json(graph), args.output)
     else:
         emit(
             {
@@ -181,8 +182,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if report.odd_cycle:
             payload["odd_cycle_length"] = len(report.odd_cycle)
     if args.six_cycles:
-        from .artifacts import coord_label
-
         seed = graph.vertex_of(range(1, k.n + 1))
         cycles = analysis.six_cycles_through(graph, seed)
         payload["six_cycles"] = [

@@ -11,7 +11,8 @@ finitely many classes of the quotient are indexed by the fundamental
 vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
 names the class of any tuple by its Smith coordinates, for signatures,
 delta signatures and general matrices alike; ``reduce_to_fundamental``
-keeps the entry scan of strict signatures as an independent check.
+looks up the fundamental vector of a class in the index of its
+signature.
 """
 
 from __future__ import annotations
@@ -30,15 +31,8 @@ from .intlin import (
     SnfResult,
     build_mk,
     closed_form_dk,
-    integer_span_contains,
     smith_normal_form,
 )
-
-REDUCTION_GUARD = 10**6
-
-
-class ReductionFailure(RuntimeError):
-    """The entry-correction loop did not terminate within the guard."""
 
 
 class NotInLattice(ValueError):
@@ -124,52 +118,26 @@ def from_ambient(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // n for x in shifted)
 
 
-def sublattice_contains(a: Sequence[int], k: KSignature) -> bool:
-    """Does the class of a lie in the sublattice of signature k?
-
-    The row sum of the banded matrix is the all-ones vector, so membership
-    modulo all-ones coincides with plain integer-span membership.
-    """
-    return integer_span_contains(k.matrix(), tuple(a))
-
-
 def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     """Unique fundamental representative of the class of a.
 
-    Phase one repeatedly scans the entries and pulls the first out-of-range
-    one into [0, k_i] by adding an integer multiple of row i of the banded
-    matrix.  Phase two subtracts min(a) many all-ones vectors so some entry
-    becomes zero.  For delta-mode signatures the scan may not terminate, so
-    those look the class up in the Smith coordinates of a ``ClassIndex``,
-    built once per signature and kept for the next call.
+    The class is looked up by its Smith coordinates in the ``ClassIndex``
+    of the signature, built once per signature and kept for the next call.
     """
-    n = k.n
-    kk = k.entries
-    vec = list(a)
-    if len(vec) != n:
+    if len(a) != k.n:
         raise InvalidSignature("coefficient length does not match signature")
-    if k.delta:
-        return _delta_index(k).rep(vec)
-    for _ in range(REDUCTION_GUARD):
-        for i in range(n):
-            if not 0 <= vec[i] <= kk[i]:
-                c = -(vec[i] // (kk[i] + 1))
-                vec[i] += c * (kk[i] + 1)
-                vec[(i + 1) % n] -= c * kk[(i + 1) % n]
-                break
-        else:
-            break
-    else:
-        raise ReductionFailure("entry correction exceeded iteration guard")
-    m = min(vec)
-    rep = tuple(x - m for x in vec)
-    return rep
+    return _cached_index(k).rep(a)
+
+
+def signature_index(k: KSignature) -> "ClassIndex":
+    """Class index of a signature, its classes the fundamental vectors."""
+    return ClassIndex(k.matrix(), enumerate_fundamental(k))
 
 
 @lru_cache(maxsize=16)
-def _delta_index(k: KSignature) -> "ClassIndex":
-    """Class index of a delta signature, one Smith form per signature."""
-    return ClassIndex(k.matrix(), enumerate_fundamental(k))
+def _cached_index(k: KSignature) -> "ClassIndex":
+    """The index of ``signature_index``, one Smith form per signature."""
+    return signature_index(k)
 
 
 def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:

@@ -14,13 +14,7 @@ from operator import add, eq, mul, ne, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .intlin import Frozen, IntMatrix
-from .lattice import (
-    ClassIndex,
-    KSignature,
-    enumerate_fundamental,
-    from_ambient,
-    to_ambient,
-)
+from .lattice import ClassIndex, KSignature, from_ambient, signature_index, to_ambient
 from .tiling import SliceError, base_permutation, is_tiling_vertex
 
 VertexKey = tuple[int, ...]
@@ -32,6 +26,11 @@ class NotSimplicial(ValueError):
 
 class DegenerateQuotient(ValueError):
     """A quotient graph in which some vertex has fewer than d+1 neighbours."""
+
+
+def coord_label(x: Sequence[int]) -> str:
+    """Comma-separated coordinate string; negatives keep their minus sign."""
+    return ",".join(str(v) for v in x)
 
 
 class QuotientGraph(Frozen):
@@ -205,7 +204,7 @@ def _build_quotient(
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
     """Quotient graph of a signature, numbered by the closed-form index."""
-    return _build_quotient(ClassIndex(k.matrix(), enumerate_fundamental(k)), k)[0]
+    return _build_quotient(signature_index(k), k)[0]
 
 
 def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
@@ -284,12 +283,12 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
     the duality bijection is positional.
     """
     _refuse_delta(k)
-    classes = enumerate_fundamental(k)
-    _, facets = _build_quotient(ClassIndex(k.matrix(), classes))
+    index = signature_index(k)
+    _, facets = _build_quotient(index)
     complex_ = SimplicialComplex(
-        vertex_count=len(classes),
+        vertex_count=len(index.classes),
         facets=tuple(facets),
-        vertex_labels=tuple(classes),
+        vertex_labels=tuple(index.classes),
     )
     complex_.validate()
     return complex_
@@ -359,18 +358,3 @@ def dual_graph(c: SimplicialComplex) -> QuotientGraph:
         labels=tuple(facets),
         adjacency=tuple(map(tuple, map(sorted, adjacency))),
     )
-
-
-def skeleton_graph(c: SimplicialComplex) -> QuotientGraph:
-    """1-skeleton of a complex as a plain graph on its vertices."""
-    adjacency: list[set[int]] = [set() for _ in range(c.vertex_count)]
-    for i, j in c.faces(1):
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    labels = tuple((v,) for v in range(c.vertex_count))
-    return QuotientGraph(
-        d=1,
-        labels=labels,
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-    )
-

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .intlin import Frozen
 from .lattice import KSignature, w_vector
-from .limits import DEFAULT_SEARCH_CAP, CapExceeded, search_cap  # noqa: F401 - re-exported
+from .limits import CapExceeded, search_cap
 from .quotient import QuotientGraph
 
 DEFAULT_CLOSURE_CAP = 10**6
@@ -43,12 +43,6 @@ class VertexPermutation(Frozen):
     def __mul__(self, other: "VertexPermutation") -> "VertexPermutation":
         # (self * other)(x) = self(other(x))
         return VertexPermutation(tuple(self.images[i] for i in other.images))
-
-    def inverse(self) -> "VertexPermutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return VertexPermutation(tuple(inv))
 
     @classmethod
     def identity(cls, n: int) -> "VertexPermutation":
@@ -212,16 +206,6 @@ def _closure(
     """
     identity = tuple(range(len(gens[0].images)))
     return {VertexPermutation(t) for t in _orbit_tuples(gens, identity, cap)}
-
-
-def group_closure(
-    gens: Iterable[VertexPermutation], cap: int = DEFAULT_CLOSURE_CAP
-) -> PermutationGroup:
-    """The group the generators generate, its order counted by closure."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("need at least one generator (identity works)")
-    return PermutationGroup(generators=gens, order=len(_closure(gens, cap)))
 
 
 def generated_group(g: QuotientGraph) -> PermutationGroup:
@@ -519,31 +503,3 @@ def brute_force_automorphisms(
     return PermutationGroup(
         generators=tuple(gens) or (VertexPermutation.identity(n),), order=order
     )
-
-
-def orbit(group: PermutationGroup, vertex: int) -> set[int]:
-    """Images of a vertex under the group, by walking its generators."""
-    return _orbit(group.generators, vertex)
-
-
-def verify_exceptional_W(g: QuotientGraph) -> bool:
-    """Check the extra involution of the classical 14-vertex graph.
-
-    Swaps four coordinate pairs and fixes everything else; true when the
-    resulting vertex map preserves adjacency.
-    """
-    swaps = [
-        ((3, -1, 4), (1, 0, 5)),
-        ((4, -1, 3), (5, 0, 1)),
-        ((1, 3, 2), (0, 2, 4)),
-        ((2, 3, 1), (4, 2, 0)),
-    ]
-    mapping = {}
-    for a, b in swaps:
-        ia, ib = g.vertex_of(a), g.vertex_of(b)
-        mapping[ia] = ib
-        mapping[ib] = ia
-    images = tuple(mapping.get(i, i) for i in range(g.vertex_count))
-    if sorted(images) != list(range(g.vertex_count)):
-        return False
-    return is_automorphism(g, images)

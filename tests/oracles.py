@@ -1,11 +1,18 @@
 """Independent oracles the tests compare the package against.
 
+``reduce_by_scan`` is the package's original reduction of a strict
+signature's coefficient tuple to its fundamental vector: it scans the
+entries and pulls each one back into range by a row of the banded
+matrix, sharing nothing with the Smith coordinates of ``ClassIndex``.
+
 ``bfs_quotient`` is the package's original quotient construction.
 Starting from the vertex (1, 2, ..., d+1), it keys every tiling neighbour
 by reducing all d+1 of its residue-shift offsets and keeps going until no
 new key appears.  It is slow, with d+1 reductions per neighbour of every
 vertex, but it shares nothing with the closed-form index beyond the tiling
 and the reducers, so the graphs and facets of both must agree exactly.
+``neighbors`` and ``tiles_containing`` are the tiling's own rules for
+the d+1 neighbours of a vertex and the d+1 tiles holding it.
 
 ``lift_per_vertex`` is the package's original generator lift: it looks
 up the image of every vertex label through ``vertex_of``, where
@@ -36,23 +43,33 @@ is the package's earlier cell-splitting refinement, which counts and
 groups the touched vertices in separate passes per splitter; the
 colors themselves, cell order included, must agree with it exactly,
 since the base and the branch order of the search are read off them.
+
+``group_closure`` lists every element a set of generators generates, and
+``orbit`` and ``inverse`` walk them; they check group orders that the
+package reads off a base.  ``skeleton_graph``, ``verify_exceptional_W``,
+``heawood_number`` and ``import_graph_json`` check facts of the paper
+and the JSON export: the 1-skeleton of a torus, the extra involution of
+the classical 14-vertex graph, the map-coloring bound of a genus-p
+surface, and the graph an export reads back as.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
+from heawood_kit.intlin import InvalidSignature
 from heawood_kit.lattice import (
     ClassIndex,
     KSignature,
     canonicalize,
     from_ambient,
-    reduce_to_fundamental,
     to_ambient,
 )
 from heawood_kit.quotient import (
@@ -61,16 +78,87 @@ from heawood_kit.quotient import (
     QuotientGraph,
     SimplicialComplex,
 )
+from heawood_kit.symmetry import (
+    DEFAULT_CLOSURE_CAP,
+    PermutationGroup,
+    VertexPermutation,
+    _closure,
+    _orbit,
+    is_automorphism,
+)
 from heawood_kit.tiling import (
     SliceError,
     base_permutation,
     is_tiling_vertex,
-    neighbors,
     slice_total,
-    tiles_containing,
 )
 
 Reducer = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+REDUCTION_GUARD = 10**6
+
+
+def reduce_by_scan(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
+    """Unique fundamental representative of the class of a, for strict k.
+
+    Phase one repeatedly scans the entries and pulls the first out-of-range
+    one into [0, k_i] by adding an integer multiple of row i of the banded
+    matrix.  Phase two subtracts min(a) many all-ones vectors so some entry
+    becomes zero.  For delta-mode signatures the scan may not terminate.
+    """
+    n = k.n
+    kk = k.entries
+    vec = list(a)
+    if len(vec) != n:
+        raise InvalidSignature("coefficient length does not match signature")
+    for _ in range(REDUCTION_GUARD):
+        for i in range(n):
+            if not 0 <= vec[i] <= kk[i]:
+                c = -(vec[i] // (kk[i] + 1))
+                vec[i] += c * (kk[i] + 1)
+                vec[(i + 1) % n] -= c * kk[(i + 1) % n]
+                break
+        else:
+            break
+    else:
+        raise RuntimeError("entry correction exceeded iteration guard")
+    m = min(vec)
+    rep = tuple(x - m for x in vec)
+    return rep
+
+
+def neighbors(x: Sequence[int]) -> list[tuple[int, ...]]:
+    """The d+1 adjacent vertices of x.
+
+    Fast rule: a step e_j - e_i keeps the residue system intact exactly
+    when x_i is one more than x_j mod d+1.  ``neighbors_definitional``
+    filters all (i, j) moves instead.
+    """
+    n = len(x)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and (x[i] - x[j] - 1) % n == 0:
+                y = list(x)
+                y[i] -= 1
+                y[j] += 1
+                out.append(tuple(y))
+    return out
+
+
+def tiles_containing(x: Sequence[int]) -> list[tuple[int, ...]]:
+    """Canonical offsets of the d+1 tiles incident to a vertex.
+
+    For each residue shift c there is a unique permutation p with
+    p_a congruent to x_a - c, and x - p is a lattice vector; x is then a
+    vertex of the tile sitting at that offset.
+    """
+    n = len(x)
+    out = []
+    for c in range(n):
+        p = base_permutation(x, c)
+        out.append(from_ambient(tuple(xa - pa for xa, pa in zip(x, p))))
+    return out
 
 
 def key(x: Sequence[int], reduce_class: Reducer) -> tuple[int, ...]:
@@ -87,7 +175,7 @@ def key(x: Sequence[int], reduce_class: Reducer) -> tuple[int, ...]:
 
 def vertex_key(x: Sequence[int], k: KSignature) -> tuple[int, ...]:
     """Canonical representative coordinates of x modulo the sublattice of k."""
-    return key(tuple(x), lambda a: reduce_to_fundamental(a, k))
+    return key(tuple(x), lambda a: reduce_by_scan(a, k))
 
 
 def bfs_quotient(d: int, reduce_class: Reducer):
@@ -452,3 +540,90 @@ def permutahedron_membership(
             if s == floor:
                 tight = True
     return "boundary" if tight else "interior"
+
+
+def skeleton_graph(c: SimplicialComplex) -> QuotientGraph:
+    """1-skeleton of a complex as a plain graph on its vertices."""
+    adjacency: list[set[int]] = [set() for _ in range(c.vertex_count)]
+    for i, j in c.faces(1):
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    labels = tuple((v,) for v in range(c.vertex_count))
+    return QuotientGraph(
+        d=1,
+        labels=labels,
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
+    )
+
+
+def inverse(perm: VertexPermutation) -> VertexPermutation:
+    """The permutation that undoes perm."""
+    inv = [0] * len(perm.images)
+    for i, img in enumerate(perm.images):
+        inv[img] = i
+    return VertexPermutation(tuple(inv))
+
+
+def group_closure(
+    gens: Iterable[VertexPermutation], cap: int = DEFAULT_CLOSURE_CAP
+) -> PermutationGroup:
+    """The group the generators generate, its order counted by closure."""
+    gens = tuple(gens)
+    if not gens:
+        raise ValueError("need at least one generator (identity works)")
+    return PermutationGroup(generators=gens, order=len(_closure(gens, cap)))
+
+
+def orbit(group: PermutationGroup, vertex: int) -> set[int]:
+    """Images of a vertex under the group, by walking its generators."""
+    return _orbit(group.generators, vertex)
+
+
+def verify_exceptional_W(g: QuotientGraph) -> bool:
+    """Check the extra involution of the classical 14-vertex graph.
+
+    Swaps four coordinate pairs and fixes everything else; true when the
+    resulting vertex map preserves adjacency.
+    """
+    swaps = [
+        ((3, -1, 4), (1, 0, 5)),
+        ((4, -1, 3), (5, 0, 1)),
+        ((1, 3, 2), (0, 2, 4)),
+        ((2, 3, 1), (4, 2, 0)),
+    ]
+    mapping = {}
+    for a, b in swaps:
+        ia, ib = g.vertex_of(a), g.vertex_of(b)
+        mapping[ia] = ib
+        mapping[ib] = ia
+    images = tuple(mapping.get(i, i) for i in range(g.vertex_count))
+    if sorted(images) != list(range(g.vertex_count)):
+        return False
+    return is_automorphism(g, images)
+
+
+def heawood_number(p: int) -> int:
+    """Map-coloring bound for the orientable genus-p surface, all-integer."""
+    if p < 0:
+        raise ValueError("genus must be nonnegative")
+    return (7 + isqrt(1 + 48 * p)) // 2
+
+
+def import_graph_json(text: str) -> QuotientGraph:
+    """The graph an ``export_graph_json`` text describes, without quotient data."""
+    payload = json.loads(text)
+    labels = tuple(tuple(v) for v in payload["vertices"])
+    adjacency: list[set[int]] = [set() for _ in labels]
+    for i, j in payload["edges"]:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    signature = None
+    if payload.get("signature"):
+        entries = tuple(payload["signature"])
+        signature = KSignature(entries, delta=0 in entries)
+    return QuotientGraph(
+        d=payload["meta"]["d"],
+        labels=labels,
+        adjacency=tuple(tuple(sorted(s)) for s in adjacency),
+        signature=signature,
+    )

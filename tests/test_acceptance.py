@@ -9,10 +9,11 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+from oracles import heawood_number, skeleton_graph, verify_exceptional_W
+
 from heawood_kit.analysis import (
     chromatic_number,
     hamiltonian_alternating,
-    heawood_number,
     is_bipartite,
     six_cycles_through,
 )
@@ -25,14 +26,12 @@ from heawood_kit.quotient import (
     build_torus_complex,
     dual_graph,
     fvector_formula,
-    skeleton_graph,
     stirling2,
 )
 from heawood_kit.symmetry import (
     admitted_cyclic_order,
     brute_force_automorphisms,
     generated_group,
-    verify_exceptional_W,
 )
 
 

@@ -2,6 +2,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from oracles import heawood_number, skeleton_graph
 
 from heawood_kit.analysis import (
     CapExceeded,
@@ -11,7 +12,6 @@ from heawood_kit.analysis import (
     dsatur_coloring,
     hamiltonian_alternating,
     hamiltonian_backtracking,
-    heawood_number,
     is_bipartite,
     six_cycles_through,
 )
@@ -21,7 +21,6 @@ from heawood_kit.quotient import (
     QuotientGraph,
     build_heawood_graph,
     build_torus_complex,
-    skeleton_graph,
 )
 
 
@@ -68,6 +67,26 @@ def test_bipartite_for_even_d():
         g = graph(entries)
         for i, nbrs in enumerate(g.adjacency):
             assert all(coloring[i] != coloring[j] for j in nbrs)
+
+
+def test_bipartite_for_d3_only_when_entries_alternate_in_parity():
+    # measured on these 81 signatures, not a theorem: 8 are bipartite
+    odd_lengths = {}
+    for entries in product((1, 2, 3), repeat=4):
+        g = graph(entries)
+        report = is_bipartite(g)
+        a, b, c, d = (x % 2 for x in entries)
+        assert report.bipartite == (a == c != b == d)
+        if not report.bipartite:
+            cycle = report.odd_cycle
+            assert len(cycle) % 2 == 1
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                assert v in g.adjacency[u]
+            odd_lengths[entries] = len(cycle)
+    assert len(odd_lengths) == 81 - 8
+    assert odd_lengths[(1, 1, 1, 1)] == 9
+    assert odd_lengths[(2, 2, 2, 2)] == 15
+    assert odd_lengths[(1, 1, 2, 2)] == 9
 
 
 def test_six_cycles_counts():

@@ -65,7 +65,8 @@ def test_automorphism_orders():
 
 def test_seven_fold_symmetry_exists():
     # the symmetry group of order 336 contains elements of order 7
-    from heawood_kit.quotient import skeleton_graph
+    from oracles import skeleton_graph
+
     from heawood_kit.symmetry import brute_force_automorphisms
 
     c = surface()

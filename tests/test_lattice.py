@@ -1,11 +1,20 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import reduce_by_scan
 
 from heawood_kit import intlin, lattice
-from heawood_kit.intlin import IntMatrix, InvalidSignature, build_mk, closed_form_dk, det
+from heawood_kit.intlin import (
+    IntMatrix,
+    InvalidSignature,
+    build_mk,
+    closed_form_dk,
+    det,
+    integer_span_contains,
+)
 from heawood_kit.lattice import (
     ClassIndex,
     InfiniteQuotient,
@@ -17,7 +26,6 @@ from heawood_kit.lattice import (
     from_ambient,
     quotient_order_general,
     reduce_to_fundamental,
-    sublattice_contains,
     to_ambient,
     w_vector,
 )
@@ -75,9 +83,9 @@ def test_ambient_round_trip_property(a):
 
 
 def test_sublattice_examples():
-    assert sublattice_contains((3, -3, 0), KSignature((2, 3, 2)))
-    assert not sublattice_contains((1, 0, 0), KSignature((1, 1, 1)))
-    assert sublattice_contains((0, 0, 0), KSignature((1, 1, 1)))
+    assert integer_span_contains(KSignature((2, 3, 2)).matrix(), (3, -3, 0))
+    assert not integer_span_contains(KSignature((1, 1, 1)).matrix(), (1, 0, 0))
+    assert integer_span_contains(KSignature((1, 1, 1)).matrix(), (0, 0, 0))
 
 
 def test_reduce_examples():
@@ -106,7 +114,7 @@ def test_reduce_idempotent_and_orbit_constant(entries, a):
     a = tuple((a + [0] * k.n)[: k.n])
     rep = reduce_to_fundamental(a, k)
     assert reduce_to_fundamental(rep, k) == rep
-    assert sublattice_contains(tuple(x - r for x, r in zip(a, rep)), k)
+    assert integer_span_contains(k.matrix(), tuple(x - r for x, r in zip(a, rep)))
     for row in k.matrix().row_list():
         shifted = tuple(x + g for x, g in zip(a, row))
         assert reduce_to_fundamental(shifted, k) == rep
@@ -119,7 +127,7 @@ def test_fundamental_pairwise_inequivalent():
         for i, s in enumerate(reps):
             for t in reps[i + 1 :]:
                 diff = tuple(x - y for x, y in zip(t, s))
-                assert not sublattice_contains(diff, k)
+                assert not integer_span_contains(k.matrix(), diff)
 
 
 def test_class_index_refuses_classes_that_are_not_a_transversal():
@@ -163,9 +171,19 @@ def test_class_canonicalizer_agrees_with_reduction():
             for b in product(range(-3, 4), repeat=3):
                 if a >= b:
                     continue
-                same_strict = reduce_to_fundamental(a, k) == reduce_to_fundamental(b, k)
+                same_strict = reduce_by_scan(a, k) == reduce_by_scan(b, k)
                 same_general = reducer(a) == reducer(b)
                 assert same_strict == same_general
+
+
+@pytest.mark.parametrize("n, top", [(3, 4), (4, 3)])
+def test_reduction_matches_the_scan_oracle(n, top):
+    rng = random.Random(n)
+    for entries in product(range(1, top + 1), repeat=n):
+        k = KSignature(entries)
+        for _ in range(12):
+            a = tuple(rng.randint(-20, 20) for _ in range(n))
+            assert reduce_to_fundamental(a, k) == reduce_by_scan(a, k)
 
 
 def test_delta_mode_reduction():

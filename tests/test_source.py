@@ -38,32 +38,70 @@ def test_package_does_not_import_dataclasses():
     assert found == []
 
 
-def test_every_definition_is_named_elsewhere():
-    # a function, class or method nothing refers to is dead code
-    root = PACKAGE.parents[1]
-    trees = {
-        path: ast.parse(path.read_text(), str(path))
-        for folder in ("src", "tests", "scripts")
-        for path in sorted((root / folder).glob("**/*.py"))
+def used_names(node):
+    """Every name and attribute that a node's code refers to."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
     }
-    named = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                named.add(node.value)
+
+
+def test_every_definition_is_reachable():
+    # a function, class or method that neither `heawood` (cli.main), the
+    # scripts, the benchmark, `__all__` nor the package's module-level code
+    # reaches is dead code or a test oracle, and oracles live in tests/
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    reached = {"main"}
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((PACKAGE.parents[1] / folder).glob("**/*.py")):
+            reached |= used_names(ast.parse(path.read_text(), str(path)))
+    definitions = []  # (where, node, owning class or None)
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        module = path.relative_to(PACKAGE)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                definitions.append((f"{module}:{node.lineno} {node.name}", node, None))
+                definitions += [
+                    (f"{module}:{item.lineno} {node.name}.{item.name}", item, node)
+                    for item in node.body
+                    if isinstance(item, functions)
+                ]
+            elif isinstance(node, functions):
+                definitions.append((f"{module}:{node.lineno} {node.name}", node, None))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= used_names(node)
+                if module.name == "__init__.py" and "__all__" in used_names(node):
+                    reached |= {e.value for e in node.value.elts}
+
+    def is_reached(node, owner):
+        # a method is reached when its class is and something uses its
+        # name, or always if it is a dunder method
+        dunder = node.name.startswith("__") and node.name.endswith("__")
+        if owner is None:
+            return node.name in reached
+        return owner.name in reached and (dunder or node.name in reached)
+
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for where, node, owner in definitions:
+            if where in live or not is_reached(node, owner):
+                continue
+            live.add(where)
+            grew = True
+            if isinstance(node, ast.ClassDef):
+                # the class's bases, decorators and attributes; its methods
+                # count one by one
+                for part in node.bases + node.decorator_list + node.body:
+                    if not isinstance(part, functions):
+                        reached |= used_names(part)
+            else:
+                reached |= used_names(node)
     dead = [
-        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
-        for path, tree in trees.items()
-        if PACKAGE in path.parents
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in named
+        where
+        for where, _, owner in definitions
+        if where not in live and (owner is None or owner.name in reached)
     ]
     assert dead == []

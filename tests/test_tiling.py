@@ -10,18 +10,15 @@ from oracles import (
     TilingFace,
     canonical_face,
     face_vertices,
+    neighbors,
     neighbors_definitional,
     permutahedron_membership,
     rotate_partition,
+    tiles_containing,
 )
 
 from heawood_kit.lattice import canonicalize, from_ambient, to_ambient, w_vector
-from heawood_kit.tiling import (
-    SliceError,
-    is_tiling_vertex,
-    neighbors,
-    tiles_containing,
-)
+from heawood_kit.tiling import SliceError, is_tiling_vertex
 
 
 def random_vertex(rng, d):
