@@ -23,21 +23,20 @@ from heawood_kit.quotient import build_heawood_graph
 def sweep(n: int, max_entry: int, budget: int) -> list[dict]:
     rows = []
     for entries in product(range(1, max_entry + 1), repeat=n):
-        k = KSignature(entries)
-        walks = {i: hamiltonian_alternating(k, i) for i in range(1, n + 1)}
+        g = build_heawood_graph(KSignature(entries))
+        walks = {i: hamiltonian_alternating(g, i) for i in range(1, n + 1)}
         outcomes = {
             i: {"outcome": r.outcome, "length": r.length} for i, r in walks.items()
         }
         row = {
             "k": list(entries),
-            "vertices": walks[1].vertices,
+            "vertices": g.vertex_count,
             "alternating": outcomes,
             "any_alternating_hamiltonian": any(
                 o["outcome"] == "hamiltonian-cycle" for o in outcomes.values()
             ),
         }
         if not row["any_alternating_hamiltonian"]:
-            g = build_heawood_graph(k)
             row["backtracking"] = hamiltonian_backtracking(g, budget=budget).outcome
         rows.append(row)
     return rows

@@ -7,15 +7,11 @@ mode.  Chromatic numbers are exact via DSATUR bounds plus backtracking.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .intlin import InvalidSignature
-from .lattice import KSignature
-from .limits import CapExceeded, search_cap
-from .quotient import QuotientGraph, build_heawood_graph
-
-DEFAULT_CHROMATIC_CAP = 60
-DEFAULT_HAMILTONIAN_BUDGET = 10**6
+from .limits import HAMILTONIAN_BUDGET, check_vertex_cap
+from .quotient import QuotientGraph
 
 
 class CycleError(RuntimeError):
@@ -110,8 +106,17 @@ class HamiltonianWalkResult(NamedTuple):
     vertices: Optional[int] = None
 
 
-def hamiltonian_alternating(k: KSignature, i: int) -> HamiltonianWalkResult:
-    """Walk from the seed alternating the two moves attached to index i.
+def check_walk(d: int, i: int) -> None:
+    """Refuse, as bad input, an alternating walk for d other than 2 or an
+    index i outside 1..d+1."""
+    if d != 2:
+        raise InvalidSignature(f"the alternating walk needs d = 2, not d = {d}")
+    if not 1 <= i <= d + 1:
+        raise InvalidSignature(f"walk index {i} out of range 1..{d + 1}")
+
+
+def hamiltonian_alternating(g: QuotientGraph, i: int) -> HamiltonianWalkResult:
+    """Walk from the seed of H_k alternating the two moves attached to index i.
 
     The even steps add e_i - e_{i+1}, the odd steps e_i - e_{i-1}, indices
     cyclic and 1-based.  Each step is checked to be a graph edge.  The
@@ -120,12 +125,8 @@ def hamiltonian_alternating(k: KSignature, i: int) -> HamiltonianWalkResult:
     after one step per vertex.  Only d = 2 is accepted: for d >= 3 the
     steps are not edges of the tiling.
     """
-    n = k.n
-    if k.d != 2:
-        raise InvalidSignature(f"the alternating walk needs d = 2, not d = {k.d}")
-    if not 1 <= i <= n:
-        raise InvalidSignature(f"walk index {i} out of range 1..{n}")
-    g = build_heawood_graph(k)
+    check_walk(g.d, i)
+    n = g.d + 1
     plus = i - 1  # coordinate gaining a unit on even steps
     minus_even = i % n  # e_i - e_{i+1}
     minus_odd = (i - 2) % n  # e_i - e_{i-1}
@@ -164,10 +165,13 @@ def hamiltonian_backtracking(
 
     Outcome none-found is a proof only when the search space was exhausted
     within budget; otherwise the result is flagged indeterminate.  The
-    budget is ``DEFAULT_HAMILTONIAN_BUDGET`` nodes unless ``budget`` is
-    given; HEAWOOD_CAP is a vertex cap and does not change it.
+    budget is ``limits.HAMILTONIAN_BUDGET`` nodes unless ``budget`` is
+    given; HEAWOOD_CAP is a vertex cap and does not change it.  The
+    depth-first search keeps its path on an explicit stack, one neighbour
+    iterator per expanded path vertex, so its depth is not bounded by
+    Python's recursion limit.
     """
-    limit = budget if budget is not None else DEFAULT_HAMILTONIAN_BUDGET
+    limit = budget if budget is not None else HAMILTONIAN_BUDGET
     n = g.vertex_count
     if n == 0:
         return HamiltonianWalkResult("general-backtracking", "none-found", 0)
@@ -175,42 +179,39 @@ def hamiltonian_backtracking(
     path = [0]
     on_path = [False] * n
     on_path[0] = True
-
-    def search() -> Optional[list[int]]:
-        nonlocal expanded
+    pending: list[Iterator[int]] = []
+    while True:
+        # expand the last vertex of the path
         expanded += 1
         if expanded > limit:
-            raise CapExceeded("node budget exhausted")
+            return HamiltonianWalkResult(
+                "general-backtracking", "indeterminate", 0, vertices=n
+            )
         v = path[-1]
-        if len(path) == n:
-            return list(path) if 0 in g.adjacency[v] else None
-        for w in g.adjacency[v]:
-            if not on_path[w]:
+        if len(path) < n:
+            pending.append(iter(g.adjacency[v]))
+        elif 0 in g.adjacency[v]:
+            break
+        # step to the next free neighbour, backing up past finished vertices
+        while pending:
+            if len(path) > len(pending):
+                on_path[path.pop()] = False
+            w = next((u for u in pending[-1] if not on_path[u]), None)
+            if w is not None:
                 path.append(w)
                 on_path[w] = True
-                hit = search()
-                if hit is not None:
-                    return hit
-                path.pop()
-                on_path[w] = False
-        return None
-
-    try:
-        cycle = search()
-    except CapExceeded:
-        return HamiltonianWalkResult(
-            "general-backtracking", "indeterminate", 0, vertices=n
-        )
-    if cycle is None:
-        return HamiltonianWalkResult(
-            "general-backtracking", "none-found", 0, vertices=n
-        )
-    _validate_cycle(g, cycle)
+                break
+            pending.pop()
+        else:
+            return HamiltonianWalkResult(
+                "general-backtracking", "none-found", 0, vertices=n
+            )
+    _validate_cycle(g, path)
     return HamiltonianWalkResult(
         "general-backtracking",
         "hamiltonian-cycle",
-        len(cycle),
-        cycle=tuple(cycle),
+        len(path),
+        cycle=tuple(path),
         vertices=n,
     )
 
@@ -299,13 +300,9 @@ def _colorable(g: QuotientGraph, t: int) -> bool:
     return step(0)
 
 
-def chromatic_number(g: QuotientGraph, cap: Optional[int] = None) -> int:
-    """Exact chromatic number for graphs within the vertex cap."""
-    limit = cap if cap is not None else search_cap(DEFAULT_CHROMATIC_CAP)
-    if g.vertex_count > limit:
-        raise CapExceeded(
-            f"vertex count {g.vertex_count} above chromatic cap {limit}"
-        )
+def chromatic_number(g: QuotientGraph) -> int:
+    """Exact chromatic number for graphs within the chromatic cap."""
+    check_vertex_cap(g.vertex_count, "chromatic")
     if g.vertex_count == 0:
         return 0
     if g.edge_count == 0:

@@ -17,9 +17,9 @@ import sys
 from math import factorial
 from typing import Optional, Sequence
 
-from .intlin import InvalidSignature, integer_span_contains, parse_matrix_arg
+from .intlin import integer_span_contains, parse_matrix_arg
 from .lattice import ClassIndex, KSignature
-from .limits import DEFAULT_SEARCH_CAP, SCHEMA, CapExceeded, search_cap
+from .limits import SCHEMA, CapExceeded, check_vertex_cap
 from .quotient import (
     alternating_sum,
     build_general_quotient,
@@ -31,10 +31,7 @@ from .quotient import (
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_CAP = 3
-
-# Most vertices `build` makes unless HEAWOOD_CAP says otherwise: ~4 s, 200 MB.
-DEFAULT_BUILD_CAP = 200_000
+EXIT_REFUSED = 3
 
 
 def parse_signature(text: str) -> KSignature:
@@ -60,24 +57,13 @@ def emit_text(text: str, out: Optional[str]) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def refuse_above_cap(
-    d: int, order: int, what: str = "build", default: int = DEFAULT_BUILD_CAP
-) -> None:
-    """Refuse with exit 3, before any work, a quotient of d!·order vertices
-    above the cap (HEAWOOD_CAP, else the default)."""
-    vertices = factorial(d) * order
-    cap = search_cap(default)
-    if vertices > cap:
-        raise CapExceeded(f"{vertices} vertices above {what} cap {cap}")
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     if args.torus and args.format in ("dot", "json-graph"):
         raise ValueError(f"--format {args.format} exports a graph, not --torus")
     if not args.torus and args.format == "off":
         raise ValueError("--format off exports a torus and needs --torus")
     k = parse_signature(args.k)
-    refuse_above_cap(k.d, k.order())
+    check_vertex_cap(factorial(k.d) * k.order(), "build")
     if args.torus:
         complex_ = build_torus_complex(k)
         if args.format == "off":
@@ -129,7 +115,7 @@ def cmd_fvector(args: argparse.Namespace) -> int:
     if args.mode in ("formula", "both"):
         payload["formula"] = formula
     if args.mode in ("enumerate", "both"):
-        refuse_above_cap(k.d, k.order())
+        check_vertex_cap(factorial(k.d) * k.order(), "build")
         enumerated = list(build_torus_complex(k).fvector_enumerated())
         payload["enumerated"] = enumerated
         if args.mode == "both":
@@ -140,9 +126,10 @@ def cmd_fvector(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
-    refuse_above_cap(k.d, k.order())
+    vertices = factorial(k.d) * k.order()
+    check_vertex_cap(vertices, "build")
     if args.mode in ("brute", "compare"):
-        refuse_above_cap(k.d, k.order(), "search", DEFAULT_SEARCH_CAP)
+        check_vertex_cap(vertices, "search")
     from . import symmetry
 
     graph = build_heawood_graph(k)
@@ -159,12 +146,18 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
-    payload: dict = {"signature": list(k.entries)}
-    refuse_above_cap(k.d, k.order())
+    vertices = factorial(k.d) * k.order()
+    check_vertex_cap(vertices, "build")
+    if args.chromatic:
+        check_vertex_cap(vertices, "chromatic")
     from . import analysis
 
     if args.hamiltonian is not None:
-        result = analysis.hamiltonian_alternating(k, args.hamiltonian)
+        analysis.check_walk(k.d, args.hamiltonian)
+    graph = build_heawood_graph(k)
+    payload: dict = {"signature": list(k.entries)}
+    if args.hamiltonian is not None:
+        result = analysis.hamiltonian_alternating(graph, args.hamiltonian)
         payload.update(
             {
                 "mode": result.mode,
@@ -173,9 +166,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "vertices": result.vertices,
             }
         )
-        emit(payload, args.output)
-        return EXIT_OK
-    graph = build_heawood_graph(k)
     if args.bipartite:
         report = analysis.is_bipartite(graph)
         payload["bipartite"] = report.bipartite
@@ -198,7 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     matrix = parse_matrix_arg(args.matrix)
     index = ClassIndex(matrix)
-    refuse_above_cap(matrix.cols - 1, index.order)
+    check_vertex_cap(factorial(matrix.cols - 1) * index.order, "build")
     graph = build_general_quotient(index)
     all_ones = (1,) * matrix.cols
     emit(
@@ -217,7 +207,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
     if k.d == 2:  # other dimensions have no scene and exit 2 below
-        refuse_above_cap(k.d, k.order())
+        check_vertex_cap(factorial(k.d) * k.order(), "build")
     from . import artifacts
 
     scene = artifacts.fundamental_tile_scene(k, domain=args.domain)
@@ -226,8 +216,6 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
-    if args.name != "klein-quartic":
-        raise InvalidSignature(f"unknown fixture {args.name!r}")
     from . import fixtures
 
     complex_ = fixtures.klein_quartic()
@@ -307,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("fixture", help="shipped complexes")
-    p.add_argument("name")
+    p.add_argument("name", choices=["klein-quartic"])
     p.add_argument("--aut", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_fixture)
@@ -328,7 +316,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_REFUSED
 
 
 def main() -> None:

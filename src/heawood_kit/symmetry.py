@@ -13,17 +13,14 @@ its order without listing the elements.
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
 from itertools import groupby
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .intlin import Frozen
 from .lattice import KSignature, w_vector
-from .limits import CapExceeded, search_cap
+from .limits import CLOSURE_CAP, CapExceeded, check_vertex_cap
 from .quotient import QuotientGraph
-
-DEFAULT_CLOSURE_CAP = 10**6
 
 
 class NotAnAutomorphism(ValueError):
@@ -57,14 +54,6 @@ class PermutationGroup(Frozen):
     def __init__(self, generators: tuple[VertexPermutation, ...], order: int) -> None:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "order", order)
-
-    @cached_property
-    def elements(self) -> frozenset[VertexPermutation]:
-        """Every element, closed from the generators on first use."""
-        return frozenset(_closure(self.generators, DEFAULT_CLOSURE_CAP))
-
-    def __contains__(self, perm: VertexPermutation) -> bool:
-        return perm in self.elements
 
 
 def is_automorphism(g: QuotientGraph, images: Sequence[int]) -> bool:
@@ -176,7 +165,7 @@ def admitted_cyclic_order(k: KSignature) -> int:
 def _orbit_tuples(
     gens: Iterable[VertexPermutation],
     points: tuple[int, ...],
-    cap: int = DEFAULT_CLOSURE_CAP,
+    cap: int = CLOSURE_CAP,
 ) -> set[tuple[int, ...]]:
     """Images of a tuple of vertices under the group, by breadth-first search."""
     images = [p.images for p in gens]
@@ -194,18 +183,6 @@ def _orbit_tuples(
                         raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
     return seen
-
-
-def _closure(
-    gens: tuple[VertexPermutation, ...], cap: int
-) -> set[VertexPermutation]:
-    """All products of the generators.
-
-    The image array of gen * elem is that of elem mapped through gen, so
-    the elements are the orbit of the identity's image array.
-    """
-    identity = tuple(range(len(gens[0].images)))
-    return {VertexPermutation(t) for t in _orbit_tuples(gens, identity, cap)}
 
 
 def generated_group(g: QuotientGraph) -> PermutationGroup:
@@ -451,9 +428,7 @@ def brute_force_automorphisms(
     colors count.
     """
     n = g.vertex_count
-    limit = cap if cap is not None else search_cap()
-    if n > limit:
-        raise CapExceeded(f"vertex count {n} above search cap {limit}")
+    check_vertex_cap(n, "search", cap)
     chain, base, traces = _base_chain(g, initial_colors)
     shapes = [sorted(colors) for colors in chain]
     leaf_position = {c: v for v, c in enumerate(chain[-1])}

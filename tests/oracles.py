@@ -44,8 +44,9 @@ groups the touched vertices in separate passes per splitter; the
 colors themselves, cell order included, must agree with it exactly,
 since the base and the branch order of the search are read off them.
 
-``group_closure`` lists every element a set of generators generates, and
-``orbit`` and ``inverse`` walk them; they check group orders that the
+``closure`` lists every element a set of generators generates,
+``group_closure`` counts them, and ``orbit`` and ``inverse`` walk
+them; they check group orders that the
 package reads off a base.  ``skeleton_graph``, ``verify_exceptional_W``,
 ``heawood_number`` and ``import_graph_json`` check facts of the paper
 and the JSON export: the 1-skeleton of a torus, the extra involution of
@@ -72,6 +73,7 @@ from heawood_kit.lattice import (
     from_ambient,
     to_ambient,
 )
+from heawood_kit.limits import CLOSURE_CAP
 from heawood_kit.quotient import (
     DegenerateQuotient,
     NotSimplicial,
@@ -79,11 +81,10 @@ from heawood_kit.quotient import (
     SimplicialComplex,
 )
 from heawood_kit.symmetry import (
-    DEFAULT_CLOSURE_CAP,
     PermutationGroup,
     VertexPermutation,
-    _closure,
     _orbit,
+    _orbit_tuples,
     is_automorphism,
 )
 from heawood_kit.tiling import (
@@ -564,14 +565,26 @@ def inverse(perm: VertexPermutation) -> VertexPermutation:
     return VertexPermutation(tuple(inv))
 
 
+def closure(
+    gens: Sequence[VertexPermutation], cap: int = CLOSURE_CAP
+) -> set[VertexPermutation]:
+    """All products of the generators.
+
+    The image array of gen * elem is that of elem mapped through gen, so
+    the elements are the orbit of the identity's image array.
+    """
+    identity = tuple(range(len(gens[0].images)))
+    return {VertexPermutation(t) for t in _orbit_tuples(gens, identity, cap)}
+
+
 def group_closure(
-    gens: Iterable[VertexPermutation], cap: int = DEFAULT_CLOSURE_CAP
+    gens: Iterable[VertexPermutation], cap: int = CLOSURE_CAP
 ) -> PermutationGroup:
     """The group the generators generate, its order counted by closure."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator (identity works)")
-    return PermutationGroup(generators=gens, order=len(_closure(gens, cap)))
+    return PermutationGroup(generators=gens, order=len(closure(gens, cap)))
 
 
 def orbit(group: PermutationGroup, vertex: int) -> set[int]:

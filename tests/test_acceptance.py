@@ -136,16 +136,15 @@ def test_criterion_07_exceptional_symmetry():
 
 
 def test_criterion_08_alternating_walk_counterexample():
-    k = KSignature((1, 3, 2))
-    r1 = hamiltonian_alternating(k, 1)
+    g = graph((1, 3, 2))
+    r1 = hamiltonian_alternating(g, 1)
     assert (r1.outcome, r1.length, r1.vertices) == (
         "premature-closure",
         12,
         36,
     )
-    r2 = hamiltonian_alternating(k, 3)
+    r2 = hamiltonian_alternating(g, 3)
     assert (r2.outcome, r2.length) == ("hamiltonian-cycle", 36)
-    g = graph((1, 3, 2))
     assert sorted(r2.cycle) == list(range(36))
     for a, b in zip(r2.cycle, r2.cycle[1:] + r2.cycle[:1]):
         assert b in g.adjacency[a]

@@ -5,7 +5,6 @@ import pytest
 from oracles import heawood_number, skeleton_graph
 
 from heawood_kit.analysis import (
-    CapExceeded,
     CycleError,
     _validate_cycle,
     chromatic_number,
@@ -17,6 +16,7 @@ from heawood_kit.analysis import (
 )
 from heawood_kit.intlin import InvalidSignature
 from heawood_kit.lattice import KSignature
+from heawood_kit.limits import CapExceeded
 from heawood_kit.quotient import (
     QuotientGraph,
     build_heawood_graph,
@@ -151,15 +151,14 @@ def test_six_cycles_vertex_transitive_counts():
 
 
 def test_alternating_walk_counterexample():
-    k = KSignature((1, 3, 2))
-    r1 = hamiltonian_alternating(k, 1)
+    g = graph((1, 3, 2))
+    r1 = hamiltonian_alternating(g, 1)
     assert r1.outcome == "premature-closure"
     assert r1.length == 12
     assert r1.vertices == 36
-    r2 = hamiltonian_alternating(k, 3)
+    r2 = hamiltonian_alternating(g, 3)
     assert r2.outcome == "hamiltonian-cycle"
     assert r2.length == 36
-    g = graph((1, 3, 2))
     assert sorted(r2.cycle) == list(range(36))
     for a, b in zip(r2.cycle, r2.cycle[1:] + r2.cycle[:1]):
         assert b in g.adjacency[a]
@@ -167,7 +166,7 @@ def test_alternating_walk_counterexample():
 
 def test_alternating_walk_classical():
     outcomes = {
-        i: hamiltonian_alternating(KSignature((1, 1, 1)), i).outcome
+        i: hamiltonian_alternating(graph((1, 1, 1)), i).outcome
         for i in (1, 2, 3)
     }
     assert "hamiltonian-cycle" in outcomes.values()
@@ -183,6 +182,15 @@ def test_backtracking_hamiltonian():
     assert r.outcome == "hamiltonian-cycle"
     r = hamiltonian_backtracking(graph((2, 2, 2)), budget=3)
     assert r.outcome == "indeterminate"
+
+
+def test_backtracking_budget_ends_a_deep_search():
+    # the path grows past Python's recursion limit long before 2,000 nodes
+    # are spent; the search keeps its path on a stack, so the budget ends it
+    g = graph((20, 20, 20))
+    assert g.vertex_count == 2522
+    r = hamiltonian_backtracking(g, budget=2000)
+    assert (r.outcome, r.length, r.vertices) == ("indeterminate", 0, 2522)
 
 
 def test_backtracking_budget_ignores_vertex_cap(monkeypatch):
@@ -201,9 +209,15 @@ def test_chromatic_examples():
     assert chromatic_number(cycle_graph(5)) == 3
 
 
-def test_chromatic_cap():
-    with pytest.raises(CapExceeded):
-        chromatic_number(graph((2, 2, 2)), cap=5)
+def test_chromatic_cap(monkeypatch):
+    monkeypatch.setenv("HEAWOOD_CAP", "5")
+    with pytest.raises(CapExceeded, match="^38 vertices above chromatic cap 5$"):
+        chromatic_number(graph((2, 2, 2)))
+    monkeypatch.setenv("HEAWOOD_CAP", "38")
+    assert chromatic_number(graph((2, 2, 2))) == 2
+    monkeypatch.delenv("HEAWOOD_CAP")
+    with pytest.raises(CapExceeded, match="^182 vertices above chromatic cap 60$"):
+        chromatic_number(graph((5, 5, 5)))
 
 
 def test_dsatur_is_proper():
@@ -223,11 +237,11 @@ def test_heawood_number():
 
 def test_alternating_walk_refuses_bad_input():
     with pytest.raises(InvalidSignature, match="out of range"):
-        hamiltonian_alternating(KSignature((1, 1, 1)), 9)
+        hamiltonian_alternating(graph((1, 1, 1)), 9)
     with pytest.raises(InvalidSignature, match="out of range"):
-        hamiltonian_alternating(KSignature((1, 1, 1)), 0)
+        hamiltonian_alternating(graph((1, 1, 1)), 0)
     with pytest.raises(InvalidSignature, match="d = 2"):
-        hamiltonian_alternating(KSignature((1, 1, 1, 1)), 1)
+        hamiltonian_alternating(graph((1, 1, 1, 1)), 1)
 
 
 def test_bad_cycle_raises():

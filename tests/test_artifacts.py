@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from oracles import import_graph_json
 
+from heawood_kit import cli as cli_module
 from heawood_kit import intlin, lattice
 from heawood_kit.artifacts import (
     UnsupportedDimension,
@@ -21,6 +22,7 @@ from heawood_kit.artifacts import (
 from heawood_kit.cli import cli
 from heawood_kit.fixtures import klein_quartic
 from heawood_kit.lattice import KSignature
+from heawood_kit.limits import CapExceeded, check_vertex_cap
 from heawood_kit.quotient import (
     SimplicialComplex,
     build_heawood_graph,
@@ -194,6 +196,16 @@ def test_cli_analyze(capsys):
     assert payload["six_cycle_count"] == 6
     assert payload["chromatic_number"] == 2
 
+    # every flag is answered from the one graph the command builds
+    code, out, _ = run_cli(capsys, "analyze", "-k", "1,3,2", "--hamiltonian", "3",
+                           "--bipartite", "--chromatic")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["outcome"], payload["length"], payload["vertices"]) == (
+        "hamiltonian-cycle", 36, 36)
+    assert payload["bipartite"] is True
+    assert payload["chromatic_number"] == 2
+
 
 def test_cli_census(capsys):
     code, out, _ = run_cli(capsys, "census", "--matrix",
@@ -234,8 +246,9 @@ def test_cli_validation_exit_code(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "census", "--matrix", "1,-1,0;0,0,0;0,0,0")
     assert code == 2
-    code, _, _ = run_cli(capsys, "fixture", "unknown-name")
+    code, _, err = run_cli(capsys, "fixture", "unknown-name")
     assert code == 2
+    assert "invalid choice: 'unknown-name'" in err
 
 
 def test_cli_cap_exit_code(capsys, monkeypatch):
@@ -243,6 +256,32 @@ def test_cli_cap_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "aut", "-k", "2,2,2", "--brute")
     assert code == 3
     assert "refused" in err
+
+
+@pytest.mark.parametrize(
+    "argv, vertices, what, cap",
+    [
+        (("build", "-k", "40,40,40,40"), 1594566, "build", 200000),
+        (("aut", "-k", "2,2,2,2", "--brute"), 390, "search", 200),
+        (("analyze", "-k", "5,5,5", "--chromatic"), 182, "chromatic", 60),
+    ],
+    ids=["build", "search", "chromatic"],
+)
+def test_vertex_cap_refusals_read_alike(capsys, monkeypatch, argv, vertices, what, cap):
+    # one message from the command line and the library; the command
+    # refuses on the closed-form count, before it builds anything
+    def no_build(k):
+        raise AssertionError("the command built the graph before its cap checks")
+
+    monkeypatch.delenv("HEAWOOD_CAP", raising=False)
+    monkeypatch.setattr(cli_module, "build_heawood_graph", no_build)
+    message = f"{vertices} vertices above {what} cap {cap}"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"refused: {message}\n")
+    with pytest.raises(CapExceeded) as refusal:
+        check_vertex_cap(vertices, what)
+    assert str(refusal.value) == message
+    check_vertex_cap(cap, what)
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc"])
@@ -261,7 +300,11 @@ def test_cli_rejects_bad_cap_value(capsys, monkeypatch, value):
         (("analyze", "-k", "1,1,1,1", "--hamiltonian", "1"), "d = 2"),
     ],
 )
-def test_cli_hamiltonian_bad_input_exit_code(capsys, argv, message):
+def test_cli_hamiltonian_bad_input_exit_code(capsys, monkeypatch, argv, message):
+    def no_build(k):
+        raise AssertionError("analyze built the graph before checking the walk")
+
+    monkeypatch.setattr(cli_module, "build_heawood_graph", no_build)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from heawood_kit import analysis
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -59,21 +57,22 @@ def test_hamiltonicity_sweep_runs():
                 assert walk["length"] < row["vertices"]
 
 
-def test_hamiltonicity_sweep_builds_each_graph_once_per_walk(monkeypatch):
+def test_hamiltonicity_sweep_builds_each_graph_once(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "hamiltonicity_sweep", ROOT / "scripts" / "hamiltonicity_sweep.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     calls = []
-    build = analysis.build_heawood_graph
+    build = module.build_heawood_graph
 
     def counting_build(k):
         calls.append(k.entries)
         return build(k)
 
-    monkeypatch.setattr(analysis, "build_heawood_graph", counting_build)
+    monkeypatch.setattr(module, "build_heawood_graph", counting_build)
     rows = module.sweep(3, 2, 200_000)
     assert len(rows) == 8
-    # one build per alternating walk: three directions for each signature
-    assert len(calls) == 24
+    # one build per signature, shared by its three walks and the backtracking
+    assert len(calls) == 8
+    assert sorted(calls) == [tuple(row["k"]) for row in rows]

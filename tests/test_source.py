@@ -105,3 +105,28 @@ def test_every_definition_is_reachable():
         if where not in live and (owner is None or owner.name in reached)
     ]
     assert dead == []
+
+
+def test_only_limits_sets_limits_or_reads_the_environment():
+    # every limit default and the one reader of HEAWOOD_CAP live in
+    # limits.py, so a cap cannot be decided in two places
+    found = []
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        if path.name == "limits.py":
+            continue
+        module = path.relative_to(PACKAGE)
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [
+                f"{module}:{node.lineno} {name}"
+                for name in sorted(used_names(ast.Module(targets, [])))
+                if name.endswith(("_CAP", "_BUDGET"))
+            ]
+        found += [f"{module} {name}" for name in {"environ", "getenv"} & used_names(tree)]
+    assert found == []

@@ -25,6 +25,7 @@ from heawood_kit.symmetry import (
     translation_generators,
 )
 from oracles import (
+    closure,
     group_closure,
     inverse,
     lift_per_vertex,
@@ -185,9 +186,15 @@ def test_brute_force_orbit_sizes(entries, sizes):
     assert sorted(found) == sizes
 
 
-def test_brute_force_cap():
-    with pytest.raises(CapExceeded):
+def test_brute_force_cap(monkeypatch):
+    with pytest.raises(CapExceeded, match="^38 vertices above search cap 10$"):
         brute_force_automorphisms(graph((2, 2, 2)), cap=10)
+    monkeypatch.setenv("HEAWOOD_CAP", "37")
+    with pytest.raises(CapExceeded, match="^38 vertices above search cap 37$"):
+        brute_force_automorphisms(graph((2, 2, 2)))
+    monkeypatch.delenv("HEAWOOD_CAP")
+    with pytest.raises(CapExceeded, match="^390 vertices above search cap 200$"):
+        brute_force_automorphisms(graph((2, 2, 2, 2)))
 
 
 def test_generators_preserve_adjacency():
@@ -573,11 +580,16 @@ CENSUS_MATRICES = [
     ids=[",".join(map(str, k)) for k in AUTOMORPHISM_SIGNATURES] + CENSUS_MATRICES,
 )
 def test_generated_group_order_from_base_matches_closure(g, monkeypatch):
-    def no_listing(*args):
-        raise AssertionError("generated_group listed group elements")
+    orbit_tuples = symmetry._orbit_tuples
+
+    def no_listing(gens, points, *args):
+        # the elements are the orbit of the identity's image array
+        if len(points) == g.vertex_count:
+            raise AssertionError("generated_group listed group elements")
+        return orbit_tuples(gens, points, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "_closure", no_listing)
+        patch.setattr(symmetry, "_orbit_tuples", no_listing)
         group = generated_group(g)
     assert group.order == group_closure(group.generators).order
 
@@ -672,5 +684,5 @@ def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():
             del value.entries
     assert KSignature((1, 1, 1)) != KSignature((1, 1, 1), delta=True)
     assert repr(KSignature((1, 2, 3))) == "KSignature(entries=(1, 2, 3), delta=False)"
-    assert group.elements == {swap, VertexPermutation.identity(2)}
+    assert closure(group.generators) == {swap, VertexPermutation.identity(2)}
     assert g.neighbour_sets[0] == set(g.adjacency[0])
