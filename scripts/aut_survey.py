@@ -56,6 +56,8 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=2000)
     parser.add_argument("-o", "--output")
     args = parser.parse_args()
+    if args.n < 3:
+        parser.error(f"--n must be at least 3: the tiling needs d >= 2, not {args.n}")
     rows = survey(args.n, args.max_entry, args.cap)
     text = json.dumps({"schema": "heawood-kit/1", "survey": rows}, indent=2)
     if args.output:

@@ -49,6 +49,8 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=200_000)
     parser.add_argument("-o", "--output")
     args = parser.parse_args()
+    if args.n != 3:
+        parser.error(f"--n must be 3: the alternating walk needs d = 2, not {args.n}")
     rows = sweep(args.n, args.max_entry, args.budget)
     text = json.dumps({"schema": "heawood-kit/1", "sweep": rows}, indent=2)
     if args.output:

@@ -110,12 +110,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_fvector(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
+    # with a zero entry even the formula runs the torus check, of up to D + 1 keys
+    if k.delta or args.mode != "formula":
+        check_vertex_cap(factorial(k.d) * k.order(), "build")
     payload: dict = {"signature": list(k.entries)}
     formula = list(fvector_formula(k))
     if args.mode in ("formula", "both"):
         payload["formula"] = formula
     if args.mode in ("enumerate", "both"):
-        check_vertex_cap(factorial(k.d) * k.order(), "build")
         enumerated = list(build_torus_complex(k).fvector_enumerated())
         payload["enumerated"] = enumerated
         if args.mode == "both":

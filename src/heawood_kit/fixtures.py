@@ -25,27 +25,30 @@ class NamedComplexFixture(NamedTuple):
 def complex_from_facets(
     labels: Sequence, facets: Sequence[Sequence]
 ) -> SimplicialComplex:
-    """Validated complex from labeled facets."""
+    """Complex from labeled facets of one width, each sorted, none of them
+    repeating a vertex or an earlier facet."""
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise NotSimplicial("duplicate vertex labels")
     width = len(facets[0]) if facets else 0
-    translated = []
+    translated: dict[tuple[int, ...], int] = {}
     for pos, facet in enumerate(facets):
         if len(facet) != width:
             raise NotSimplicial(f"facet {pos} has mixed dimension")
         try:
-            translated.append(tuple(sorted(index[lab] for lab in facet)))
+            vertices = tuple(sorted(index[lab] for lab in facet))
         except KeyError as exc:
             raise NotSimplicial(f"facet {pos} uses unknown label {exc}") from None
-    complex_ = SimplicialComplex(
+        if len(set(vertices)) != width:
+            raise NotSimplicial(f"facet {pos} repeats a vertex")
+        if translated.setdefault(vertices, pos) != pos:
+            raise NotSimplicial(f"facet {pos} duplicates an earlier one")
+    return SimplicialComplex(
         vertex_count=len(labels),
         facets=tuple(translated),
         vertex_labels=labels,
     )
-    complex_.validate()
-    return complex_
 
 
 def load_fixture(name: str) -> NamedComplexFixture:

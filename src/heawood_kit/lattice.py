@@ -10,9 +10,10 @@ all-ones relation) by the rows of the banded matrix of that signature.  The
 finitely many classes of the quotient are indexed by the fundamental
 vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
 names the class of any tuple by its Smith coordinates, for signatures,
-delta signatures and general matrices alike; ``reduce_to_fundamental``
-looks up the fundamental vector of a class in the index of its
-signature.
+delta signatures and general matrices alike, and decides by its short
+vectors whether the quotient is a triangulated torus;
+``reduce_to_fundamental`` looks up the fundamental vector of a class in
+the index of its signature.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import prod
-from operator import add, mod, mul
+from operator import add, mod, mul, sub
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -28,7 +29,6 @@ from .intlin import (
     IntMatrix,
     InvalidSignature,
     ShapeError,
-    SnfResult,
     build_mk,
     closed_form_dk,
     smith_normal_form,
@@ -145,32 +145,9 @@ def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
     return [a for a in product(*(range(x + 1) for x in k.entries)) if 0 in a]
 
 
-def _quotient_smith_form(rows: IntMatrix) -> SnfResult:
-    """Smith form of the rows plus an all-ones row.
-
-    Raises ``ShapeError`` for fewer than three columns, since the tiling
-    has dimension d >= 2, and ``InfiniteQuotient`` when the quotient is
-    infinite.
-    """
-    n = rows.cols
-    if n < 3:
-        raise ShapeError(
-            f"generator matrix has {n} columns; the tiling needs d + 1 >= 3"
-        )
-    snf = smith_normal_form(IntMatrix.from_rows(rows.row_list() + [(1,) * n]))
-    diag = snf.diagonal()
-    if len(diag) < n or any(x == 0 for x in diag):
-        raise InfiniteQuotient("generators span a proper sublattice subspace")
-    return snf
-
-
 def quotient_order_general(rows: IntMatrix) -> int:
-    """Order of Z^n / (row span + all-ones line).
-
-    Computed as the product of the nonzero diagonal of the Smith form of
-    the matrix augmented with an all-ones row.
-    """
-    return prod(_quotient_smith_form(rows).diagonal())
+    """Order of Z^n / (row span + all-ones line), as ``ClassIndex`` reads it."""
+    return ClassIndex(rows).order
 
 
 class ClassIndex:
@@ -185,17 +162,26 @@ class ClassIndex:
     once, or else the sorted min-zero images of the box 0 <= z_j < diag_j,
     listed on first use, so that the order can be read and refused before
     any work in it.  The generator ``rows`` are kept: a vector lies in the
-    sublattice exactly when its Smith coordinates are all zero.
+    sublattice exactly when its Smith coordinates are all zero.  A matrix
+    narrower than three columns raises ``ShapeError``, since the tiling
+    has dimension d >= 2, and an infinite quotient ``InfiniteQuotient``.
     """
 
     def __init__(
         self, rows: IntMatrix, classes: Optional[Sequence[tuple[int, ...]]] = None
     ) -> None:
-        snf = _quotient_smith_form(rows)
         n = rows.cols
+        if n < 3:
+            raise ShapeError(
+                f"generator matrix has {n} columns; the tiling needs d + 1 >= 3"
+            )
+        snf = smith_normal_form(IntMatrix.from_rows(rows.row_list() + [(1,) * n]))
+        diag = snf.diagonal()
+        if len(diag) < n or 0 in diag:
+            raise InfiniteQuotient("generators span a proper sublattice subspace")
         self.rows = rows
-        kept = [j for j, x in enumerate(snf.diagonal()) if x > 1]
-        self.moduli = tuple(snf.diagonal()[j] for j in kept)
+        kept = [j for j, x in enumerate(diag) if x > 1]
+        self.moduli = tuple(diag[j] for j in kept)
         self.order = prod(self.moduli)
         self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
         self._back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
@@ -233,6 +219,22 @@ class ClassIndex:
     def rep(self, a: Sequence[int]) -> tuple[int, ...]:
         """The listed representative of the class of a."""
         return self.classes[self.position[self.key(a)]]
+
+    def short_vector(self) -> Optional[tuple[int, ...]]:
+        """A sublattice vector in {-1,0,1}^n off the all-ones line, or None.
+
+        Such a vector v is p - q for the 0/1 vectors p = max(v, 0) and
+        q = max(-v, 0), neither of them all ones, so the scan over the 0/1
+        vectors stops at the first one whose class an earlier one has,
+        after at most D + 1 keys.  All ones, listed last, shares the class
+        of zero: the scan ends there when there is no such vector.  The
+        quotient is a triangulated torus exactly when there is none.
+        """
+        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for p in product((0, 1), repeat=self.rows.cols):
+            q = seen.setdefault(self.key(p), p)
+            if q != p:
+                return tuple(map(sub, p, q)) if 0 in p else None
 
     def admits_rotation(self, shift: int) -> bool:
         """Does rotating coordinates by shift map the lattice to itself?

@@ -2,15 +2,18 @@
 
 The graph of a signature k is the tiling graph modulo the sublattice of k.
 Its dual object is a triangulated torus whose vertices are the lattice
-classes and whose facets correspond one-to-one with graph vertices.
+classes and whose facets correspond one-to-one with graph vertices.  A
+quotient has that torus exactly when its lattice holds no short vector,
+one in {-1,0,1}^(d+1) off the all-ones line (``ClassIndex.short_vector``):
+every zero-free signature, and some with zero entries, such as (0,2,2).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, compress, count, permutations, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
-from operator import add, eq, mul, ne, sub
+from operator import add, eq, mul, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .intlin import Frozen, IntMatrix
@@ -21,7 +24,7 @@ VertexKey = tuple[int, ...]
 
 
 class NotSimplicial(ValueError):
-    """A facet repeats a vertex or a facet list repeats a facet."""
+    """A facet list, or a lattice, that gives no simplicial complex."""
 
 
 class DegenerateQuotient(ValueError):
@@ -232,33 +235,6 @@ class SimplicialComplex(NamedTuple):
     def dim(self) -> int:
         return len(self.facets[0]) - 1 if self.facets else -1
 
-    def validate(self) -> None:
-        """Raise ``NotSimplicial`` at the first facet a facet-by-facet scan
-        fails at: each check scans the whole list up to the earliest
-        failure of the checks before it."""
-        facets, vertices = self.facets, self.vertex_count
-        width = len(facets[0]) if facets else 0
-        checks = {
-            "has mixed dimension": lambda fs: map(ne, map(len, fs), repeat(width)),
-            "repeats a vertex": lambda fs: map(
-                ne, map(len, map(set, fs)), repeat(width)
-            ),
-            "is not sorted": lambda fs: map(ne, map(tuple, map(sorted, fs)), fs),
-            "duplicates an earlier one": lambda fs: map(
-                ne, map({}.setdefault, fs, count()), count()
-            ),
-            "references unknown vertex": lambda fs: (
-                f and not 0 <= f[0] <= f[-1] < vertices for f in fs
-            ),
-        }
-        end, failure = len(facets), None
-        for what, failures in checks.items():
-            idx = next(compress(count(), failures(facets[:end])), None)
-            if idx is not None:
-                end, failure = idx, what
-        if failure:
-            raise NotSimplicial(f"facet {end} {failure}")
-
     def faces(self, i: int) -> set[tuple[int, ...]]:
         """All i-dimensional faces as sorted vertex tuples."""
         return set(chain.from_iterable(map(combinations, self.facets, repeat(i + 1))))
@@ -280,24 +256,24 @@ def build_torus_complex(k: KSignature) -> SimplicialComplex:
 
     Vertices are the fundamental classes; each graph vertex contributes the
     facet of the d+1 tile classes containing it, in graph vertex order so
-    the duality bijection is positional.
+    the duality bijection is positional.  A lattice with a short vector
+    has no torus and is refused before the build.
     """
-    _refuse_delta(k)
     index = signature_index(k)
+    _refuse_short_vector(index)
     _, facets = _build_quotient(index)
-    complex_ = SimplicialComplex(
+    return SimplicialComplex(
         vertex_count=len(index.classes),
         facets=tuple(facets),
         vertex_labels=tuple(index.classes),
     )
-    complex_.validate()
-    return complex_
 
 
-def _refuse_delta(k: KSignature) -> None:
-    """A delta signature has no torus: its zero entries void the checks."""
-    if k.delta:
-        raise NotSimplicial("zero entries void the simplicial guarantees")
+def _refuse_short_vector(index: ClassIndex) -> None:
+    """Raise ``NotSimplicial`` naming the short vector of a lattice that has one."""
+    vector = index.short_vector()
+    if vector is not None:
+        raise NotSimplicial(f"no torus: the lattice holds the short vector {vector}")
 
 
 def stirling2(n: int, m: int) -> int:
@@ -313,9 +289,13 @@ def stirling2(n: int, m: int) -> int:
 def fvector_formula(k: KSignature) -> tuple[int, ...]:
     """Closed-form face counts of the torus: f_i = i! S(d+1, i+1) D.
 
-    A delta signature is refused, as ``build_torus_complex`` refuses it.
+    The paper's theorem gives every zero-free signature a torus.  A
+    signature with a zero entry has one exactly when its lattice holds no
+    short vector, and is refused otherwise, as ``build_torus_complex``
+    refuses it.
     """
-    _refuse_delta(k)
+    if 0 in k.entries:
+        _refuse_short_vector(ClassIndex(k.matrix()))
     d = k.d
     order = k.order()
     return tuple(

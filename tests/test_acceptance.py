@@ -168,25 +168,35 @@ def test_criterion_10_genus_three_fixture():
 
 
 def test_criterion_11_general_matrix_census():
+    # the torus column: its f-vector, or the short vector that rules it out
     census = [
-        ("1,-1,0;0,1,-1;3,0,-3", 3, 6, False),
-        ("2,-1,0;0,2,-1;-1,0,2", 7, 14, True),
-        ("2,0,-1;0,2,-1;-1,-1,3", 8, 16, True),
-        ("3,0,0;0,3,0;0,0,3", 9, 18, False),
-        ("2,-2,0;0,2,-2;-2,0,2", 12, 24, False),
-        ("2,-1,0;0,2,-3;-1,0,4", 13, 26, True),
+        ("1,-1,0;0,1,-1;3,0,-3", 3, 6, False, (0, 1, -1)),
+        ("2,-1,0;0,2,-1;-1,0,2", 7, 14, True, (7, 21, 14)),
+        ("2,0,-1;0,2,-1;-1,-1,3", 8, 16, True, (8, 24, 16)),
+        ("3,0,0;0,3,0;0,0,3", 9, 18, False, (9, 27, 18)),
+        ("2,-2,0;0,2,-2;-2,0,2", 12, 24, False, (12, 36, 24)),
+        ("2,-1,0;0,2,-3;-1,0,4", 13, 26, True, (13, 39, 26)),
     ]
     from heawood_kit.artifacts import parse_matrix_arg
     from heawood_kit.intlin import integer_span_contains
-    from heawood_kit.lattice import quotient_order_general
+    from heawood_kit.lattice import ClassIndex, quotient_order_general
+    from heawood_kit.quotient import SimplicialComplex, _build_quotient
 
-    for text, order, vertices, all_ones in census:
+    for text, order, vertices, all_ones, torus in census:
         matrix = parse_matrix_arg(text)
         assert quotient_order_general(matrix) == order
         g = build_general_quotient(matrix)
         assert g.vertex_count == vertices
         assert all(len(nbrs) == 3 for nbrs in g.adjacency)
         assert integer_span_contains(matrix, (1, 1, 1)) is all_ones
+        index = ClassIndex(matrix)
+        vector = index.short_vector()
+        if vector is None:
+            _, facets = _build_quotient(index)
+            c = SimplicialComplex(vertex_count=order, facets=tuple(facets))
+            assert (c.fvector_enumerated(), c.euler_characteristic()) == (torus, 0)
+        else:
+            assert vector == torus
 
 
 def test_criterion_12_six_cycle_census():

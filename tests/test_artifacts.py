@@ -459,7 +459,38 @@ def test_cli_refuses_delta_signatures_without_a_torus(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: zero entries void the simplicial guarantees\n"
+    assert err == "error: no torus: the lattice holds the short vector (1, -1, 0)\n"
+
+
+def test_cli_fvector_caps_a_zero_entry_in_every_mode(capsys, monkeypatch):
+    # a zero entry makes even --formula run the torus check, so the cap
+    # comes first; a zero-free --formula reads the closed form uncapped
+    monkeypatch.setenv("HEAWOOD_CAP", "7")
+    for mode in ("--formula", "--enumerate", "--both"):
+        code, out, err = run_cli(capsys, "fvector", "-k", "0,1,1", mode)
+        assert (code, out, err) == (3, "", "refused: 8 vertices above build cap 7\n")
+    code, out, _ = run_cli(capsys, "fvector", "-k", "40,40,40,40", "--formula")
+    assert code == 0
+    assert json.loads(out)["formula"] == [265761, 1860327, 3189132, 1594566]
+
+
+def test_cli_builds_the_torus_of_a_delta_signature_that_has_one(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "build", "-k", "0,2,2", "--torus")
+    assert code == 0
+    torus = json.loads(out)["torus"]
+    assert (torus["fvector"], torus["euler_characteristic"]) == ([9, 27, 18], 0)
+    target = tmp_path / "t.off"
+    code, out, _ = run_cli(capsys, "build", "-k", "0,2,2", "--torus",
+                           "--format", "off", "-o", str(target))
+    assert (code, out) == (0, "")
+    lines = target.read_text().splitlines()
+    assert lines[1] == "9 18 27"
+    assert lines[11:] == [" ".join(map(str, [3, *f])) for f in torus["facets"]]
+    code, out, _ = run_cli(capsys, "fvector", "-k", "0,2,2", "--both")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["formula"] == payload["enumerated"] == [9, 27, 18]
+    assert payload["match"] is True
 
 
 def test_cli_census_and_search_refuse_above_cap(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from functools import lru_cache
 from itertools import combinations
 
+import oracles
 import pytest
 
 from heawood_kit.fixtures import (
@@ -28,7 +29,7 @@ def test_counts_and_euler_characteristic():
     c = surface()
     assert c.fvector_enumerated() == (24, 84, 56)
     assert c.euler_characteristic() == -4
-    c.validate()
+    oracles.validate_per_facet(c)
 
 
 def test_closed_surface_edge_condition():
@@ -119,8 +120,12 @@ def test_complex_from_facets_validation():
         complex_from_facets("aab", [("a", "b")])
     with pytest.raises(NotSimplicial):
         complex_from_facets("abc", [("a", "z")])
-    with pytest.raises(NotSimplicial):
+    with pytest.raises(NotSimplicial, match="facet 1 has mixed dimension"):
         complex_from_facets("abc", [("a", "b"), ("a", "b", "c")])
+    with pytest.raises(NotSimplicial, match="facet 0 repeats a vertex"):
+        complex_from_facets("abc", [("a", "a", "b")])
+    with pytest.raises(NotSimplicial, match="facet 1 duplicates an earlier one"):
+        complex_from_facets("abc", [("a", "b", "c"), ("c", "b", "a")])
 
 
 def test_simplicial_automorphism_order_small():

@@ -19,9 +19,11 @@ from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.intlin import IntMatrix, ShapeError, build_mk, integer_span_contains
 from heawood_kit.lattice import (
     ClassIndex,
+    InfiniteQuotient,
     KSignature,
     enumerate_fundamental,
     reduce_to_fundamental,
+    signature_index,
     to_ambient,
     w_vector,
 )
@@ -244,15 +246,6 @@ def test_skeleton_of_small_torus_is_complete():
     sk = skeleton_graph(torus((1, 1, 1)))
     assert sk.vertex_count == 7
     assert sk.edge_count == 21
-
-
-def test_not_simplicial_validation():
-    with pytest.raises(NotSimplicial):
-        SimplicialComplex(vertex_count=3, facets=((0, 0, 1),)).validate()
-    with pytest.raises(NotSimplicial):
-        SimplicialComplex(
-            vertex_count=3, facets=((0, 1, 2), (0, 1, 2))
-        ).validate()
 
 
 ORACLE_SIGNATURES = [
@@ -484,35 +477,72 @@ def test_dual_graph_of_tori_matches_ridge_groups():
         assert dual_graph(c).adjacency == oracles.dual_graph_grouped(c)
 
 
-def validation_outcome(check, c):
+def genuine_torus(index):
+    """Do the facets of the quotient build, pass the per-facet oracle and
+    count i! S(d+1, i+1) D faces of each dimension i?"""
     try:
-        check(c)
-    except NotSimplicial as exc:
-        return str(exc)
-    return None
+        _, facets = quotient._build_quotient(index)
+    except DegenerateQuotient:
+        return False
+    c = SimplicialComplex(vertex_count=index.order, facets=tuple(facets))
+    try:
+        oracles.validate_per_facet(c)
+    except NotSimplicial:
+        return False
+    n = index.rows.cols
+    return c.fvector_enumerated() == tuple(
+        factorial(i) * stirling2(n, i + 1) * index.order for i in range(n)
+    )
 
 
-def test_validate_stops_where_the_per_facet_scan_does():
-    rng = random.Random(11)
-    outcomes = set()
-    for _ in range(3000):
-        width = rng.randint(0, 4)
-        facets = []
-        for _ in range(rng.randint(0, 6)):
-            size = width if rng.random() < 0.85 else rng.randint(0, 4)
-            facet = [rng.randint(-1, 5) for _ in range(size)]
-            facets.append(tuple(sorted(facet) if rng.random() < 0.7 else facet))
-        if facets and rng.random() < 0.3:
-            facets.append(rng.choice(facets))
-        c = SimplicialComplex(vertex_count=rng.randint(0, 5), facets=tuple(facets))
-        want = validation_outcome(oracles.validate_per_facet, c)
-        assert validation_outcome(SimplicialComplex.validate, c) == want
-        outcomes.add(want and want.split(" ", 2)[2])
-    assert outcomes == {
-        None,
-        "has mixed dimension",
-        "repeats a vertex",
-        "is not sorted",
-        "duplicates an earlier one",
-        "references unknown vertex",
-    }
+def assert_short_vector_decides_the_torus(index):
+    vector = index.short_vector()
+    if vector is not None:
+        assert set(vector) <= {-1, 0, 1} and len(set(vector)) > 1
+        assert not any(index.key(vector))
+    assert (vector is None) == genuine_torus(index)
+    return vector is None
+
+
+def random_lattices(count, seed=7):
+    """Seeded lattices with 3-5 columns and at most 600 graph vertices."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(3, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
+        try:
+            index = ClassIndex(IntMatrix.from_rows(rows))
+        except InfiniteQuotient:
+            continue
+        if factorial(n - 1) * index.order <= 600:
+            count -= 1
+            yield index
+
+
+def test_short_vector_decides_the_torus_on_the_delta_grid():
+    grid = [
+        entries
+        for n, top in ((3, 4), (4, 3))
+        for entries in product(range(top + 1), repeat=n)
+        if 0 in entries
+    ]
+    tori = [
+        entries
+        for entries in grid
+        if assert_short_vector_decides_the_torus(
+            ClassIndex(KSignature(entries, delta=True).matrix())
+        )
+    ]
+    assert (len(grid), len(tori)) == (236, 59)
+    assert (0, 2, 2) in tori and (0, 1, 1) not in tori
+
+
+def test_short_vector_decides_the_torus_on_random_lattices():
+    tori = sum(map(assert_short_vector_decides_the_torus, random_lattices(300)))
+    assert tori == 35
+
+
+def test_strict_signatures_have_no_short_vector():
+    for n, top in ((3, 6), (4, 4), (5, 2), (6, 1)):
+        for entries in product(range(1, top + 1), repeat=n):
+            assert signature_index(KSignature(entries)).short_vector() is None

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -76,3 +78,24 @@ def test_hamiltonicity_sweep_builds_each_graph_once(monkeypatch):
     # one build per signature, shared by its three walks and the backtracking
     assert len(calls) == 8
     assert sorted(calls) == [tuple(row["k"]) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "script, n, message",
+    [
+        ("aut_survey.py", "2", "--n must be at least 3"),
+        ("hamiltonicity_sweep.py", "2", "--n must be 3"),
+        ("hamiltonicity_sweep.py", "4", "--n must be 3"),
+    ],
+)
+def test_scripts_reject_a_bad_signature_length(script, n, message):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--n", n],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
