@@ -248,6 +248,23 @@ def test_skeleton_of_small_torus_is_complete():
     assert sk.edge_count == 21
 
 
+def test_not_simplicial_validation():
+    # the raw facets of delta(0, 0, 1, 2) repeat a vertex and those of
+    # delta(0, 1, 1) repeat a facet; the lattice check refuses both first
+    for entries, vector in [
+        ((0, 0, 1, 2), r"\(0, 1, -1, 0\)"),
+        ((0, 1, 1), r"\(1, -1, 0\)"),
+    ]:
+        index = signature_index(KSignature(entries, delta=True))
+        _, facets = quotient._build_quotient(index)
+        with pytest.raises(NotSimplicial):
+            oracles.validate_per_facet(
+                SimplicialComplex(vertex_count=index.order, facets=tuple(facets))
+            )
+        with pytest.raises(NotSimplicial, match=vector):
+            build_torus_complex(KSignature(entries, delta=True))
+
+
 ORACLE_SIGNATURES = [
     (1, 1, 1), (2, 1, 2), (1, 3, 2), (3, 3, 3, 3), (2, 1, 3, 1), (2, 2, 2, 2, 2)
 ]
