@@ -17,13 +17,9 @@ import json
 from itertools import product
 
 from heawood_kit.lattice import KSignature
+from heawood_kit.limits import SCHEMA, CapExceeded
 from heawood_kit.quotient import build_heawood_graph
-from heawood_kit.symmetry import (
-    CapExceeded,
-    admitted_cyclic_order,
-    brute_force_automorphisms,
-    generated_group,
-)
+from heawood_kit.symmetry import brute_force_automorphisms, generated_group
 
 
 def survey(n: int, max_entry: int, cap: int) -> list[dict]:
@@ -35,7 +31,7 @@ def survey(n: int, max_entry: int, cap: int) -> list[dict]:
         row = {
             "k": list(entries),
             "vertices": g.vertex_count,
-            "cyclic_order": admitted_cyclic_order(k),
+            "cyclic_order": n // g.lattice.least_rotation(),
             "generated": generated,
         }
         try:
@@ -59,7 +55,7 @@ def main() -> int:
     if args.n < 3:
         parser.error(f"--n must be at least 3: the tiling needs d >= 2, not {args.n}")
     rows = survey(args.n, args.max_entry, args.cap)
-    text = json.dumps({"schema": "heawood-kit/1", "survey": rows}, indent=2)
+    text = json.dumps({"schema": SCHEMA, "survey": rows}, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

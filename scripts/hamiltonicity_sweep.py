@@ -3,8 +3,12 @@
 
 For every signature in the sweep and every direction index i, run the
 alternating walk and record whether it closes Hamiltonian or prematurely.
-Falls back to backtracking search to confirm that the graph nevertheless
-has a Hamiltonian cycle when every alternating direction fails.
+When every alternating direction fails, run the backtracking search
+within --budget expanded nodes and record its outcome: a cycle found,
+none-found when the search ran to the end, or indeterminate when the
+budget ran out first.  The search is a plain depth-first one and it
+rarely settles such a row: on (3,5,4) and (2,7,6), with 120 and 168
+vertices, it answers indeterminate at the 200,000-node default.
 
 Usage:
     python3 scripts/hamiltonicity_sweep.py [--max-entry 3] [--n 3] [-o out.json]
@@ -17,6 +21,7 @@ from itertools import product
 
 from heawood_kit.analysis import hamiltonian_alternating, hamiltonian_backtracking
 from heawood_kit.lattice import KSignature
+from heawood_kit.limits import SCHEMA
 from heawood_kit.quotient import build_heawood_graph
 
 
@@ -52,7 +57,7 @@ def main() -> int:
     if args.n != 3:
         parser.error(f"--n must be 3: the alternating walk needs d = 2, not {args.n}")
     rows = sweep(args.n, args.max_entry, args.budget)
-    text = json.dumps({"schema": "heawood-kit/1", "sweep": rows}, indent=2)
+    text = json.dumps({"schema": SCHEMA, "sweep": rows}, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

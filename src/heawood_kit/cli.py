@@ -17,8 +17,8 @@ import sys
 from math import factorial
 from typing import Optional, Sequence
 
-from .intlin import integer_span_contains, parse_matrix_arg
-from .lattice import ClassIndex, KSignature
+from .intlin import parse_matrix_arg
+from .lattice import ClassIndex, KSignature, signature_index
 from .limits import SCHEMA, CapExceeded, check_vertex_cap
 from .quotient import (
     alternating_sum,
@@ -111,14 +111,15 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_fvector(args: argparse.Namespace) -> int:
     k = parse_signature(args.k)
     # with a zero entry even the formula runs the torus check, of up to D + 1 keys
-    if k.delta or args.mode != "formula":
+    if 0 in k.entries or args.mode != "formula":
         check_vertex_cap(factorial(k.d) * k.order(), "build")
+    lattice = k if args.mode == "formula" else signature_index(k)
     payload: dict = {"signature": list(k.entries)}
-    formula = list(fvector_formula(k))
+    formula = list(fvector_formula(lattice))
     if args.mode in ("formula", "both"):
         payload["formula"] = formula
     if args.mode in ("enumerate", "both"):
-        enumerated = list(build_torus_complex(k).fvector_enumerated())
+        enumerated = list(build_torus_complex(lattice).fvector_enumerated())
         payload["enumerated"] = enumerated
         if args.mode == "both":
             payload["match"] = enumerated == formula
@@ -192,14 +193,13 @@ def cmd_census(args: argparse.Namespace) -> int:
     index = ClassIndex(matrix)
     check_vertex_cap(factorial(matrix.cols - 1) * index.order, "build")
     graph = build_general_quotient(index)
-    all_ones = (1,) * matrix.cols
     emit(
         {
             "matrix": [list(r) for r in matrix.row_list()],
             "quotient_order": index.order,
             "vertices": graph.vertex_count,
             "edges": graph.edge_count,
-            "all_ones_in_span": integer_span_contains(matrix, all_ones),
+            "all_ones_in_span": index.all_ones_in_span,
         },
         args.output,
     )

@@ -2,8 +2,8 @@
 
 Small dense matrices over Z with arbitrary-precision entries: Bareiss
 determinants, Smith normal form with unimodular transforms and the inverse
-of the column transform, membership tests for integer row spans, and
-the parser of matrix literals such as '2,0,-1;0,2,-1;-1,-1,3'.
+of the column transform, and the parser of matrix literals such as
+'2,0,-1;0,2,-1;-1,-1,3'.
 Everything here is exact; no floats.
 """
 
@@ -286,30 +286,3 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         v=IntMatrix.from_rows([tuple(r) for r in v]) if v else IntMatrix(0, 0, ()),
         v_inv=IntMatrix.from_rows([tuple(r) for r in v_inv]) if v else IntMatrix(0, 0, ()),
     )
-
-
-def integer_span_contains(rows: IntMatrix, target: Sequence[int]) -> bool:
-    """Is target an integer linear combination of the rows?
-
-    With s = u @ rows @ v, the row span of rows @ v is spanned by the
-    diagonal rows of s, so target @ v must be divisible entrywise by the
-    diagonal (and vanish past the rank).
-    """
-    target = tuple(int(x) for x in target)
-    if len(target) != rows.cols:
-        raise ShapeError("target length does not match column count")
-    snf = smith_normal_form(rows)
-    z = [
-        sum(target[i] * snf.v[i, j] for i in range(rows.cols))
-        for j in range(rows.cols)
-    ]
-    diag = snf.s.diagonal()
-    for j in range(rows.cols):
-        s_j = diag[j] if j < len(diag) else 0
-        if s_j == 0:
-            if z[j] != 0:
-                return False
-        elif z[j] % s_j != 0:
-            return False
-    return True
-

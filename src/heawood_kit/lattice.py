@@ -10,8 +10,10 @@ all-ones relation) by the rows of the banded matrix of that signature.  The
 finitely many classes of the quotient are indexed by the fundamental
 vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
 names the class of any tuple by its Smith coordinates, for signatures,
-delta signatures and general matrices alike, and decides by its short
-vectors whether the quotient is a triangulated torus;
+delta signatures and general matrices alike, and answers every other
+lattice question of the quotient from the same Smith form: the class
+tables of affine maps, whether it is a triangulated torus, which
+coordinate rotations keep it and whether its rows span all ones;
 ``reduce_to_fundamental`` looks up the fundamental vector of a class in
 the index of its signature.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product, repeat
-from math import prod
+from math import gcd, prod
 from operator import add, mod, mul, sub
 from typing import Optional, Sequence
 
@@ -162,7 +164,13 @@ class ClassIndex:
     once, or else the sorted min-zero images of the box 0 <= z_j < diag_j,
     listed on first use, so that the order can be read and refused before
     any work in it.  The generator ``rows`` are kept: a vector lies in the
-    sublattice exactly when its Smith coordinates are all zero.  A matrix
+    sublattice exactly when its Smith coordinates are all zero.  One
+    Smith form answers every lattice question of a quotient: the class
+    of a point (``key``), the class table of an affine map (``mapped``),
+    the short vectors that rule out a torus (``short_vector``), the
+    rotations that keep the lattice (``admits_rotation``,
+    ``least_rotation``) and whether the rows span all ones
+    (``all_ones_in_span``, from the rows of u past the rank).  A matrix
     narrower than three columns raises ``ShapeError``, since the tiling
     has dimension d >= 2, and an infinite quotient ``InfiniteQuotient``.
     """
@@ -185,6 +193,7 @@ class ClassIndex:
         self.order = prod(self.moduli)
         self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
         self._back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
+        self._ones_relations = [snf.u[i, rows.rows] for i in range(n, rows.rows + 1)]
         if classes is not None:
             self.classes = [tuple(a) for a in classes]
             self.position  # noqa: B018 - reading it checks a given listing now
@@ -236,6 +245,18 @@ class ClassIndex:
             if q != p:
                 return tuple(map(sub, p, q)) if 0 in p else None
 
+    @property
+    def all_ones_in_span(self) -> bool:
+        """Is the all-ones vector an integer combination of the ``rows``?
+
+        The rows of u past the rank n are a basis of the integer relations
+        among the rows of [rows; 1], since u is unimodular and u @ [rows; 1]
+        vanishes there.  All ones is a combination of the rows exactly when
+        some relation has -1 in the all-ones column, that is when the gcd
+        of that column's entries in those rows is 1.
+        """
+        return gcd(*self._ones_relations) == 1
+
     def admits_rotation(self, shift: int) -> bool:
         """Does rotating coordinates by shift map the lattice to itself?
 
@@ -247,36 +268,36 @@ class ClassIndex:
             any(self.key(r[-shift:] + r[:-shift])) for r in self.rows.row_list()
         )
 
-    def shifted(self, z: Sequence[int]) -> list[int]:
-        """Position of the class with coordinates keys[c] + z, for each class c.
+    def least_rotation(self) -> int:
+        """Least shift s >= 1 whose coordinate rotation keeps the lattice.
 
-        Smith coordinates are linear mod diag, so this is the class of
-        a + b for each listed class a when z is the key of b.  The sums are
-        taken one coordinate at a time over all the keys.
+        The shifts that keep it form a subgroup of Z/n, so they are the
+        multiples of the least one, which divides n; shift n always counts.
+        """
+        n = self.rows.cols
+        return next(s for s in range(1, n + 1) if self.admits_rotation(s))
+
+    def mapped(self, steps: Sequence[Sequence[int]], z: Sequence[int]) -> list[int]:
+        """Position of the class of L·a + b for each listed class a.
+
+        ``steps[i]`` is the key of L·e_i for a linear map L that keeps the
+        lattice, and ``z`` is the key of b.  Such an L acts on the keys as
+        a group map, fixed by the keys of L·g_j, g_j row j of v_inv, whose
+        key is the j-th unit since v_inv @ v = I; keys are linear, so these
+        are sums of steps.  The key of L·a + b is then z plus the sum of
+        key(a)_j·key(L·g_j), mod diag, taken one coordinate at a time over
+        all the keys: on a cyclic quotient, one multiply and one add per
+        class.  The unit keys as steps give the class of a + b.
         """
         if not self.moduli:
             return [0]
-        shifted = [
-            map(mod, map(add, column, repeat(y)), repeat(m))
-            for column, y, m in zip(zip(*self.keys), z, self.moduli)
-        ]
-        return list(map(self.position.__getitem__, zip(*shifted)))
-
-    def mapped(self, steps: Sequence[Sequence[int]]) -> list[int]:
-        """Position of the class of L·a for each listed class a.
-
-        ``steps[i]`` is the key of L·e_i for a linear map L.  Keys are
-        linear, so the key of L·a is the sum of a_i·steps[i] mod diag; as
-        in ``shifted``, the sums are taken one coordinate at a time over
-        all the classes.
-        """
-        if not self.moduli:
-            return [0]
-        entries = list(zip(*self.classes))
+        gens = list(zip(*self._back))
+        images = [[sum(map(mul, g, weights)) for g in gens] for weights in zip(*steps)]
+        columns = list(zip(*self.keys))
         keys = []
-        for weights, m in zip(zip(*steps), self.moduli):
-            total = repeat(0)
-            for entry, w in zip(entries, weights):
-                total = map(add, total, map(mul, entry, repeat(w)))
+        for row, y, m in zip(images, z, self.moduli):
+            total = repeat(y)
+            for column, w in zip(columns, row):
+                total = map(add, total, map(mul, column, repeat(w)))
             keys.append(map(mod, total, repeat(m)))
         return list(map(self.position.__getitem__, zip(*keys)))

@@ -143,7 +143,9 @@ def _build_quotient(
     d = n - 1
     size = len(classes)
     ambient = [to_ambient(a) for a in classes]
-    minus = [index.shifted(index.key([0] * j + [-1] + [0] * (d - j))) for j in range(n)]
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = list(map(index.key, units))
+    minus = [index.mapped(steps, index.key([-x for x in e])) for e in units]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     # a candidate's coordinates lie within n + max|amb| of zero
@@ -251,15 +253,18 @@ def alternating_sum(fvector: Sequence[int]) -> int:
     return sum((-1) ** i * f for i, f in enumerate(fvector))
 
 
-def build_torus_complex(k: KSignature) -> SimplicialComplex:
-    """Triangulated torus dual to the graph of k.
+def build_torus_complex(k: KSignature | ClassIndex) -> SimplicialComplex:
+    """Triangulated torus dual to the quotient graph of a signature or index.
 
-    Vertices are the fundamental classes; each graph vertex contributes the
-    facet of the d+1 tile classes containing it, in graph vertex order so
-    the duality bijection is positional.  A lattice with a short vector
-    has no torus and is refused before the build.
+    Vertices are the listed classes, the fundamental vectors for a
+    signature; each graph vertex contributes the facet of the d+1 tile
+    classes containing it, in graph vertex order so the duality bijection
+    is positional.  A lattice with a short vector has no torus and is
+    refused before the build.  A caller that has made the ``ClassIndex``
+    already, of a signature or of a general matrix, passes the index and
+    the build reuses its Smith form.
     """
-    index = signature_index(k)
+    index = signature_index(k) if isinstance(k, KSignature) else k
     _refuse_short_vector(index)
     _, facets = _build_quotient(index)
     return SimplicialComplex(
@@ -286,18 +291,21 @@ def stirling2(n: int, m: int) -> int:
     return total // factorial(m)
 
 
-def fvector_formula(k: KSignature) -> tuple[int, ...]:
+def fvector_formula(k: KSignature | ClassIndex) -> tuple[int, ...]:
     """Closed-form face counts of the torus: f_i = i! S(d+1, i+1) D.
 
-    The paper's theorem gives every zero-free signature a torus.  A
-    signature with a zero entry has one exactly when its lattice holds no
+    The paper's theorem gives every zero-free signature a torus, so its
+    counts need no check.  A signature with a zero entry, or a quotient
+    given by its ``ClassIndex``, has one exactly when its lattice holds no
     short vector, and is refused otherwise, as ``build_torus_complex``
     refuses it.
     """
-    if 0 in k.entries:
-        _refuse_short_vector(ClassIndex(k.matrix()))
-    d = k.d
-    order = k.order()
+    if isinstance(k, KSignature) and 0 not in k.entries:
+        d, order = k.d, k.order()
+    else:
+        index = k if isinstance(k, ClassIndex) else ClassIndex(k.matrix())
+        _refuse_short_vector(index)
+        d, order = index.rows.cols - 1, index.order
     return tuple(
         factorial(i) * stirling2(d + 1, i + 1) * order for i in range(d + 1)
     )

@@ -18,7 +18,7 @@ from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .intlin import Frozen
-from .lattice import KSignature, w_vector
+from .lattice import w_vector
 from .limits import CLOSURE_CAP, CapExceeded, check_vertex_cap
 from .quotient import QuotientGraph
 
@@ -71,15 +71,16 @@ def perm_from_coordinate_map(
     """Lift an affine map of the tiling to a verified vertex permutation.
 
     ``fn`` must be affine, x -> Lx + t, with L a coordinate permutation or
-    its negative; the generators below are of that kind.  Then the vertex
-    x = p + amb(a) of build number rank(p) * D + class(a) maps to
-    fn(p) + amb(La): its permutation p' depends on p alone, and the
-    class of fn(x) - p' is that of fn(p) - p' plus that of La, since
-    Smith coordinates are linear mod diag.  So the lift locates the d!
+    its negative that keeps the lattice; the generators below are of that
+    kind.  Then the vertex x = p + amb(a) of build number
+    rank(p) * D + class(a) maps to fn(p) + amb(La): its permutation p'
+    depends on p alone, and the class of fn(x) - p' is that of
+    fn(p) - p' plus that of La, since Smith coordinates are linear mod
+    diag.  So the lift locates the d!
     points fn(p) through ``number_of``, tiling check included, keys the
-    d + 1 steps L·e_i = fn(e_i) - fn(0), from which the class index sums
-    the D classes La, and adds the two on the index, one table per
-    distinct class of fn(p) - p'; no vertex is looked up.  The image
+    d + 1 steps L·e_i = fn(e_i) - fn(0), and has the class index map
+    the D classes a to the classes of La + b, one ``mapped`` table per
+    distinct class b of fn(p) - p'; no vertex is looked up.  The image
     array must be a bijection that preserves adjacency.
     """
     if g.rank is None:
@@ -89,14 +90,13 @@ def perm_from_coordinate_map(
     n = g.d + 1
     origin = fn((0,) * n)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    turned = index.mapped([index.key(tuple(map(sub, fn(e), origin))) for e in units])
+    steps = [index.key(tuple(map(sub, fn(e), origin))) for e in units]
     tables: dict[int, list[int]] = {}
     images = [0] * g.vertex_count
     for p, r in g.rank.items():
         image_rank, shift = divmod(g.number_of(fn(p)), size)
         if shift not in tables:
-            shifted = index.shifted(index.keys[shift])
-            tables[shift] = [shifted[t] for t in turned]
+            tables[shift] = index.mapped(steps, index.keys[shift])
         start, target = r * size, image_rank * size
         for c, image in enumerate(tables[shift]):
             images[position[start + c]] = position[target + image]
@@ -146,22 +146,6 @@ def cyclic_C(g: QuotientGraph, shift: int = 1) -> VertexPermutation:
     )
 
 
-def admitted_cyclic_order(k: KSignature) -> int:
-    """Order of the admitted coordinate-rotation subgroup, from the entries.
-
-    A shift counts when it fixes the entries of k, which keeps the rows of
-    its banded matrix and so the lattice.  The least such shift s divides
-    n and generates the others; shift n always counts, so when no smaller
-    shift does the order is 1.
-    """
-    n = k.n
-    kk = k.entries
-    for s in range(1, n):
-        if all(kk[(i + s) % n] == kk[i] for i in range(n)):
-            return n // s
-    return 1
-
-
 def _orbit_tuples(
     gens: Iterable[VertexPermutation],
     points: tuple[int, ...],
@@ -189,8 +173,9 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
     """Group of translations, reflection, and admitted rotations.
 
     A rotation is admitted when the lattice allows it: when every rotated
-    generator row has Smith coordinates zero.  The least admitted shift
-    generates the admitted rotations.  Each of the d + 1 or d + 2
+    generator row has Smith coordinates zero.  The least admitted shift,
+    ``ClassIndex.least_rotation``, generates the admitted rotations.  Each
+    of the d + 1 or d + 2
     generators costs d! point lookups and d + 1 class keys, then one
     adjacency check; the base chain is the rest of the work.  The order
     is read off a base without listing elements: refinement commutes
@@ -200,9 +185,8 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
     """
     gens = list(translation_generators(g))
     gens.append(rotation_R(g))
-    n = g.d + 1
-    shift = next((s for s in range(1, n) if g.lattice.admits_rotation(s)), n)
-    if shift < n:
+    shift = g.lattice.least_rotation()
+    if shift < g.d + 1:
         gens.append(cyclic_C(g, shift))
     _, base, _ = _base_chain(g)
     return PermutationGroup(

@@ -5,6 +5,13 @@ signature's coefficient tuple to its fundamental vector: it scans the
 entries and pulls each one back into range by a row of the banded
 matrix, sharing nothing with the Smith coordinates of ``ClassIndex``.
 
+``integer_span_contains`` is the package's original span membership
+test, on a Smith form of the rows alone, where
+``ClassIndex.all_ones_in_span`` reads the relations of the Smith form
+of the rows and all ones.  ``admitted_cyclic_order`` is the package's
+original rotation rule, read off the entries of a signature, where
+``ClassIndex.least_rotation`` rotates the generator rows.
+
 ``bfs_quotient`` is the package's original quotient construction.
 Starting from the vertex (1, 2, ..., d+1), it keys every tiling neighbour
 by reducing all d+1 of its residue-shift offsets and keeps going until no
@@ -65,7 +72,7 @@ from math import isqrt
 from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
-from heawood_kit.intlin import InvalidSignature
+from heawood_kit.intlin import IntMatrix, InvalidSignature, ShapeError, smith_normal_form
 from heawood_kit.lattice import (
     ClassIndex,
     KSignature,
@@ -126,6 +133,38 @@ def reduce_by_scan(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     m = min(vec)
     rep = tuple(x - m for x in vec)
     return rep
+
+
+def integer_span_contains(rows: IntMatrix, target: Sequence[int]) -> bool:
+    """Is target an integer linear combination of the rows?
+
+    With s = u @ rows @ v, the row span of rows @ v is spanned by the
+    diagonal rows of s, so target @ v must be divisible entrywise by the
+    diagonal (and vanish past the rank).
+    """
+    target = tuple(int(x) for x in target)
+    if len(target) != rows.cols:
+        raise ShapeError("target length does not match column count")
+    snf = smith_normal_form(rows)
+    z = [
+        sum(target[i] * snf.v[i, j] for i in range(rows.cols))
+        for j in range(rows.cols)
+    ]
+    diag = snf.s.diagonal()
+    for j in range(rows.cols):
+        s_j = diag[j] if j < len(diag) else 0
+        if s_j == 0:
+            if z[j] != 0:
+                return False
+        elif z[j] % s_j != 0:
+            return False
+    return True
+
+
+def admitted_cyclic_order(k: KSignature) -> int:
+    """Number of coordinate rotations that fix the entries of k."""
+    entries = k.entries
+    return sum(entries[s:] + entries[:s] == entries for s in range(k.n))
 
 
 def neighbors(x: Sequence[int]) -> list[tuple[int, ...]]:
@@ -221,7 +260,9 @@ def build_per_vertex(index: ClassIndex, signature: Optional[KSignature] = None):
     d = n - 1
     size = len(classes)
     ambient = [to_ambient(a) for a in classes]
-    minus = [index.shifted(index.key([0] * j + [-1] + [0] * (d - j))) for j in range(n)]
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = list(map(index.key, units))
+    minus = [index.mapped(steps, index.key([-x for x in e])) for e in units]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     labels = []

@@ -9,7 +9,13 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from oracles import heawood_number, skeleton_graph, verify_exceptional_W
+from oracles import (
+    admitted_cyclic_order,
+    heawood_number,
+    integer_span_contains,
+    skeleton_graph,
+    verify_exceptional_W,
+)
 
 from heawood_kit.analysis import (
     chromatic_number,
@@ -28,11 +34,7 @@ from heawood_kit.quotient import (
     fvector_formula,
     stirling2,
 )
-from heawood_kit.symmetry import (
-    admitted_cyclic_order,
-    brute_force_automorphisms,
-    generated_group,
-)
+from heawood_kit.symmetry import brute_force_automorphisms, generated_group
 
 
 @lru_cache(maxsize=None)
@@ -178,9 +180,7 @@ def test_criterion_11_general_matrix_census():
         ("2,-1,0;0,2,-3;-1,0,4", 13, 26, True, (13, 39, 26)),
     ]
     from heawood_kit.artifacts import parse_matrix_arg
-    from heawood_kit.intlin import integer_span_contains
     from heawood_kit.lattice import ClassIndex, quotient_order_general
-    from heawood_kit.quotient import SimplicialComplex, _build_quotient
 
     for text, order, vertices, all_ones, torus in census:
         matrix = parse_matrix_arg(text)
@@ -190,11 +190,13 @@ def test_criterion_11_general_matrix_census():
         assert all(len(nbrs) == 3 for nbrs in g.adjacency)
         assert integer_span_contains(matrix, (1, 1, 1)) is all_ones
         index = ClassIndex(matrix)
+        assert index.all_ones_in_span is all_ones
         vector = index.short_vector()
         if vector is None:
-            _, facets = _build_quotient(index)
-            c = SimplicialComplex(vertex_count=order, facets=tuple(facets))
+            c = build_torus_complex(index)
+            assert c.vertex_count == order
             assert (c.fvector_enumerated(), c.euler_characteristic()) == (torus, 0)
+            assert fvector_formula(index) == torus
         else:
             assert vector == torus
 

@@ -533,14 +533,39 @@ def count_smith_forms(monkeypatch) -> list:
     return calls
 
 
-def test_cli_census_makes_two_smith_forms(capsys, monkeypatch):
-    # one for the class index, which gives the order, the cap check and
-    # the build; one for the span of the rows alone
+# (argv, Smith forms): a command that needs the lattice makes one class
+# index, which answers the order, the cap check, the build, the torus
+# check, the f-vector and the span of all ones
+SMITH_FORMS = [
+    (("build", "-k", "2,1,2"), 1),
+    (("build", "-k", "2,1,2", "--torus"), 1),
+    (("build", "-k", "0,2,2", "--torus"), 1),
+    (("fvector", "-k", "2,1,2", "--formula"), 0),
+    (("fvector", "-k", "2,1,2", "--enumerate"), 1),
+    (("fvector", "-k", "2,1,2", "--both"), 1),
+    (("fvector", "-k", "0,2,2", "--formula"), 1),
+    (("fvector", "-k", "0,2,2", "--enumerate"), 1),
+    (("fvector", "-k", "0,2,2", "--both"), 1),
+    (("aut", "-k", "1,1,1", "--compare"), 1),
+    (("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles", "--chromatic"), 1),
+    (("census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3"), 1),
+    (("render", "-k", "2,1,2"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, smith_forms", SMITH_FORMS,
+    ids=[" ".join(argv) for argv, _ in SMITH_FORMS],
+)
+def test_cli_makes_at_most_one_smith_form(capsys, monkeypatch, argv, smith_forms):
+    lattice._cached_index.cache_clear()
     calls = count_smith_forms(monkeypatch)
-    code, out, _ = run_cli(capsys, "census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["vertices"] == 16
-    assert len(calls) == 2
+    assert out
+    assert len(calls) == smith_forms <= 1
+    if argv[0] == "census":
+        assert json.loads(out)["vertices"] == 16
 
 
 def test_cli_census_refuses_before_listing_classes():

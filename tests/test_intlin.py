@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import integer_span_contains
 
 from heawood_kit.intlin import (
     IntMatrix,
@@ -11,7 +12,6 @@ from heawood_kit.intlin import (
     build_mk,
     closed_form_dk,
     det,
-    integer_span_contains,
     smith_normal_form,
 )
 

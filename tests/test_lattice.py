@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import reduce_by_scan
+from oracles import integer_span_contains, reduce_by_scan
 
 from heawood_kit import intlin, lattice
 from heawood_kit.intlin import (
@@ -13,7 +13,6 @@ from heawood_kit.intlin import (
     build_mk,
     closed_form_dk,
     det,
-    integer_span_contains,
 )
 from heawood_kit.lattice import (
     ClassIndex,
@@ -211,3 +210,26 @@ def test_delta_reduction_keeps_its_class_index(monkeypatch):
         monkeypatch.setattr(module, "smith_normal_form", counting)
     assert reduce_to_fundamental((9, -4, 6), KSignature((6, 6, 0), delta=True)) == rep
     assert calls == []
+
+
+def test_all_ones_in_span_matches_the_span_oracle():
+    # the relations of the one Smith form answer what a second Smith form,
+    # of the rows alone, answers in the reference
+    rng = random.Random(11)
+    answers = []
+    while len(answers) < 300:
+        n = rng.randint(3, 5)
+        rows = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(n - 1, n + 2))]
+        )
+        try:
+            index = ClassIndex(rows)
+        except InfiniteQuotient:
+            continue
+        expected = integer_span_contains(rows, (1,) * n)
+        assert index.all_ones_in_span is expected, rows.row_list()
+        answers.append(expected)
+    assert 0 < answers.count(True) < len(answers)
+    for k in [(1, 1, 1), (2, 3, 2), (0, 2, 2)]:
+        assert ClassIndex(build_mk(k)).all_ones_in_span
+    assert not ClassIndex(IntMatrix.from_rows([(3, 0, 0), (0, 3, 0), (0, 0, 3)])).all_ones_in_span

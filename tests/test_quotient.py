@@ -6,6 +6,7 @@ from math import factorial
 import oracles
 import pytest
 from oracles import (
+    integer_span_contains,
     neighbors,
     reduce_by_scan,
     skeleton_graph,
@@ -16,7 +17,7 @@ from test_symmetry import CENSUS_MATRICES
 
 from heawood_kit import lattice, quotient
 from heawood_kit.artifacts import parse_matrix_arg
-from heawood_kit.intlin import IntMatrix, ShapeError, build_mk, integer_span_contains
+from heawood_kit.intlin import IntMatrix, ShapeError, build_mk
 from heawood_kit.lattice import (
     ClassIndex,
     InfiniteQuotient,

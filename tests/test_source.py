@@ -130,3 +130,19 @@ def test_only_limits_sets_limits_or_reads_the_environment():
             ]
         found += [f"{module} {name}" for name in {"environ", "getenv"} & used_names(tree)]
     assert found == []
+
+
+def test_only_limits_spells_the_schema_tag():
+    # the package and the scripts take the tag from limits.SCHEMA, so a
+    # new schema version is set in one place
+    from heawood_kit.limits import SCHEMA
+
+    root = PACKAGE.parents[1]
+    sources = sorted(PACKAGE.glob("**/*.py")) + sorted((root / "scripts").glob("**/*.py"))
+    found = [
+        str(path.relative_to(root))
+        for path in sources
+        if path.name != "limits.py" and SCHEMA in path.read_text()
+    ]
+    assert found == []
+    assert SCHEMA in (PACKAGE / "limits.py").read_text()

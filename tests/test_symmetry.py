@@ -15,7 +15,6 @@ from heawood_kit.symmetry import (
     CapExceeded,
     NotAnAutomorphism,
     VertexPermutation,
-    admitted_cyclic_order,
     brute_force_automorphisms,
     cyclic_C,
     generated_group,
@@ -25,6 +24,7 @@ from heawood_kit.symmetry import (
     translation_generators,
 )
 from oracles import (
+    admitted_cyclic_order,
     closure,
     group_closure,
     inverse,
@@ -97,8 +97,7 @@ def test_admitted_cyclic_order_matches_the_lattice_rule():
     for n, top in [(3, 4), (4, 3), (5, 2)]:
         for entries in product(range(top + 1), repeat=n):
             k = KSignature(entries, delta=0 in entries)
-            index = ClassIndex(k.matrix())
-            shift = next(s for s in range(1, n + 1) if index.admits_rotation(s))
+            shift = ClassIndex(k.matrix()).least_rotation()
             assert admitted_cyclic_order(k) == n // shift, entries
 
 
@@ -122,6 +121,19 @@ def test_cyclic_C_refuses_a_rotation_the_census_lattice_does_not_allow():
     g = build_general_quotient(parse_matrix_arg("2,0,-1;0,2,-1;-1,-1,3"))
     with pytest.raises(NotAnAutomorphism, match="lattice is not invariant"):
         cyclic_C(g, 1)
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (3, 1, 1), (2, 1, 2, 1)])
+def test_lift_refuses_a_rotation_that_does_not_keep_the_lattice(entries):
+    # the class tables assume L keeps the lattice; without the admission
+    # check of cyclic_C, the verification of the image array still refuses
+    g = graph(entries)
+    n = len(entries)
+    assert not g.lattice.admits_rotation(1)
+    with pytest.raises(NotAnAutomorphism):
+        symmetry.perm_from_coordinate_map(
+            g, lambda x: tuple(x[(j - 1) % n] for j in range(n))
+        )
 
 
 def test_group_closure_examples():
