@@ -2,7 +2,8 @@
 
 The alternating walk alternates the two unit-step moves attached to a
 coordinate index; premature closure at the seed is the interesting failure
-mode.  Chromatic numbers are exact via DSATUR bounds plus backtracking.
+mode.  Chromatic numbers are exact: the least palette a backtracking
+search colors the graph with.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def six_cycles_through(g: QuotientGraph, v: int) -> list[CycleReport]:
     """All simple 6-cycles through v, one per rotation/reflection class."""
     seen = set()
     out = []
-    adj = [set(nbrs) for nbrs in g.adjacency]
+    adj = g.neighbour_sets
 
     def extend(path: list[int]) -> None:
         if len(path) == 6:
@@ -224,92 +225,57 @@ def _validate_cycle(g: QuotientGraph, cycle: Sequence[int]) -> None:
             raise CycleError("cycle uses a non-edge")
 
 
-def greedy_clique(g: QuotientGraph) -> list[int]:
-    """Greedy clique for a chromatic lower bound."""
-    best: list[int] = []
-    degrees = sorted(range(g.vertex_count), key=lambda v: -len(g.adjacency[v]))
-    for start in degrees[: min(g.vertex_count, 30)]:
-        clique = [start]
-        candidates = set(g.adjacency[start])
-        while candidates:
-            v = max(candidates, key=lambda u: len(candidates & set(g.adjacency[u])))
-            clique.append(v)
-            candidates &= set(g.adjacency[v])
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
-def dsatur_coloring(g: QuotientGraph) -> tuple[int, ...]:
-    """Greedy coloring by descending saturation; an upper bound witness."""
-    n = g.vertex_count
-    color = [-1] * n
-    saturation: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] < 0),
-            key=lambda u: (len(saturation[u]), len(g.adjacency[u])),
-        )
-        c = 0
-        while c in saturation[v]:
-            c += 1
-        color[v] = c
-        for w in g.adjacency[v]:
-            saturation[w].add(c)
-    return tuple(color)
-
-
 def _colorable(g: QuotientGraph, t: int) -> bool:
-    """Backtracking t-colorability, most-constrained vertex first."""
+    """Backtracking t-colorability, most-constrained vertex first.
+
+    Each step colors the first uncolored vertex with the most distinct
+    neighbour colors, then the highest degree, trying its free colors
+    least first and at most one color above those in use.  That is the
+    DSATUR rule (Brélaz 1979), so the first descent is DSATUR's coloring.
+    The colored vertices are kept on an explicit stack, so no recursion
+    limit bounds the depth.
+    """
     n = g.vertex_count
     color = [-1] * n
     forbidden: list[set[int]] = [set() for _ in range(n)]
-
-    def step(assigned: int) -> bool:
-        if assigned == n:
-            return True
+    # per colored vertex: the vertex, its untried colors, the neighbours its
+    # color was forbidden to, and the top color in use before it
+    stack: list[tuple[int, Iterator[int], list[int], int]] = []
+    top = -1
+    while len(stack) < n:
         v = max(
             (u for u in range(n) if color[u] < 0),
             key=lambda u: (len(forbidden[u]), len(g.adjacency[u])),
         )
-        if len(forbidden[v]) >= t:
-            return False
-        # cap the palette at one fresh color to break color symmetry
-        fresh_used = False
-        max_seen = max((color[u] for u in range(n) if color[u] >= 0), default=-1)
-        for c in range(min(t, max_seen + 2)):
-            if c in forbidden[v]:
-                continue
-            if c > max_seen:
-                if fresh_used:
-                    break
-                fresh_used = True
-            color[v] = c
-            touched = []
-            for w in g.adjacency[v]:
-                if color[w] < 0 and c not in forbidden[w]:
-                    forbidden[w].add(c)
-                    touched.append(w)
-            if step(assigned + 1):
-                return True
-            color[v] = -1
+        free = [c for c in range(min(t, top + 2)) if c not in forbidden[v]]
+        stack.append((v, iter(free), [], top))
+        # recolor the last vertex on the stack, backing up past exhausted ones
+        while stack:
+            v, untried, touched, top = stack[-1]
             for w in touched:
-                forbidden[w].discard(c)
-        return False
-
-    return step(0)
+                forbidden[w].discard(color[v])
+            touched.clear()
+            color[v] = c = next(untried, -1)
+            if c >= 0:
+                for w in g.adjacency[v]:
+                    if color[w] < 0 and c not in forbidden[w]:
+                        forbidden[w].add(c)
+                        touched.append(w)
+                top = max(top, c)
+                break
+            stack.pop()
+        else:
+            return False
+    return True
 
 
 def chromatic_number(g: QuotientGraph) -> int:
-    """Exact chromatic number for graphs within the chromatic cap."""
+    """Exact chromatic number of a graph within the chromatic cap: the
+    least t >= 1 for which ``_colorable`` succeeds, 0 on the empty graph."""
     check_vertex_cap(g.vertex_count, "chromatic")
     if g.vertex_count == 0:
         return 0
-    if g.edge_count == 0:
-        return 1
-    lower = max(2, len(greedy_clique(g)))
-    upper = max(dsatur_coloring(g)) + 1
-    for t in range(lower, upper):
-        if _colorable(g, t):
-            return t
-    return upper
+    t = 1
+    while not _colorable(g, t):
+        t += 1
+    return t

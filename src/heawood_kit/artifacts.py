@@ -23,6 +23,9 @@ _AXES_2D = [
     (math.cos(math.radians(120)), -math.sin(math.radians(120))),
 ]
 
+# SVG pixels per unit of figure length
+_SCALE = 24.0
+
 # permutations of (1,2,3) in hexagon boundary order
 _HEX_ORDER = [
     (1, 2, 3),
@@ -172,7 +175,7 @@ def fundamental_tile_scene(
     return RenderScene2D(k=k, hexagons=hexagons, colors=colors, domain=poly)
 
 
-def render_svg(scene: RenderScene2D, scale: float = 24.0) -> str:
+def render_svg(scene: RenderScene2D) -> str:
     points = [p for hexagon in scene.hexagons for p in hexagon]
     if scene.domain:
         points.extend(scene.domain)
@@ -180,11 +183,11 @@ def render_svg(scene: RenderScene2D, scale: float = 24.0) -> str:
     max_x = max(p[0] for p in points) + 1
     min_y = min(p[1] for p in points) - 1
     max_y = max(p[1] for p in points) + 1
-    width = (max_x - min_x) * scale
-    height = (max_y - min_y) * scale
+    width = (max_x - min_x) * _SCALE
+    height = (max_y - min_y) * _SCALE
 
     def fmt(p: tuple[float, float]) -> str:
-        return f"{(p[0] - min_x) * scale:.2f},{(p[1] - min_y) * scale:.2f}"
+        return f"{(p[0] - min_x) * _SCALE:.2f},{(p[1] - min_y) * _SCALE:.2f}"
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '

@@ -115,14 +115,13 @@ def cmd_fvector(args: argparse.Namespace) -> int:
         check_vertex_cap(factorial(k.d) * k.order(), "build")
     lattice = k if args.mode == "formula" else signature_index(k)
     payload: dict = {"signature": list(k.entries)}
-    formula = list(fvector_formula(lattice))
     if args.mode in ("formula", "both"):
-        payload["formula"] = formula
+        payload["formula"] = list(fvector_formula(lattice))
     if args.mode in ("enumerate", "both"):
         enumerated = list(build_torus_complex(lattice).fvector_enumerated())
         payload["enumerated"] = enumerated
         if args.mode == "both":
-            payload["match"] = enumerated == formula
+            payload["match"] = enumerated == payload["formula"]
     emit(payload, args.output)
     return EXIT_OK
 

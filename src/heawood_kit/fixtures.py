@@ -8,18 +8,12 @@ the count checks here and in the tests.
 from __future__ import annotations
 
 from importlib import resources
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .quotient import NotSimplicial, QuotientGraph, SimplicialComplex, dual_graph
 
 KLEIN_VERTEX_COUNT = 24
 KLEIN_FACET_COUNT = 56
-
-
-class NamedComplexFixture(NamedTuple):
-    name: str
-    labels: tuple[str, ...]
-    facets: tuple[tuple[str, ...], ...]
 
 
 def complex_from_facets(
@@ -51,27 +45,22 @@ def complex_from_facets(
     )
 
 
-def load_fixture(name: str) -> NamedComplexFixture:
+def klein_quartic() -> SimplicialComplex:
+    """The 24-vertex, 56-facet genus-3 surface."""
     text = (
-        resources.files("heawood_kit.data").joinpath(f"{name}.txt").read_text()
+        resources.files("heawood_kit.data").joinpath("klein_quartic.txt").read_text()
     )
-    facets = tuple(
+    facets = [
         tuple(part.strip() for part in line.split(","))
         for line in text.splitlines()
         if line.strip()
-    )
-    labels = tuple(sorted({lab for facet in facets for lab in facet}))
-    return NamedComplexFixture(name=name, labels=labels, facets=facets)
-
-
-def klein_quartic() -> SimplicialComplex:
-    """The 24-vertex, 56-facet genus-3 surface."""
-    fixture = load_fixture("klein_quartic")
-    if len(fixture.labels) != KLEIN_VERTEX_COUNT:
+    ]
+    labels = sorted({lab for facet in facets for lab in facet})
+    if len(labels) != KLEIN_VERTEX_COUNT:
         raise NotSimplicial("fixture label count drifted")
-    if len(fixture.facets) != KLEIN_FACET_COUNT:
+    if len(facets) != KLEIN_FACET_COUNT:
         raise NotSimplicial("fixture facet count drifted")
-    return complex_from_facets(fixture.labels, fixture.facets)
+    return complex_from_facets(labels, facets)
 
 
 def simplicial_automorphism_order(c: SimplicialComplex) -> int:

@@ -151,7 +151,11 @@ def _orbit_tuples(
     points: tuple[int, ...],
     cap: int = CLOSURE_CAP,
 ) -> set[tuple[int, ...]]:
-    """Images of a tuple of vertices under the group, by breadth-first search."""
+    """Images of a tuple of vertices under the group, by breadth-first search.
+
+    It walks the base for the order of the generated group, and single
+    vertices, as 1-tuples, for the orbits of the automorphism search.
+    """
     images = [p.images for p in gens]
     seen = {points}
     frontier = [points]
@@ -363,21 +367,6 @@ def _target(colors: Sequence[int]) -> int:
     return -1 if cell is None else colors.index(cell)
 
 
-def _orbit(gens: Iterable[VertexPermutation], vertex: int) -> set[int]:
-    """Images of a vertex under the group, by breadth-first search."""
-    images = [p.images for p in gens]
-    seen = {vertex}
-    frontier = [vertex]
-    while frontier:
-        reached: set[int] = set()
-        for img in images:
-            reached.update(map(img.__getitem__, frontier))
-        reached -= seen
-        seen |= reached
-        frontier = list(reached)
-    return seen
-
-
 def brute_force_automorphisms(
     g: QuotientGraph,
     cap: Optional[int] = None,
@@ -447,17 +436,17 @@ def brute_force_automorphisms(
     order = 1
     for level in reversed(range(len(base))):
         colors, b = chain[level], base[level]
-        seen = _orbit(gens, b)
-        failed: set[int] = set()
+        seen = _orbit_tuples(gens, (b,))
+        failed: set[tuple[int, ...]] = set()
         for y in range(n):
-            if colors[y] != colors[b] or y in seen or y in failed:
+            if colors[y] != colors[b] or (y,) in seen or (y,) in failed:
                 continue
             images = extend(level + 1, _individualize(g, colors, y, traces[level]))
             if images is None:
-                failed |= _orbit(gens, y)
+                failed |= _orbit_tuples(gens, (y,))
             else:
                 gens.append(VertexPermutation(tuple(images)))
-                seen = _orbit(gens, b)
+                seen = _orbit_tuples(gens, (b,))
         order *= len(seen)
     return PermutationGroup(
         generators=tuple(gens) or (VertexPermutation.identity(n),), order=order

@@ -54,7 +54,9 @@ since the base and the branch order of the search are read off them.
 ``closure`` lists every element a set of generators generates,
 ``group_closure`` counts them, and ``orbit`` and ``inverse`` walk
 them; they check group orders that the
-package reads off a base.  ``skeleton_graph``, ``verify_exceptional_W``,
+package reads off a base.  ``chromatic_by_exhaustion`` tries every
+coloring with t colors for t = 0, 1, ..., where ``chromatic_number``
+backtracks.  ``skeleton_graph``, ``verify_exceptional_W``,
 ``heawood_number`` and ``import_graph_json`` check facts of the paper
 and the JSON export: the 1-skeleton of a torus, the extra involution of
 the classical 14-vertex graph, the map-coloring bound of a genus-p
@@ -67,7 +69,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import isqrt
 from operator import add
 from typing import Callable, Iterable, Optional, Sequence
@@ -90,7 +92,6 @@ from heawood_kit.quotient import (
 from heawood_kit.symmetry import (
     PermutationGroup,
     VertexPermutation,
-    _orbit,
     _orbit_tuples,
     is_automorphism,
 )
@@ -630,7 +631,7 @@ def group_closure(
 
 def orbit(group: PermutationGroup, vertex: int) -> set[int]:
     """Images of a vertex under the group, by walking its generators."""
-    return _orbit(group.generators, vertex)
+    return {v for (v,) in _orbit_tuples(group.generators, (vertex,))}
 
 
 def verify_exceptional_W(g: QuotientGraph) -> bool:
@@ -654,6 +655,18 @@ def verify_exceptional_W(g: QuotientGraph) -> bool:
     if sorted(images) != list(range(g.vertex_count)):
         return False
     return is_automorphism(g, images)
+
+
+def chromatic_by_exhaustion(g: QuotientGraph) -> int:
+    """Least t for which some map of the vertices to t colors is proper."""
+    edges = [(i, j) for i, nbrs in enumerate(g.adjacency) for j in nbrs if i < j]
+    t = 0
+    while not any(
+        all(colors[i] != colors[j] for i, j in edges)
+        for colors in product(range(t), repeat=g.vertex_count)
+    ):
+        t += 1
+    return t
 
 
 def heawood_number(p: int) -> int:

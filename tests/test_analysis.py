@@ -1,14 +1,14 @@
+import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from oracles import heawood_number, skeleton_graph
+from oracles import chromatic_by_exhaustion, heawood_number, skeleton_graph
 
 from heawood_kit.analysis import (
     CycleError,
     _validate_cycle,
     chromatic_number,
-    dsatur_coloring,
     hamiltonian_alternating,
     hamiltonian_backtracking,
     is_bipartite,
@@ -220,11 +220,38 @@ def test_chromatic_cap(monkeypatch):
         chromatic_number(graph((5, 5, 5)))
 
 
-def test_dsatur_is_proper():
-    g = graph((1, 2, 1))
-    coloring = dsatur_coloring(g)
-    for i, nbrs in enumerate(g.adjacency):
-        assert all(coloring[i] != coloring[j] for j in nbrs)
+def random_graph(rng, n, p):
+    nbrs = [set() for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if rng.random() < p:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    return QuotientGraph(
+        d=1,
+        labels=tuple((i,) for i in range(n)),
+        adjacency=tuple(tuple(sorted(s)) for s in nbrs),
+    )
+
+
+def test_chromatic_number_matches_exhaustive_coloring():
+    rng = random.Random(18)
+    graphs = [random_graph(rng, n, p) for n in (0, 1, 7) for p in (0.0, 1.0)]
+    graphs += [
+        random_graph(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        for _ in range(120)
+    ]
+    for g in graphs:
+        assert chromatic_number(g) == chromatic_by_exhaustion(g)
+    assert chromatic_number(graphs[5]) == 7  # the complete graph on 7 vertices
+
+
+def test_chromatic_number_of_a_large_bipartite_quotient(monkeypatch):
+    # a search that recursed once per colored vertex would pass Python's
+    # recursion limit here
+    monkeypatch.setenv("HEAWOOD_CAP", "2000")
+    g = graph((14, 14, 14))
+    assert g.vertex_count == 1262
+    assert chromatic_number(g) == 2
 
 
 def test_heawood_number():

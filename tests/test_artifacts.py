@@ -568,6 +568,34 @@ def test_cli_makes_at_most_one_smith_form(capsys, monkeypatch, argv, smith_forms
         assert json.loads(out)["vertices"] == 16
 
 
+# (argv, torus checks): --enumerate checks the torus once, in the build;
+# --both also prints the closed form, whose own check makes the second
+TORUS_CHECKS = [
+    (("fvector", "-k", "2,1,2", "--enumerate"), 1),
+    (("fvector", "-k", "0,2,2", "--enumerate"), 1),
+    (("fvector", "-k", "2,1,2", "--both"), 2),
+    (("fvector", "-k", "0,2,2", "--both"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, checks", TORUS_CHECKS, ids=[" ".join(argv) for argv, _ in TORUS_CHECKS]
+)
+def test_cli_fvector_checks_the_torus_once_per_answer(capsys, monkeypatch, argv, checks):
+    calls = []
+    original = lattice.ClassIndex.short_vector
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(lattice.ClassIndex, "short_vector", counting)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "enumerated" in json.loads(out)
+    assert len(calls) == checks
+
+
 def test_cli_census_refuses_before_listing_classes():
     # ClassIndex lists its classes on first use, so the order of a huge
     # quotient is read and refused without listing them

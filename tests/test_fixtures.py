@@ -8,7 +8,6 @@ from heawood_kit.fixtures import (
     complex_from_facets,
     klein_quartic,
     klein_quartic_aut_order,
-    load_fixture,
     simplicial_automorphism_order,
 )
 from heawood_kit.lattice import KSignature
