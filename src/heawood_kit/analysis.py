@@ -58,14 +58,9 @@ def is_bipartite(g: QuotientGraph) -> BipartiteReport:
     return BipartiteReport(True, coloring=tuple(color))
 
 
-class CycleReport(NamedTuple):
-    length: int
-    vertices: tuple[int, ...]
-    classification: str
-
-
-def six_cycles_through(g: QuotientGraph, v: int) -> list[CycleReport]:
-    """All simple 6-cycles through v, one per rotation/reflection class."""
+def six_cycles_through(g: QuotientGraph, v: int) -> list[tuple[int, ...]]:
+    """All simple 6-cycles through v as vertex tuples from v, one per
+    rotation/reflection class."""
     seen = set()
     out = []
     adj = g.neighbour_sets
@@ -76,9 +71,7 @@ def six_cycles_through(g: QuotientGraph, v: int) -> list[CycleReport]:
                 canon = _canonical_cycle(path)
                 if canon not in seen:
                     seen.add(canon)
-                    out.append(
-                        CycleReport(6, tuple(path), "hexagon-face-candidate")
-                    )
+                    out.append(tuple(path))
             return
         for w in g.adjacency[path[-1]]:
             if w not in path:

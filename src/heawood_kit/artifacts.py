@@ -128,7 +128,6 @@ def _palette(i: int, total: int) -> str:
 
 
 class RenderScene2D(NamedTuple):
-    k: KSignature
     hexagons: tuple[tuple[tuple[float, float], ...], ...]
     colors: tuple[str, ...]
     domain: Optional[tuple[tuple[float, float], ...]] = None
@@ -172,7 +171,7 @@ def fundamental_tile_scene(
     hexagons = tuple(tuple(_hexagon_points(rep)) for rep in reps)
     colors = tuple(_palette(i, len(reps)) for i in range(len(reps)))
     poly = _domain_polygon(k, domain) if domain else None
-    return RenderScene2D(k=k, hexagons=hexagons, colors=colors, domain=poly)
+    return RenderScene2D(hexagons=hexagons, colors=colors, domain=poly)
 
 
 def render_svg(scene: RenderScene2D) -> str:

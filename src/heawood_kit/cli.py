@@ -177,8 +177,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         seed = graph.vertex_of(range(1, k.n + 1))
         cycles = analysis.six_cycles_through(graph, seed)
         payload["six_cycles"] = [
-            [coord_label(graph.labels[v]) for v in c.vertices]
-            for c in cycles
+            [coord_label(graph.labels[v]) for v in cycle] for cycle in cycles
         ]
         payload["six_cycle_count"] = len(cycles)
     if args.chromatic:

@@ -75,10 +75,6 @@ class IntMatrix(Frozen):
             raise ShapeError("ragged rows")
         return cls(len(rows), width, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -89,31 +85,13 @@ class IntMatrix(Frozen):
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ShapeError("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append(
-                tuple(
-                    sum(ri[t] * other[t, j] for t in range(self.cols))
-                    for j in range(other.cols)
-                )
-            )
-        return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
 
 
 def parse_matrix_arg(text: str) -> IntMatrix:
     """Parse a semicolon/comma matrix literal like '2,0,-1;0,2,-1;-1,-1,3'."""
-    rows = [
-        [int(v) for v in row.split(",") if v.strip() != ""]
-        for row in text.split(";")
-        if row.strip() != ""
-    ]
+    rows = [[int(v) for v in row.split(",")] for row in text.split(";") if row.strip()]
     return IntMatrix.from_rows(rows)
 
 

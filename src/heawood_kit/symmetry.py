@@ -22,6 +22,9 @@ from .lattice import w_vector
 from .limits import CLOSURE_CAP, CapExceeded, check_vertex_cap
 from .quotient import QuotientGraph
 
+Cells = dict[int, set[int]]  # a coloring's partition: cell start -> vertices
+Refined = tuple[tuple[int, ...], Cells, list[int]]  # colors, cells, trace
+
 
 class NotAnAutomorphism(ValueError):
     """A proposed vertex map fails to preserve adjacency."""
@@ -179,13 +182,12 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
     A rotation is admitted when the lattice allows it: when every rotated
     generator row has Smith coordinates zero.  The least admitted shift,
     ``ClassIndex.least_rotation``, generates the admitted rotations.  Each
-    of the d + 1 or d + 2
-    generators costs d! point lookups and d + 1 class keys, then one
-    adjacency check; the base chain is the rest of the work.  The order
-    is read off a base without listing elements: refinement commutes
-    with every automorphism, so one that fixes the base of the search
-    fixes every vertex, and each element of the group moves the base
-    tuple to a different image.
+    of the d + 1 or d + 2 generators costs d! point lookups and d + 1 class
+    keys, then one adjacency check; the base chain is the rest of the work.
+    The order is read off a base without listing elements: refinement
+    commutes with every automorphism, so one that fixes the base of the
+    search fixes every vertex, and each element of the group moves the
+    base tuple to a different image.
     """
     gens = list(translation_generators(g))
     gens.append(rotation_R(g))
@@ -215,7 +217,7 @@ def refine_colors(
     adjacency = g.adjacency
     values = initial if initial is not None else [len(nbrs) for nbrs in adjacency]
     colors = [0] * len(adjacency)
-    cells: dict[int, set[int]] = {}
+    cells: Cells = {}
     start, last = 0, None
     for pos, v in enumerate(sorted(range(len(adjacency)), key=values.__getitem__)):
         if values[v] != last:
@@ -229,10 +231,10 @@ def refine_colors(
 def _refine(
     adjacency: Sequence[Sequence[int]],
     colors: list[int],
-    cells: dict[int, set[int]],
+    cells: Cells,
     splitters: list[int],
     trace: Optional[Sequence[int]] = None,
-) -> Optional[tuple[tuple[int, ...], list[int]]]:
+) -> Optional[Refined]:
     """Split cells against the queued splitters until the coloring is equitable.
 
     ``cells`` maps each cell start to its vertices and ``splitters`` is a
@@ -244,7 +246,8 @@ def _refine(
     it under its cell at first sight; a vertex found in a singleton cell
     keeps a nonzero count from then on, so it is never filed again.
 
-    Returns the colors and the trace: the cell count after each splitter.
+    Returns the colors, their cells, which later steps read as they are,
+    and the trace: the cell count after each splitter.
     Given the ``trace`` of a refinement this one should mirror, it returns
     None at the first splitter whose cell count departs from it, or when
     the two run through different numbers of splitters.  An automorphism
@@ -309,30 +312,28 @@ def _refine(
             return None
     if expected is not None and next(expected, None) is not None:
         return None
-    return tuple(colors), steps
+    return tuple(colors), cells, steps
 
 
 def _individualize(
     g: QuotientGraph,
     colors: Sequence[int],
+    cells: Cells,
     v: int,
     trace: Optional[Sequence[int]] = None,
-) -> Optional[tuple[tuple[int, ...], list[int]]]:
+) -> Optional[Refined]:
     """Split v off at the front of its cell, then refine against it.
 
-    The input coloring is equitable, so the singleton is the only splitter
-    needed: counts into the rest of v's old cell follow from the two.
-    Returns what ``_refine`` does, ``trace`` included.
+    A copy of the parent's cells is split, so a branch costs that copy plus
+    the splitters it runs.  The input coloring is equitable, so the
+    singleton is the only splitter needed: counts into the rest of v's old
+    cell follow from the two.  Returns what ``_refine`` does, ``trace`` too.
     """
     colors = list(colors)
-    cells: dict[int, set[int]] = {}
-    for u, c in enumerate(colors):
-        cells.setdefault(c, set()).add(u)
     start = colors[v]
-    rest = cells[start]
-    rest.discard(v)
-    cells[start] = {v}
-    cells[start + 1] = rest
+    rest = cells[start] - {v}
+    cells = {c: cell.copy() for c, cell in cells.items() if c != start}
+    cells[start], cells[start + 1] = {v}, rest
     for u in rest:
         colors[u] = start + 1
     return _refine(g.adjacency, colors, cells, [start], trace)
@@ -340,31 +341,27 @@ def _individualize(
 
 def _base_chain(
     g: QuotientGraph, initial_colors: Optional[Sequence[int]] = None
-) -> tuple[list[tuple[int, ...]], list[int], list[list[int]]]:
+) -> tuple[list[tuple[tuple[int, ...], Cells]], list[int], list[list[int]]]:
     """Refined colorings individualized at base points until discrete.
 
-    Each base point is the first vertex of the first non-singleton cell;
-    the chain holds the coloring before each point and the discrete one,
-    and the traces hold the refinement after each point.
+    Only the root's cells are grouped from colors; refinement hands out
+    the rest.  Each base point is the least vertex of the first
+    non-singleton cell; the chain holds (colors, cells) before each point
+    and at the discrete end, the traces the refinement after each point.
     """
-    chain = [refine_colors(g, initial_colors)]
+    colors = refine_colors(g, initial_colors)
+    cells: Cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    chain = [(colors, cells)]
     base: list[int] = []
     traces: list[list[int]] = []
-    while (b := _target(chain[-1])) >= 0:
-        base.append(b)
-        colors, trace = _individualize(g, chain[-1], b)
-        chain.append(colors)
+    while len(cells) < len(colors):
+        base.append(min(cells[min(c for c, cell in cells.items() if len(cell) > 1)]))
+        colors, cells, trace = _individualize(g, colors, cells, base[-1])
+        chain.append((colors, cells))
         traces.append(trace)
     return chain, base, traces
-
-
-def _target(colors: Sequence[int]) -> int:
-    """First vertex of the first non-singleton cell, or -1 if discrete."""
-    sizes: dict[int, int] = {}
-    for c in colors:
-        sizes[c] = sizes.get(c, 0) + 1
-    cell = min((c for c, size in sizes.items() if size > 1), default=None)
-    return -1 if cell is None else colors.index(cell)
 
 
 def brute_force_automorphisms(
@@ -375,7 +372,7 @@ def brute_force_automorphisms(
     """Exact automorphism group by individualization and refinement.
 
     The refined coloring is individualized at base points b_1, b_2, ...
-    (each the first vertex of the first non-singleton cell) until it is
+    (each the least vertex of the first non-singleton cell) until it is
     discrete, which gives a chain of pointwise stabilizers.  From the
     deepest level up, the generators found so far generate the stabilizer
     of b_1..b_i; for each y in b_i's cell not yet in b_i's orbit under
@@ -385,7 +382,7 @@ def brute_force_automorphisms(
     level, the cell count after every splitter, and stops at the first
     departure: an automorphism mapping the chain onto the branch would map
     every step of the refinement, which depends only on colors and counts.
-    A branch refined to the end must still have the chain's cell sizes,
+    A branch refined to the end must still have the chain's cell starts,
     and a leaf counts only if it preserves adjacency.  When the branch
     for y fails, so does the branch for every z in y's orbit under the
     generators found so far: they fix b_1..b_{i-1}, so if g maps y to z and
@@ -403,45 +400,40 @@ def brute_force_automorphisms(
     n = g.vertex_count
     check_vertex_cap(n, "search", cap)
     chain, base, traces = _base_chain(g, initial_colors)
-    shapes = [sorted(colors) for colors in chain]
-    leaf_position = {c: v for v, c in enumerate(chain[-1])}
+    leaf_position = {c: v for v, c in enumerate(chain[-1][0])}
 
-    def extend(
-        level: int, refined: Optional[tuple[tuple[int, ...], list[int]]]
-    ) -> Optional[list[int]]:
+    def extend(level: int, refined: Optional[Refined]) -> Optional[list[int]]:
         """Images of an automorphism taking chain[level] to the refined colors.
 
         None if there is none, or if the refinement stopped on the trace.
         Refinement keeps the order of the colors it splits, so colorings
-        with the same cell sizes at every level give the same colors to
-        matching cells; the leaf maps each vertex to its namesake.
+        with the same cell starts, hence sizes, at every level give the same
+        colors to matching cells; the leaf maps each vertex to its namesake.
         """
-        if refined is None or sorted(refined[0]) != shapes[level]:
+        if refined is None or refined[1].keys() != chain[level][1].keys():
             return None
-        colors = refined[0]
+        colors, cells, _ = refined
         if level == len(base):
             images = [0] * n
             for v, c in enumerate(colors):
                 images[leaf_position[c]] = v
             return images if is_automorphism(g, images) else None
-        cell = chain[level][base[level]]
-        for y in range(n):
-            if colors[y] == cell:
-                images = extend(level + 1, _individualize(g, colors, y, traces[level]))
-                if images is not None:
-                    return images
+        for y in sorted(cells[chain[level][0][base[level]]]):
+            refined = _individualize(g, colors, cells, y, traces[level])
+            if (images := extend(level + 1, refined)) is not None:
+                return images
         return None
 
     gens: list[VertexPermutation] = []
     order = 1
     for level in reversed(range(len(base))):
-        colors, b = chain[level], base[level]
+        (colors, cells), b, trace = chain[level], base[level], traces[level]
         seen = _orbit_tuples(gens, (b,))
         failed: set[tuple[int, ...]] = set()
-        for y in range(n):
-            if colors[y] != colors[b] or (y,) in seen or (y,) in failed:
+        for y in sorted(cells[colors[b]]):
+            if (y,) in seen or (y,) in failed:
                 continue
-            images = extend(level + 1, _individualize(g, colors, y, traces[level]))
+            images = extend(level + 1, _individualize(g, colors, cells, y, trace))
             if images is None:
                 failed |= _orbit_tuples(gens, (y,))
             else:

@@ -51,6 +51,9 @@ groups the touched vertices in separate passes per splitter; the
 colors themselves, cell order included, must agree with it exactly,
 since the base and the branch order of the search are read off them.
 
+``identity_matrix`` and ``matmul`` are the identity and the product of
+``IntMatrix`` values, which only the Smith-form checks need.
+
 ``closure`` lists every element a set of generators generates,
 ``group_closure`` counts them, and ``orbit`` and ``inverse`` walk
 them; they check group orders that the
@@ -134,6 +137,24 @@ def reduce_by_scan(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     m = min(vec)
     rep = tuple(x - m for x in vec)
     return rep
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    """The n x n identity."""
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix product a b."""
+    if a.cols != b.rows:
+        raise ShapeError("inner dimensions differ")
+    out = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        out.append(
+            tuple(sum(ri[t] * b[t, j] for t in range(a.cols)) for j in range(b.cols))
+        )
+    return IntMatrix.from_rows(out) if out else IntMatrix(0, b.cols, ())
 
 
 def integer_span_contains(rows: IntMatrix, target: Sequence[int]) -> bool:

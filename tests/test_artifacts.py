@@ -341,6 +341,15 @@ def test_cli_census_refuses_matrices_narrower_than_three_columns(
     assert f"generator matrix has {width} columns" in err
 
 
+@pytest.mark.parametrize("matrix", ["2,,-1,0;0,2,-1;-1,0,2", "2,-1,0,;0,2,-1;-1,0,2"])
+def test_cli_census_refuses_an_empty_matrix_entry(capsys, matrix):
+    # an empty field is an error, not a column to drop from the row
+    code, out, err = run_cli(capsys, "census", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert "invalid literal for int() with base 10: ''" in err
+
+
 def test_cli_hamiltonian_refuses_above_vertex_cap(capsys, monkeypatch):
     monkeypatch.setenv("HEAWOOD_CAP", "10")
     code, out, err = run_cli(capsys, "analyze", "-k", "1,3,2", "--hamiltonian", "3")

@@ -6,6 +6,7 @@ from math import factorial
 import oracles
 import pytest
 from oracles import (
+    identity_matrix,
     integer_span_contains,
     neighbors,
     reduce_by_scan,
@@ -407,7 +408,7 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
     "build",
     [
         lambda: build_heawood_graph(KSignature((0, 0, 1), delta=True)),
-        lambda: build_general_quotient(IntMatrix.identity(3)),
+        lambda: build_general_quotient(identity_matrix(3)),
     ],
     ids=["delta(0, 0, 1)", "census identity"],
 )
@@ -461,7 +462,7 @@ def test_builder_matches_the_per_vertex_oracle(source):
 
 @pytest.mark.parametrize(
     "source",
-    [KSignature((0, 0, 1), delta=True), IntMatrix.identity(3)],
+    [KSignature((0, 0, 1), delta=True), identity_matrix(3)],
     ids=["delta(0, 0, 1)", "census identity"],
 )
 def test_builder_refuses_degenerate_quotients_as_the_oracle_does(source):

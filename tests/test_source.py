@@ -38,13 +38,25 @@ def test_package_does_not_import_dataclasses():
     assert found == []
 
 
+# operator methods that only their operator calls
+OPERATOR_METHODS = {ast.Mult: "__mul__", ast.MatMult: "__matmul__"}
+
+
 def used_names(node):
-    """Every name and attribute that a node's code refers to."""
-    return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    }
+    """Every name and attribute that a node's code refers to, and the
+    method of every operator in ``OPERATOR_METHODS`` that it applies."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif (
+            isinstance(sub, (ast.BinOp, ast.AugAssign))
+            and type(sub.op) in OPERATOR_METHODS
+        ):
+            names.add(OPERATOR_METHODS[type(sub.op)])
+    return names
 
 
 def test_every_definition_is_reachable():
@@ -76,11 +88,13 @@ def test_every_definition_is_reachable():
 
     def is_reached(node, owner):
         # a method is reached when its class is and something uses its
-        # name, or always if it is a dunder method
-        dunder = node.name.startswith("__") and node.name.endswith("__")
+        # name, or its operator if it is an operator method, or always if
+        # it is another dunder method
         if owner is None:
             return node.name in reached
-        return owner.name in reached and (dunder or node.name in reached)
+        dunder = node.name.startswith("__") and node.name.endswith("__")
+        always = dunder and node.name not in OPERATOR_METHODS.values()
+        return owner.name in reached and (always or node.name in reached)
 
     live = set()
     grew = True

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from bisect import bisect_left
 from functools import lru_cache
@@ -414,13 +415,12 @@ def test_refine_colors_matches_round_oracle_on_random_graphs():
 def test_individualized_refinement_matches_round_oracle(entries):
     g = graph(entries)
     chain, _, _ = symmetry._base_chain(g)
-    for colors in chain[:-1]:
+    for colors, cells in chain[:-1]:
         for v in range(0, g.vertex_count, 5):
             marked = list(colors)
             marked[v] = -1
-            assert partition(symmetry._individualize(g, colors, v)[0]) == partition(
-                refine_rounds(g.adjacency, marked)
-            )
+            refined = symmetry._individualize(g, colors, cells, v)[0]
+            assert partition(refined) == partition(refine_rounds(g.adjacency, marked))
 
 
 def test_refine_colors_is_label_independent():
@@ -441,21 +441,27 @@ def test_refine_colors_is_label_independent():
                 for v in range(n)
             ),
         )
+        root, moved_root = refine_colors(g), refine_colors(relabelled)
         for v in range(0, n, 7):
-            colors, trace = symmetry._individualize(g, refine_colors(g), v)
-            moved, moved_trace = symmetry._individualize(
-                relabelled, refine_colors(relabelled), perm[v]
+            colors, _, trace = symmetry._individualize(g, root, cells_of(root), v)
+            moved, _, moved_trace = symmetry._individualize(
+                relabelled, moved_root, cells_of(moved_root), perm[v]
             )
             assert all(moved[perm[u]] == colors[u] for u in range(n))
             assert moved_trace == trace
 
 
-def cell_oracle(adjacency, colors, splitters):
-    """``refine_cells`` from a coloring by cell starts."""
+def cells_of(colors):
+    """The cells of a coloring by cell starts, each keyed by its color."""
     cells = {}
     for u, c in enumerate(colors):
         cells.setdefault(c, set()).add(u)
-    return refine_cells(adjacency, list(colors), cells, list(splitters))
+    return cells
+
+
+def cell_oracle(adjacency, colors, splitters):
+    """``refine_cells`` from a coloring by cell starts."""
+    return refine_cells(adjacency, list(colors), cells_of(colors), list(splitters))
 
 
 def oracle_refine_colors(g, initial=None):
@@ -503,10 +509,10 @@ def klein_incidence():
 def assert_refinement_matches_cell_oracle(g, initial=None, stride=1):
     assert refine_colors(g, initial) == oracle_refine_colors(g, initial)
     chain, _, _ = symmetry._base_chain(g, initial)
-    for colors in chain[:-1]:
+    for colors, cells in chain[:-1]:
         for v in range(0, g.vertex_count, stride):
-            if colors.count(colors[v]) > 1:
-                refined, _ = symmetry._individualize(g, colors, v)
+            if len(cells[colors[v]]) > 1:
+                refined, _, _ = symmetry._individualize(g, colors, cells, v)
                 assert refined == oracle_individualize(g, colors, v)
 
 
@@ -518,6 +524,35 @@ def test_refinement_matches_cell_oracle_exactly_on_random_multigraphs():
         g = random_multigraph(rng, n)
         assert_refinement_matches_cell_oracle(g)
         assert_refinement_matches_cell_oracle(g, [rng.randrange(3) for _ in range(n)])
+
+
+def test_refinement_hands_out_the_cells_of_its_colors(monkeypatch):
+    # every coloring that refinement or individualization returns carries
+    # its partition: one cell per color, keyed by it, holding its vertices
+    checked = 0
+
+    def checking(refine):
+        def call(*args):
+            nonlocal checked
+            refined = refine(*args)
+            if refined is not None:
+                colors, cells, _ = refined
+                assert cells == cells_of(colors)
+                checked += 1
+            return refined
+
+        return call
+
+    for name in ("_refine", "_individualize"):
+        monkeypatch.setattr(symmetry, name, checking(getattr(symmetry, name)))
+    rng = random.Random(20141204)  # the graphs of the exact-color test above
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        g = random_multigraph(rng, n)
+        for initial in (None, [rng.randrange(3) for _ in range(n)]):
+            assert_refinement_matches_cell_oracle(g, initial)
+            brute_force_automorphisms(g, initial_colors=initial)
+    assert checked > 1000
 
 
 @pytest.mark.parametrize(
@@ -548,16 +583,16 @@ def test_trace_stops_failing_branches_early(entries, order, monkeypatch):
     shapes, traces = [], []
     stopped = 0
 
-    def checking(g, colors, v, trace=None):
+    def checking(g, colors, cells, v, trace=None):
         nonlocal stopped
-        refined = individualize(g, colors, v, trace)
+        refined = individualize(g, colors, cells, v, trace)
         if trace is None:  # the first path, one base level after another
             shapes.append(sorted(refined[0]))
-            traces.append(refined[1])
+            traces.append(refined[2])
         elif refined is None:
             stopped += 1
             level = next(i for i, t in enumerate(traces) if t is trace)
-            assert sorted(individualize(g, colors, v)[0]) != shapes[level]
+            assert sorted(individualize(g, colors, cells, v)[0]) != shapes[level]
         return refined
 
     with monkeypatch.context() as patch:
@@ -566,8 +601,8 @@ def test_trace_stops_failing_branches_early(entries, order, monkeypatch):
     assert stopped > 0
     assert group.order == order
 
-    def untraced(g, colors, v, trace=None):
-        return individualize(g, colors, v)
+    def untraced(g, colors, cells, v, trace=None):
+        return individualize(g, colors, cells, v)
 
     # without the stop the search visits more branches and finds the same group
     monkeypatch.setattr(symmetry, "_individualize", untraced)
@@ -583,6 +618,48 @@ CENSUS_MATRICES = [
     "2,-1,0;0,2,-1;-1,0,2",
     "7,-1,0;0,7,-1;-1,0,7",
 ]
+
+
+# order, _individualize calls and the first 16 hex digits of the SHA-256
+# of the generator image arrays: trying other branches, or the same ones
+# in another order, changes the calls or the generators
+SEARCH_TREES = {
+    "1,1,1": (336, 14, "143fd4b000c7cafe"),
+    "2,2,2": (114, 5, "463e9490c1d21d4d"),
+    "3,3,3": (222, 5, "5b6712311d004c0a"),
+    "4,4,4": (366, 5, "d65d3fc2e7d87bdc"),
+    "1,1,1,1": (120, 11, "09e1e54e001875ea"),
+    "2,1,2,1": (128, 13, "97d4651e007115f3"),
+    "2,2,2,2": (520, 16, "2b25991002da134f"),
+    "klein": (336, 9, "e5c4396d307d324f"),
+    "2,0,-1;0,2,-1;-1,-1,3": (96, 9, "cbc097e23eb4618d"),
+    "4,0,-1;0,4,-1;-1,-1,5": (96, 7, "70b84eb702205c40"),
+    "2,-1,0;0,2,-1;-1,0,2": (336, 14, "6844aaa15b0ad5a0"),
+    "7,-1,0;0,7,-1;-1,0,7": (342, 5, "39b59659f94d5cab"),
+}
+
+
+@pytest.mark.parametrize("source", SEARCH_TREES)
+def test_search_tree_is_pinned(source, monkeypatch):
+    initial = None
+    if source == "klein":  # the incidence graph with vertices and facets apart
+        g, initial = klein_incidence()
+    elif ";" in source:
+        g = build_general_quotient(parse_matrix_arg(source))
+    else:
+        g = graph(tuple(map(int, source.split(","))))
+    calls = 0
+    individualize = symmetry._individualize
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return individualize(*args)
+
+    monkeypatch.setattr(symmetry, "_individualize", counting)
+    group = brute_force_automorphisms(g, cap=g.vertex_count, initial_colors=initial)
+    digest = hashlib.sha256(repr([gen.images for gen in group.generators]).encode())
+    assert (group.order, calls, digest.hexdigest()[:16]) == SEARCH_TREES[source]
 
 
 @pytest.mark.parametrize(
