@@ -35,8 +35,7 @@ def is_bipartite(g: QuotientGraph) -> BipartiteReport:
             continue
         color[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the loop reaches what the body appends
             for w in g.adjacency[v]:
                 if color[w] < 0:
                     color[w] = 1 - color[v]
@@ -60,18 +59,14 @@ def is_bipartite(g: QuotientGraph) -> BipartiteReport:
 
 def six_cycles_through(g: QuotientGraph, v: int) -> list[tuple[int, ...]]:
     """All simple 6-cycles through v as vertex tuples from v, one per
-    rotation/reflection class."""
-    seen = set()
+    cycle: the direction whose second vertex is the smaller."""
     out = []
     adj = g.neighbour_sets
 
     def extend(path: list[int]) -> None:
         if len(path) == 6:
-            if path[0] in adj[path[-1]]:
-                canon = _canonical_cycle(path)
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(tuple(path))
+            if path[1] < path[-1] and path[0] in adj[path[-1]]:
+                out.append(tuple(path))
             return
         for w in g.adjacency[path[-1]]:
             if w not in path:
@@ -81,15 +76,6 @@ def six_cycles_through(g: QuotientGraph, v: int) -> list[tuple[int, ...]]:
 
     extend([v])
     return out
-
-
-def _canonical_cycle(path: Sequence[int]) -> tuple[int, ...]:
-    n = len(path)
-    return min(
-        tuple(seq[r:] + seq[:r])
-        for seq in (list(path), list(reversed(path)))
-        for r in range(n)
-    )
 
 
 class HamiltonianWalkResult(NamedTuple):

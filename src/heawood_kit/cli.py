@@ -2,8 +2,10 @@
 
 Subcommands build quotient graphs and torus complexes, compare f-vector
 formulas against enumeration, compute automorphism groups, run the graph
-analyses, process census matrices, render tiles, and dump fixtures.  All
-results are JSON on stdout unless -o routes them to a file.  Exit codes:
+analyses, process census matrices, render tiles, and dump fixtures.  Each
+command returns its answer: a dict, which goes out as JSON, or the text of
+an export.  cli() alone adds the schema tag, writes the answer to stdout or
+the -o file, and maps the answer or the error raised to the exit code:
 0 success, 2 validation error, 3 cap or budget refusal.  Only the core
 modules load with this one; a command imports the symmetry, analysis,
 export and fixture code it runs where it runs it, after its cap checks.
@@ -39,12 +41,15 @@ def parse_signature(text: str) -> KSignature:
     return KSignature(entries, delta=0 in entries)
 
 
-def emit(payload: dict, out: Optional[str]) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+def check_caps(k: KSignature, *steps: Optional[str]) -> None:
+    """Refuse k when the closed-form vertex count d!·D of H_k is above the
+    cap of any of ``steps``, checked in order; a None step is skipped."""
+    vertices = factorial(k.d) * k.order()
+    for step in filter(None, steps):
+        check_vertex_cap(vertices, step)
 
 
-def emit_text(text: str, out: Optional[str]) -> None:
+def write(text: str, out: Optional[str]) -> None:
     """Write text to the -o file, else to stdout; a file that cannot be
     written is a validation error naming its path."""
     if not out:
@@ -57,62 +62,51 @@ def emit_text(text: str, out: Optional[str]) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> dict | str:
     if args.torus and args.format in ("dot", "json-graph"):
         raise ValueError(f"--format {args.format} exports a graph, not --torus")
     if not args.torus and args.format == "off":
         raise ValueError("--format off exports a torus and needs --torus")
     k = parse_signature(args.k)
-    check_vertex_cap(factorial(k.d) * k.order(), "build")
+    check_caps(k, "build")
     if args.torus:
         complex_ = build_torus_complex(k)
         if args.format == "off":
             from . import artifacts
 
-            emit_text(artifacts.export_complex_off(complex_), args.output)
-        else:
-            fvector = complex_.fvector_enumerated()
-            emit(
-                {
-                    "signature": list(k.entries),
-                    "torus": {
-                        "vertices": complex_.vertex_count,
-                        "facets": [list(f) for f in complex_.facets],
-                        "fvector": list(fvector),
-                        "euler_characteristic": alternating_sum(fvector),
-                    },
-                },
-                args.output,
-            )
-        return EXIT_OK
-    graph = build_heawood_graph(k)
-    if args.format in ("dot", "json-graph"):
-        from . import artifacts
-
-        if args.format == "dot":
-            emit_text(artifacts.export_graph_dot(graph), args.output)
-        else:
-            emit_text(artifacts.export_graph_json(graph), args.output)
-    else:
-        emit(
-            {
-                "signature": list(k.entries),
-                "graph": {
-                    "vertices": graph.vertex_count,
-                    "edges": graph.edge_count,
-                    "d": graph.d,
-                },
+            return artifacts.export_complex_off(complex_)
+        fvector = complex_.fvector_enumerated()
+        return {
+            "signature": list(k.entries),
+            "torus": {
+                "vertices": complex_.vertex_count,
+                "facets": [list(f) for f in complex_.facets],
+                "fvector": list(fvector),
+                "euler_characteristic": alternating_sum(fvector),
             },
-            args.output,
-        )
-    return EXIT_OK
+        }
+    graph = build_heawood_graph(k)
+    if args.format == "summary":
+        return {
+            "signature": list(k.entries),
+            "graph": {
+                "vertices": graph.vertex_count,
+                "edges": graph.edge_count,
+                "d": graph.d,
+            },
+        }
+    from . import artifacts
+
+    if args.format == "dot":
+        return artifacts.export_graph_dot(graph)
+    return artifacts.export_graph_json(graph)
 
 
-def cmd_fvector(args: argparse.Namespace) -> int:
+def cmd_fvector(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
     # with a zero entry even the formula runs the torus check, of up to D + 1 keys
     if 0 in k.entries or args.mode != "formula":
-        check_vertex_cap(factorial(k.d) * k.order(), "build")
+        check_caps(k, "build")
     lattice = k if args.mode == "formula" else signature_index(k)
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("formula", "both"):
@@ -122,16 +116,12 @@ def cmd_fvector(args: argparse.Namespace) -> int:
         payload["enumerated"] = enumerated
         if args.mode == "both":
             payload["match"] = enumerated == payload["formula"]
-    emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
-def cmd_aut(args: argparse.Namespace) -> int:
+def cmd_aut(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
-    vertices = factorial(k.d) * k.order()
-    check_vertex_cap(vertices, "build")
-    if args.mode in ("brute", "compare"):
-        check_vertex_cap(vertices, "search")
+    check_caps(k, "build", "search" if args.mode != "generated" else None)
     from . import symmetry
 
     graph = build_heawood_graph(k)
@@ -142,16 +132,12 @@ def cmd_aut(args: argparse.Namespace) -> int:
         payload["brute"] = symmetry.brute_force_automorphisms(graph).order
     if args.mode == "compare":
         payload["exceptional"] = payload["brute"] != payload["generated"]
-    emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
-    vertices = factorial(k.d) * k.order()
-    check_vertex_cap(vertices, "build")
-    if args.chromatic:
-        check_vertex_cap(vertices, "chromatic")
+    check_caps(k, "build", "chromatic" if args.chromatic else None)
     from . import analysis
 
     if args.hamiltonian is not None:
@@ -160,14 +146,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload: dict = {"signature": list(k.entries)}
     if args.hamiltonian is not None:
         result = analysis.hamiltonian_alternating(graph, args.hamiltonian)
-        payload.update(
-            {
-                "mode": result.mode,
-                "outcome": result.outcome,
-                "length": result.length,
-                "vertices": result.vertices,
-            }
-        )
+        payload.update(mode=result.mode, outcome=result.outcome,
+                       length=result.length, vertices=result.vertices)
     if args.bipartite:
         report = analysis.is_bipartite(graph)
         payload["bipartite"] = report.bipartite
@@ -182,40 +162,34 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload["six_cycle_count"] = len(cycles)
     if args.chromatic:
         payload["chromatic_number"] = analysis.chromatic_number(graph)
-    emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: argparse.Namespace) -> dict:
     matrix = parse_matrix_arg(args.matrix)
     index = ClassIndex(matrix)
     check_vertex_cap(factorial(matrix.cols - 1) * index.order, "build")
     graph = build_general_quotient(index)
-    emit(
-        {
-            "matrix": [list(r) for r in matrix.row_list()],
-            "quotient_order": index.order,
-            "vertices": graph.vertex_count,
-            "edges": graph.edge_count,
-            "all_ones_in_span": index.all_ones_in_span,
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {
+        "matrix": [list(r) for r in matrix.row_list()],
+        "quotient_order": index.order,
+        "vertices": graph.vertex_count,
+        "edges": graph.edge_count,
+        "all_ones_in_span": index.all_ones_in_span,
+    }
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> str:
     k = parse_signature(args.k)
     if k.d == 2:  # other dimensions have no scene and exit 2 below
-        check_vertex_cap(factorial(k.d) * k.order(), "build")
+        check_caps(k, "build")
     from . import artifacts
 
     scene = artifacts.fundamental_tile_scene(k, domain=args.domain)
-    emit_text(artifacts.render_svg(scene), args.output)
-    return EXIT_OK
+    return artifacts.render_svg(scene)
 
 
-def cmd_fixture(args: argparse.Namespace) -> int:
+def cmd_fixture(args: argparse.Namespace) -> dict:
     from . import fixtures
 
     complex_ = fixtures.klein_quartic()
@@ -228,8 +202,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     }
     if args.aut:
         payload["aut"] = fixtures.klein_quartic_aut_order()
-    emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,66 +213,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="construct the graph or torus")
-    p.add_argument("-k", required=True, help="signature, e.g. 1,1,1")
+    def command(name, func, help, signature=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if signature:
+            p.add_argument("-k", required=True, help="signature, e.g. 1,1,1")
+        return p
+
+    def modes(p, default, *names):
+        group = p.add_mutually_exclusive_group()
+        for name in names:
+            group.add_argument(f"--{name}", dest="mode", action="store_const",
+                               const=name)
+        p.set_defaults(mode=default)
+
+    p = command("build", cmd_build, "construct the graph or torus")
     p.add_argument("--torus", action="store_true")
     p.add_argument("--format", choices=["summary", "dot", "json-graph", "off"],
                    default="summary")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("fvector", help="face counts by formula or enumeration")
-    p.add_argument("-k", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--formula", dest="mode", action="store_const",
-                       const="formula")
-    group.add_argument("--enumerate", dest="mode", action="store_const",
-                       const="enumerate")
-    group.add_argument("--both", dest="mode", action="store_const", const="both")
-    p.set_defaults(mode="both")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_fvector)
-
-    p = sub.add_parser("aut", help="automorphism group orders")
-    p.add_argument("-k", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--generated", dest="mode", action="store_const",
-                       const="generated")
-    group.add_argument("--brute", dest="mode", action="store_const",
-                       const="brute")
-    group.add_argument("--compare", dest="mode", action="store_const",
-                       const="compare")
-    p.set_defaults(mode="compare")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_aut)
-
-    p = sub.add_parser("analyze", help="bipartiteness, cycles, colorings")
-    p.add_argument("-k", required=True)
+    p = command("fvector", cmd_fvector, "face counts by formula or enumeration")
+    modes(p, "both", "formula", "enumerate", "both")
+    p = command("aut", cmd_aut, "automorphism group orders")
+    modes(p, "compare", "generated", "brute", "compare")
+    p = command("analyze", cmd_analyze, "bipartiteness, cycles, colorings")
     p.add_argument("--bipartite", action="store_true")
     p.add_argument("--hamiltonian", type=int, metavar="I")
     p.add_argument("--six-cycles", action="store_true")
     p.add_argument("--chromatic", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("census", help="general-matrix quotient summary")
+    p = command("census", cmd_census, "general-matrix quotient summary",
+                signature=False)
     p.add_argument("--matrix", required=True,
                    help="semicolon-separated rows, e.g. '2,-1,0;0,2,-1;-1,0,2'")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("render", help="SVG of the fundamental tile (d=2)")
-    p.add_argument("-k", required=True)
+    p = command("render", cmd_render, "SVG of the fundamental tile (d=2)")
     p.add_argument("--domain", choices=["parallelepiped", "permutahedron"])
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("fixture", help="shipped complexes")
+    p = command("fixture", cmd_fixture, "shipped complexes", signature=False)
     p.add_argument("name", choices=["klein-quartic"])
     p.add_argument("--aut", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_fixture)
-
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output")
     return parser
 
 
@@ -310,13 +261,18 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        answer = args.func(args)
+        if isinstance(answer, dict):
+            answer = json.dumps({"schema": SCHEMA, **answer}, sort_keys=True,
+                                indent=2) + "\n"
+        write(answer, args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    return EXIT_OK
 
 
 def main() -> None:

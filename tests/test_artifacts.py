@@ -529,6 +529,66 @@ def test_cli_output_that_cannot_be_written_is_a_validation_error(capsys, tmp_pat
     assert f"cannot write {tmp_path}" in err
 
 
+# every subcommand and output format that -o can route to a file
+OUTPUT_COMMANDS = [
+    ("build", "-k", "1,1,1"),
+    ("build", "-k", "1,1,1", "--format", "dot"),
+    ("build", "-k", "1,1,1", "--format", "json-graph"),
+    ("build", "-k", "1,1,1", "--torus"),
+    ("build", "-k", "1,1,1", "--torus", "--format", "off"),
+    ("fvector", "-k", "2,1,2"),
+    ("aut", "-k", "1,1,1"),
+    ("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles"),
+    ("census", "--matrix", "2,-1,0;0,2,-1;-1,0,2"),
+    ("render", "-k", "2,1,2"),
+    ("fixture", "klein-quartic"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", OUTPUT_COMMANDS, ids=[" ".join(argv) for argv in OUTPUT_COMMANDS]
+)
+def test_cli_every_command_writes_its_answer_to_the_output_file(capsys, tmp_path, argv):
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and expected
+    target = tmp_path / "answer"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+USAGE = {
+    "build": "usage: heawood build [-h] -k K [--torus]\n"
+             "                     [--format {summary,dot,json-graph,off}] [-o OUTPUT]\n",
+    "fvector": "usage: heawood fvector [-h] -k K [--formula | --enumerate | --both]\n"
+               "                       [-o OUTPUT]\n",
+    "aut": "usage: heawood aut [-h] -k K [--generated | --brute | --compare] [-o OUTPUT]\n",
+    "analyze": "usage: heawood analyze [-h] -k K [--bipartite] [--hamiltonian I]\n"
+               "                       [--six-cycles] [--chromatic] [-o OUTPUT]\n",
+    "census": "usage: heawood census [-h] --matrix MATRIX [-o OUTPUT]\n",
+    "render": "usage: heawood render [-h] -k K [--domain {parallelepiped,permutahedron}]\n"
+              "                      [-o OUTPUT]\n",
+    "fixture": "usage: heawood fixture [-h] [--aut] [-o OUTPUT] {klein-quartic}\n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_cli_usage_lines_are_pinned(capsys, monkeypatch, command):
+    # the options, their order and -o last, at a terminal 80 columns wide
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    assert out.partition("\n\n")[0] + "\n" == USAGE[command]
+
+
+def test_cli_missing_signature_is_an_argparse_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "build")
+    assert (code, out) == (2, "")
+    assert err == USAGE["build"] + (
+        "heawood build: error: the following arguments are required: -k\n")
+
+
 def count_smith_forms(monkeypatch) -> list:
     calls = []
     original = intlin.smith_normal_form
