@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare generated and brute-force automorphism group orders.
 
-For each signature in the sweep, build the quotient graph, compute the
+For each signature in the sweep, build the quotient graph, read the
 order of the group generated by translations, the point reflection, and
-any admitted cyclic shift, then compare against full brute-force search.
+any admitted cyclic shift off its lattice in closed form, then compare
+against full brute-force search.
 Signatures where the two differ carry extra symmetry beyond the generic
 construction.  The exact search runs on every graph of at most --cap
 vertices; the default covers every d = 3 signature with entries up to 3.
@@ -19,7 +20,7 @@ from itertools import product
 from heawood_kit.lattice import KSignature
 from heawood_kit.limits import SCHEMA, CapExceeded
 from heawood_kit.quotient import build_heawood_graph
-from heawood_kit.symmetry import brute_force_automorphisms, generated_group
+from heawood_kit.symmetry import brute_force_automorphisms, generated_order
 
 
 def survey(n: int, max_entry: int, cap: int) -> list[dict]:
@@ -27,7 +28,7 @@ def survey(n: int, max_entry: int, cap: int) -> list[dict]:
     for entries in product(range(1, max_entry + 1), repeat=n):
         k = KSignature(entries)
         g = build_heawood_graph(k)
-        generated = generated_group(g).order
+        generated = generated_order(g.lattice)
         row = {
             "k": list(entries),
             "vertices": g.vertex_count,

@@ -121,13 +121,19 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
 
 def cmd_aut(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
-    check_caps(k, "build", "search" if args.mode != "generated" else None)
+    # a zero-free quotient is a torus, never degenerate, so its generated
+    # order reads the lattice alone; a zero entry needs the build's check
+    if 0 in k.entries or args.mode != "generated":
+        check_caps(k, "build", "search" if args.mode != "generated" else None)
+        graph = build_heawood_graph(k)
+        lattice = graph.lattice
+    else:
+        lattice = ClassIndex(k.matrix())
     from . import symmetry
 
-    graph = build_heawood_graph(k)
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("generated", "compare"):
-        payload["generated"] = symmetry.generated_group(graph).order
+        payload["generated"] = symmetry.generated_order(lattice)
     if args.mode in ("brute", "compare"):
         payload["brute"] = symmetry.brute_force_automorphisms(graph).order
     if args.mode == "compare":

@@ -12,7 +12,7 @@ vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
 names the class of any tuple by its Smith coordinates, for signatures,
 delta signatures and general matrices alike, and answers every other
 lattice question of the quotient from the same Smith form: the class
-tables of affine maps, whether it is a triangulated torus, which
+tables of translations, whether it is a triangulated torus, which
 coordinate rotations keep it and whether its rows span all ones;
 ``reduce_to_fundamental`` looks up the fundamental vector of a class in
 the index of its signature.
@@ -90,13 +90,6 @@ def canonicalize(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) - m for x in a)
 
 
-def w_vector(i: int, d: int) -> tuple[int, ...]:
-    """Ambient vector of the i-th basis element (1-based index)."""
-    if not 1 <= i <= d + 1:
-        raise IndexError(f"index {i} out of range for d={d}")
-    return tuple(d if j == i - 1 else -1 for j in range(d + 1))
-
-
 def to_ambient(a: Sequence[int]) -> tuple[int, ...]:
     """Ambient coordinates of a coefficient tuple: (d+1)a_j - sum(a)."""
     n = len(a)
@@ -166,7 +159,7 @@ class ClassIndex:
     any work in it.  The generator ``rows`` are kept: a vector lies in the
     sublattice exactly when its Smith coordinates are all zero.  One
     Smith form answers every lattice question of a quotient: the class
-    of a point (``key``), the class table of an affine map (``mapped``),
+    of a point (``key``), the class table of a translation (``mapped``),
     the short vectors that rule out a torus (``short_vector``), the
     rotations that keep the lattice (``admits_rotation``,
     ``least_rotation``) and whether the rows span all ones
@@ -277,27 +270,17 @@ class ClassIndex:
         n = self.rows.cols
         return next(s for s in range(1, n + 1) if self.admits_rotation(s))
 
-    def mapped(self, steps: Sequence[Sequence[int]], z: Sequence[int]) -> list[int]:
-        """Position of the class of L·a + b for each listed class a.
+    def mapped(self, z: Sequence[int]) -> list[int]:
+        """Position of the class of a + b for each listed class a.
 
-        ``steps[i]`` is the key of L·e_i for a linear map L that keeps the
-        lattice, and ``z`` is the key of b.  Such an L acts on the keys as
-        a group map, fixed by the keys of L·g_j, g_j row j of v_inv, whose
-        key is the j-th unit since v_inv @ v = I; keys are linear, so these
-        are sums of steps.  The key of L·a + b is then z plus the sum of
-        key(a)_j·key(L·g_j), mod diag, taken one coordinate at a time over
-        all the keys: on a cyclic quotient, one multiply and one add per
-        class.  The unit keys as steps give the class of a + b.
+        ``z`` is the key of b.  Keys are linear, so the key of a + b is
+        key(a) + z mod diag, taken one coordinate at a time over all the
+        keys: on a cyclic quotient, one add per class.
         """
         if not self.moduli:
             return [0]
-        gens = list(zip(*self._back))
-        images = [[sum(map(mul, g, weights)) for g in gens] for weights in zip(*steps)]
-        columns = list(zip(*self.keys))
-        keys = []
-        for row, y, m in zip(images, z, self.moduli):
-            total = repeat(y)
-            for column, w in zip(columns, row):
-                total = map(add, total, map(mul, column, repeat(w)))
-            keys.append(map(mod, total, repeat(m)))
+        keys = [
+            map(mod, map(add, column, repeat(y)), repeat(m))
+            for column, y, m in zip(zip(*self.keys), z, self.moduli)
+        ]
         return list(map(self.position.__getitem__, zip(*keys)))

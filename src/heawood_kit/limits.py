@@ -20,12 +20,11 @@ VERTEX_CAPS = {
     "search": 200,  # the exact automorphism search
     "chromatic": 60,  # the exact chromatic number
 }
-CLOSURE_CAP = 10**6  # tuples an orbit of a group lists
 HAMILTONIAN_BUDGET = 10**6  # nodes the Hamiltonian backtracking expands
 
 
 class CapExceeded(RuntimeError):
-    """A search or closure grew past its configured cap."""
+    """A vertex count above the cap of the step that would take it on."""
 
 
 def check_vertex_cap(vertices: int, what: str, cap: Optional[int] = None) -> None:

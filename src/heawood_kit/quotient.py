@@ -143,9 +143,7 @@ def _build_quotient(
     d = n - 1
     size = len(classes)
     ambient = [to_ambient(a) for a in classes]
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    steps = list(map(index.key, units))
-    minus = [index.mapped(steps, index.key([-x for x in e])) for e in units]
+    minus = [index.mapped(index.key([-(i == j) for j in range(n)])) for i in range(n)]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     # a candidate's coordinates lie within n + max|amb| of zero

@@ -1,25 +1,23 @@
 """Automorphism groups of quotient graphs.
 
-Generator families with closed-form orders: translations along the basis
-vectors, the point reflection, and coordinate rotation when the lattice
-allows it; each is lifted from the tiling in closed form on the build
-numbering of the quotient, and the order of the group they generate is
-the size of the orbit of a base.  An independent exact search, by
-individualization and color refinement with orbit pruning and
-refinement traces, verifies group orders from scratch: it returns generators of the full group and
-its order without listing the elements.
+The group generated by the translations, the point reflection and the
+coordinate rotations that keep the lattice has its order in closed form,
+``generated_order``, read off the ``ClassIndex`` of the quotient with no
+graph built.  An independent exact search, by individualization and
+color refinement with orbit pruning and refinement traces, finds the
+full group: it returns its generators and its order without listing
+the elements.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import groupby
-from operator import sub
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .intlin import Frozen
-from .lattice import w_vector
-from .limits import CLOSURE_CAP, CapExceeded, check_vertex_cap
+from .lattice import ClassIndex
+from .limits import check_vertex_cap
 from .quotient import QuotientGraph
 
 Cells = dict[int, set[int]]  # a coloring's partition: cell start -> vertices
@@ -39,10 +37,6 @@ class VertexPermutation(Frozen):
         if sorted(images) != list(range(len(images))):
             raise NotAnAutomorphism("image array is not a bijection")
         object.__setattr__(self, "images", images)
-
-    def __mul__(self, other: "VertexPermutation") -> "VertexPermutation":
-        # (self * other)(x) = self(other(x))
-        return VertexPermutation(tuple(self.images[i] for i in other.images))
 
     @classmethod
     def identity(cls, n: int) -> "VertexPermutation":
@@ -68,136 +62,41 @@ def is_automorphism(g: QuotientGraph, images: Sequence[int]) -> bool:
     return True
 
 
-def perm_from_coordinate_map(
-    g: QuotientGraph, fn: Callable[[tuple[int, ...]], Sequence[int]]
-) -> VertexPermutation:
-    """Lift an affine map of the tiling to a verified vertex permutation.
-
-    ``fn`` must be affine, x -> Lx + t, with L a coordinate permutation or
-    its negative that keeps the lattice; the generators below are of that
-    kind.  Then the vertex x = p + amb(a) of build number
-    rank(p) * D + class(a) maps to fn(p) + amb(La): its permutation p'
-    depends on p alone, and the class of fn(x) - p' is that of
-    fn(p) - p' plus that of La, since Smith coordinates are linear mod
-    diag.  So the lift locates the d!
-    points fn(p) through ``number_of``, tiling check included, keys the
-    d + 1 steps L·e_i = fn(e_i) - fn(0), and has the class index map
-    the D classes a to the classes of La + b, one ``mapped`` table per
-    distinct class b of fn(p) - p'; no vertex is looked up.  The image
-    array must be a bijection that preserves adjacency.
-    """
-    if g.rank is None:
-        raise ValueError("graph carries no quotient data")
-    index, position = g.lattice, g.position
-    size = len(index.classes)
-    n = g.d + 1
-    origin = fn((0,) * n)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    steps = [index.key(tuple(map(sub, fn(e), origin))) for e in units]
-    tables: dict[int, list[int]] = {}
-    images = [0] * g.vertex_count
-    for p, r in g.rank.items():
-        image_rank, shift = divmod(g.number_of(fn(p)), size)
-        if shift not in tables:
-            tables[shift] = index.mapped(steps, index.keys[shift])
-        start, target = r * size, image_rank * size
-        for c, image in enumerate(tables[shift]):
-            images[position[start + c]] = position[target + image]
-    perm = VertexPermutation(tuple(images))
-    if not is_automorphism(g, perm.images):
-        raise NotAnAutomorphism("coordinate map breaks adjacency")
-    return perm
-
-
-def translation_generators(g: QuotientGraph) -> list[VertexPermutation]:
-    """The d shifts along basis vectors (the last one is their inverse sum)."""
-    d = g.d
-    out = []
-    for i in range(1, d + 1):
-        w = w_vector(i, d)
-        out.append(
-            perm_from_coordinate_map(
-                g, lambda x, w=w: tuple(a + b for a, b in zip(x, w))
-            )
-        )
-    return out
-
-
-def rotation_R(g: QuotientGraph) -> VertexPermutation:
-    """Point reflection: x maps to (d+2)(1,...,1) - x.
-
-    One concrete lift of negating every basis vector; any other lift
-    differs by a translation.
-    """
-    total = g.d + 2
-    perm = perm_from_coordinate_map(g, lambda x: tuple(total - a for a in x))
-    if (perm * perm).images != tuple(range(g.vertex_count)):
-        raise NotAnAutomorphism("point reflection is not an involution")
-    return perm
-
-
-def cyclic_C(g: QuotientGraph, shift: int = 1) -> VertexPermutation:
-    """Coordinate rotation by a shift, admitted only when the lattice allows it."""
-    n = g.d + 1
-    shift %= n
-    if g.lattice is None:
-        raise ValueError("graph carries no quotient data")
-    if not g.lattice.admits_rotation(shift):
-        raise NotAnAutomorphism(f"lattice is not invariant under shift {shift}")
-    return perm_from_coordinate_map(
-        g, lambda x: tuple(x[(j - shift) % n] for j in range(n))
-    )
-
-
-def _orbit_tuples(
-    gens: Iterable[VertexPermutation],
-    points: tuple[int, ...],
-    cap: int = CLOSURE_CAP,
-) -> set[tuple[int, ...]]:
-    """Images of a tuple of vertices under the group, by breadth-first search.
-
-    It walks the base for the order of the generated group, and single
-    vertices, as 1-tuples, for the orbits of the automorphism search.
-    """
+def _orbit(gens: Iterable[VertexPermutation], v: int) -> set[int]:
+    """Images of a vertex under the group the generators generate."""
     images = [p.images for p in gens]
-    seen = {points}
-    frontier = [points]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for img in images:
-                u = tuple(map(img.__getitem__, t))
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-        frontier = nxt
+    seen = {v}
+    frontier = [v]
+    for u in frontier:
+        for img in images:
+            if img[u] not in seen:
+                seen.add(img[u])
+                frontier.append(img[u])
     return seen
 
 
-def generated_group(g: QuotientGraph) -> PermutationGroup:
-    """Group of translations, reflection, and admitted rotations.
+def generated_order(index: ClassIndex) -> int:
+    """Order of the group of translations, reflection and admitted rotations.
 
-    A rotation is admitted when the lattice allows it: when every rotated
-    generator row has Smith coordinates zero.  The least admitted shift,
-    ``ClassIndex.least_rotation``, generates the admitted rotations.  Each
-    of the d + 1 or d + 2 generators costs d! point lookups and d + 1 class
-    keys, then one adjacency check; the base chain is the rest of the work.
-    The order is read off a base without listing elements: refinement
-    commutes with every automorphism, so one that fixes the base of the
-    search fixes every vertex, and each element of the group moves the
-    base tuple to a different image.
+    It is 2·D·n/s, for D the quotient order, n = d + 1 and s the least
+    admitted shift, ``ClassIndex.least_rotation``.  The translations form
+    a group of order D; the linear parts of the generators, -I and the
+    rotation by s, form C_2 × C_{n/s}, which acts on it, and the group is
+    their semidirect product (Conway & Sloane, SPLAG ch. 4: Aut(A_d) =
+    {±1} × S_{d+1}).  It reads the lattice alone, so it does not see a
+    degenerate quotient, which the build refuses; the tests lift the
+    generators vertex by vertex and count their group by closure.
     """
-    gens = list(translation_generators(g))
-    gens.append(rotation_R(g))
-    shift = g.lattice.least_rotation()
-    if shift < g.d + 1:
-        gens.append(cyclic_C(g, shift))
-    _, base, _ = _base_chain(g)
-    return PermutationGroup(
-        generators=tuple(gens), order=len(_orbit_tuples(gens, tuple(base)))
-    )
+    return 2 * index.order * index.rows.cols // index.least_rotation()
+
+
+def generated_group(g: QuotientGraph) -> PermutationGroup:
+    """The generated group of a built quotient: its order, no generators.
+
+    A view of ``generated_order`` on the lattice the graph keeps, for
+    callers that hold a graph and read only ``.order``.
+    """
+    return PermutationGroup((), generated_order(g.lattice))
 
 
 def refine_colors(
@@ -428,17 +327,17 @@ def brute_force_automorphisms(
     order = 1
     for level in reversed(range(len(base))):
         (colors, cells), b, trace = chain[level], base[level], traces[level]
-        seen = _orbit_tuples(gens, (b,))
-        failed: set[tuple[int, ...]] = set()
+        seen = _orbit(gens, b)
+        failed: set[int] = set()
         for y in sorted(cells[colors[b]]):
-            if (y,) in seen or (y,) in failed:
+            if y in seen or y in failed:
                 continue
             images = extend(level + 1, _individualize(g, colors, cells, y, trace))
             if images is None:
-                failed |= _orbit_tuples(gens, (y,))
+                failed |= _orbit(gens, y)
             else:
                 gens.append(VertexPermutation(tuple(images)))
-                seen = _orbit_tuples(gens, (b,))
+                seen = _orbit(gens, b)
         order *= len(seen)
     return PermutationGroup(
         generators=tuple(gens) or (VertexPermutation.identity(n),), order=order

@@ -22,9 +22,11 @@ and the reducers, so the graphs and facets of both must agree exactly.
 the d+1 neighbours of a vertex and the d+1 tiles holding it.
 
 ``lift_per_vertex`` is the package's original generator lift: it looks
-up the image of every vertex label through ``vertex_of``, where
-``perm_from_coordinate_map`` tabulates the map once per permutation and
-once per class, so their image arrays must agree exactly.
+up the image of every vertex label through ``vertex_of``.  With it,
+``translations``, ``reflection`` and ``rotation`` lift the shifts along
+the basis vectors ``w_vector``, the point reflection and a coordinate
+rotation, and ``generators`` lists the generators of the group whose
+order ``generated_order`` reads off the lattice in closed form.
 
 ``build_per_vertex`` is the package's original quotient builder: it
 walks every vertex in turn, stepping its d+1 tile classes, building the
@@ -55,11 +57,11 @@ since the base and the branch order of the search are read off them.
 ``IntMatrix`` values, which only the Smith-form checks need.
 
 ``closure`` lists every element a set of generators generates,
-``group_closure`` counts them, and ``orbit`` and ``inverse`` walk
-them; they check group orders that the
-package reads off a base.  ``chromatic_by_exhaustion`` tries every
-coloring with t colors for t = 0, 1, ..., where ``chromatic_number``
-backtracks.  ``skeleton_graph``, ``verify_exceptional_W``,
+``group_closure`` counts them, ``orbit`` reads a vertex's images off
+them, and ``compose`` and ``inverse`` multiply and invert; they check
+the orders of the closed form and of the exact search.
+``chromatic_by_exhaustion`` tries every coloring with t colors for
+t = 0, 1, ..., where ``chromatic_number`` backtracks.  ``skeleton_graph``, ``verify_exceptional_W``,
 ``heawood_number`` and ``import_graph_json`` check facts of the paper
 and the JSON export: the 1-skeleton of a torus, the extra involution of
 the classical 14-vertex graph, the map-coloring bound of a genus-p
@@ -85,7 +87,7 @@ from heawood_kit.lattice import (
     from_ambient,
     to_ambient,
 )
-from heawood_kit.limits import CLOSURE_CAP
+from heawood_kit.limits import CapExceeded
 from heawood_kit.quotient import (
     DegenerateQuotient,
     NotSimplicial,
@@ -95,7 +97,6 @@ from heawood_kit.quotient import (
 from heawood_kit.symmetry import (
     PermutationGroup,
     VertexPermutation,
-    _orbit_tuples,
     is_automorphism,
 )
 from heawood_kit.tiling import (
@@ -137,6 +138,13 @@ def reduce_by_scan(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     m = min(vec)
     rep = tuple(x - m for x in vec)
     return rep
+
+
+def w_vector(i: int, d: int) -> tuple[int, ...]:
+    """Ambient vector of the i-th basis element (1-based index)."""
+    if not 1 <= i <= d + 1:
+        raise IndexError(f"index {i} out of range for d={d}")
+    return tuple(d if j == i - 1 else -1 for j in range(d + 1))
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -282,9 +290,7 @@ def build_per_vertex(index: ClassIndex, signature: Optional[KSignature] = None):
     d = n - 1
     size = len(classes)
     ambient = [to_ambient(a) for a in classes]
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    steps = list(map(index.key, units))
-    minus = [index.mapped(steps, index.key([-x for x in e])) for e in units]
+    minus = [index.mapped(index.key([-(i == j) for j in range(n)])) for i in range(n)]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
     rank = {p: r for r, p in enumerate(perms)}
     labels = []
@@ -368,8 +374,31 @@ def dual_graph_grouped(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 
 
 def lift_per_vertex(g, fn: Callable[[tuple[int, ...]], Sequence[int]]):
-    """Image array of a coordinate map, one ``vertex_of`` per vertex."""
-    return tuple(g.vertex_of(fn(label)) for label in g.labels)
+    """Vertex permutation of a coordinate map, one ``vertex_of`` per vertex."""
+    return VertexPermutation(tuple(g.vertex_of(fn(label)) for label in g.labels))
+
+
+def translations(g) -> list[VertexPermutation]:
+    """The shifts along w_1, ..., w_d; the one along w_{d+1} is their inverse sum."""
+    shifts = [w_vector(i, g.d) for i in range(1, g.d + 1)]
+    return [lift_per_vertex(g, lambda x, w=w: tuple(map(add, x, w))) for w in shifts]
+
+
+def reflection(g) -> VertexPermutation:
+    """The point reflection x -> (d+2)(1, ..., 1) - x."""
+    return lift_per_vertex(g, lambda x: tuple(g.d + 2 - a for a in x))
+
+
+def rotation(g, shift: int) -> VertexPermutation:
+    """The coordinate rotation x_j -> x_{j - shift}."""
+    return lift_per_vertex(g, lambda x: x[-shift:] + x[:-shift])
+
+
+def generators(g) -> list[VertexPermutation]:
+    """Translations, the reflection and the least rotation that keeps the lattice."""
+    gens = translations(g) + [reflection(g)]
+    shift = g.lattice.least_rotation()
+    return gens + [rotation(g, shift)] if shift <= g.d else gens
 
 
 def refine_rounds(
@@ -628,21 +657,31 @@ def inverse(perm: VertexPermutation) -> VertexPermutation:
     return VertexPermutation(tuple(inv))
 
 
-def closure(
-    gens: Sequence[VertexPermutation], cap: int = CLOSURE_CAP
-) -> set[VertexPermutation]:
-    """All products of the generators.
+def compose(a: VertexPermutation, b: VertexPermutation) -> VertexPermutation:
+    """The permutation x -> a(b(x))."""
+    return VertexPermutation(tuple(a.images[i] for i in b.images))
+
+
+def closure(gens: Sequence[VertexPermutation], cap: int = 10**6) -> set[VertexPermutation]:
+    """All products of the generators, at most ``cap`` of them.
 
     The image array of gen * elem is that of elem mapped through gen, so
     the elements are the orbit of the identity's image array.
     """
     identity = tuple(range(len(gens[0].images)))
-    return {VertexPermutation(t) for t in _orbit_tuples(gens, identity, cap)}
+    seen, frontier = {identity}, [identity]
+    for elem in frontier:
+        for gen in gens:
+            image = tuple(map(gen.images.__getitem__, elem))
+            if image not in seen:
+                if len(seen) == cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}")
+                seen.add(image)
+                frontier.append(image)
+    return set(map(VertexPermutation, seen))
 
 
-def group_closure(
-    gens: Iterable[VertexPermutation], cap: int = CLOSURE_CAP
-) -> PermutationGroup:
+def group_closure(gens: Iterable[VertexPermutation], cap: int = 10**6) -> PermutationGroup:
     """The group the generators generate, its order counted by closure."""
     gens = tuple(gens)
     if not gens:
@@ -651,8 +690,8 @@ def group_closure(
 
 
 def orbit(group: PermutationGroup, vertex: int) -> set[int]:
-    """Images of a vertex under the group, by walking its generators."""
-    return {v for (v,) in _orbit_tuples(group.generators, (vertex,))}
+    """Images of a vertex under the elements of the group."""
+    return {perm.images[vertex] for perm in closure(group.generators)}
 
 
 def verify_exceptional_W(g: QuotientGraph) -> bool:

@@ -318,6 +318,7 @@ def test_cli_hamiltonian_bad_input_exit_code(capsys, monkeypatch, argv, message)
         (("build", "-k", "0,0,1"), "4 edges on 4 vertices, not 6"),
         (("census", "--matrix", "1,0,0;0,1,0;0,0,1"), "1 edges on 2 vertices, not 3"),
         (("aut", "-k", "0,0,1", "--compare"), "4 edges on 4 vertices, not 6"),
+        (("aut", "-k", "0,0,1", "--generated"), "4 edges on 4 vertices, not 6"),
         (("analyze", "-k", "0,0,1", "--bipartite"), "4 edges on 4 vertices, not 6"),
         (("analyze", "-k", "0,0,1", "--hamiltonian", "1"), "4 edges on 4 vertices, not 6"),
     ],
@@ -389,7 +390,7 @@ def fresh_env() -> dict:
     "argv, vertices",
     [
         (("fvector", "-k", "40,40,40,40"), 1594566),
-        (("aut", "-k", "40,40,40,40", "--generated"), 1594566),
+        (("aut", "-k", "40,40,40,40", "--compare"), 1594566),
         (("analyze", "-k", "40,40,40,40", "--bipartite"), 1594566),
         (("render", "-k", "300,300,300"), 541802),
     ],
@@ -406,8 +407,9 @@ def test_cli_refuses_above_vertex_cap_before_building(argv, vertices):
     assert f"{vertices} vertices above build cap" in proc.stderr
 
 
-# Each command of the benchmark's cli workload, its exit code, and the
-# package modules it loads beyond the core that every command loads.
+# Each command of the benchmark's cli workload and aut --generated, its
+# exit code, and the package modules it loads beyond the core that every
+# command loads.
 CORE_MODULES = {"cli", "intlin", "lattice", "limits", "quotient", "tiling"}
 COMMAND_MODULES = [
     (("build", "-k", "1,1,1"), 0, set()),
@@ -416,6 +418,7 @@ COMMAND_MODULES = [
     (("build", "-k", "2,1,2", "--torus", "--format", "off"), 0, {"artifacts"}),
     (("fvector", "-k", "2,1,2", "--both"), 0, set()),
     (("aut", "-k", "1,1,1", "--compare"), 0, {"symmetry"}),
+    (("aut", "-k", "1,1,1", "--generated"), 0, {"symmetry"}),
     (("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles", "--chromatic"), 0,
      {"analysis"}),
     (("analyze", "-k", "1,3,2", "--hamiltonian", "3"), 0, {"analysis"}),
@@ -481,6 +484,22 @@ def test_cli_fvector_caps_a_zero_entry_in_every_mode(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "fvector", "-k", "40,40,40,40", "--formula")
     assert code == 0
     assert json.loads(out)["formula"] == [265761, 1860327, 3189132, 1594566]
+
+
+def test_cli_aut_generated_reads_a_zero_free_lattice_uncapped(capsys, monkeypatch):
+    # the closed form needs no build; a zero entry is built, and capped, for
+    # the build's degeneracy check
+    def no_build(k):
+        raise AssertionError("aut --generated built the graph")
+
+    monkeypatch.setenv("HEAWOOD_CAP", "7")
+    calls = count_smith_forms(monkeypatch)
+    code, out, err = run_cli(capsys, "aut", "-k", "0,1,1", "--generated")
+    assert (code, out, err) == (3, "", "refused: 8 vertices above build cap 7\n")
+    monkeypatch.setattr(cli_module, "build_heawood_graph", no_build)
+    code, out, _ = run_cli(capsys, "aut", "-k", "40,40,40,40", "--generated")
+    assert (code, len(calls)) == (0, 1)
+    assert json.loads(out)["generated"] == 2126088
 
 
 def test_cli_builds_the_torus_of_a_delta_signature_that_has_one(capsys, tmp_path):
@@ -616,6 +635,8 @@ SMITH_FORMS = [
     (("fvector", "-k", "0,2,2", "--enumerate"), 1),
     (("fvector", "-k", "0,2,2", "--both"), 1),
     (("aut", "-k", "1,1,1", "--compare"), 1),
+    (("aut", "-k", "1,1,1", "--generated"), 1),
+    (("aut", "-k", "0,2,2", "--generated"), 1),
     (("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles", "--chromatic"), 1),
     (("census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3"), 1),
     (("render", "-k", "2,1,2"), 0),

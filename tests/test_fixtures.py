@@ -65,7 +65,7 @@ def test_automorphism_orders():
 
 def test_seven_fold_symmetry_exists():
     # the symmetry group of order 336 contains elements of order 7
-    from oracles import closure, skeleton_graph
+    from oracles import closure, compose, skeleton_graph
 
     from heawood_kit.symmetry import brute_force_automorphisms
 
@@ -78,7 +78,7 @@ def test_seven_fold_symmetry_exists():
         order = 1
         identity = tuple(range(len(perm.images)))
         while power.images != identity:
-            power = power * perm
+            power = compose(power, perm)
             order += 1
         return order
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import integer_span_contains, reduce_by_scan
+from oracles import integer_span_contains, reduce_by_scan, w_vector
 
 from heawood_kit import intlin, lattice
 from heawood_kit.intlin import (
@@ -26,7 +26,6 @@ from heawood_kit.lattice import (
     quotient_order_general,
     reduce_to_fundamental,
     to_ambient,
-    w_vector,
 )
 
 SMALL_SIGNATURES = st.lists(

@@ -13,6 +13,7 @@ from oracles import (
     skeleton_graph,
     stirling2_recurrence,
     vertex_key,
+    w_vector,
 )
 from test_symmetry import CENSUS_MATRICES
 
@@ -27,7 +28,6 @@ from heawood_kit.lattice import (
     reduce_to_fundamental,
     signature_index,
     to_ambient,
-    w_vector,
 )
 from heawood_kit.quotient import (
     DegenerateQuotient,

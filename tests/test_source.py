@@ -59,6 +59,17 @@ def used_names(node):
     return names
 
 
+def test_package_defines_no_operator_method():
+    # the reachability test below counts every operator as a use of its
+    # method, so it cannot find a dead one; the package defines none
+    found = [
+        where
+        for where, node in package_statements()
+        if isinstance(node, ast.FunctionDef) and node.name in OPERATOR_METHODS.values()
+    ]
+    assert found == []
+
+
 def test_every_definition_is_reachable():
     # a function, class or method that neither `heawood` (cli.main), the
     # scripts, the benchmark, `__all__` nor the package's module-level code

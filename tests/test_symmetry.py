@@ -4,35 +4,41 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from operator import add
 
 import pytest
 
-from heawood_kit import fixtures, intlin, lattice, quotient, symmetry
+from heawood_kit import fixtures, intlin, lattice, symmetry
 from heawood_kit.artifacts import parse_matrix_arg
-from heawood_kit.lattice import ClassIndex, KSignature, w_vector
-from heawood_kit.quotient import QuotientGraph, build_general_quotient, build_heawood_graph
+from heawood_kit.lattice import ClassIndex, InfiniteQuotient, KSignature
+from heawood_kit.limits import CapExceeded
+from heawood_kit.quotient import (
+    DegenerateQuotient,
+    QuotientGraph,
+    build_general_quotient,
+    build_heawood_graph,
+)
 from heawood_kit.symmetry import (
-    CapExceeded,
     NotAnAutomorphism,
     VertexPermutation,
     brute_force_automorphisms,
-    cyclic_C,
     generated_group,
+    generated_order,
     is_automorphism,
     refine_colors,
-    rotation_R,
-    translation_generators,
 )
 from oracles import (
     admitted_cyclic_order,
     closure,
+    compose,
+    generators,
     group_closure,
     inverse,
-    lift_per_vertex,
     orbit,
+    reflection,
     refine_cells,
     refine_rounds,
+    rotation,
+    translations,
     verify_exceptional_W,
 )
 
@@ -52,46 +58,46 @@ def cycle_graph(n):
 
 def test_translation_generators():
     g = graph((1, 1, 1))
-    gens = translation_generators(g)
+    gens = translations(g)
     assert len(gens) == 2
     t_group = group_closure(gens)
     assert t_group.order == 7
     assert len(orbit(t_group, 0)) == 7
 
     g = graph((2, 3, 2))
-    assert group_closure(translation_generators(g)).order == 24
+    assert group_closure(translations(g)).order == 24
 
 
 def test_translation_by_all_w_is_identity():
     g = graph((1, 1, 1))
-    gens = translation_generators(g)
+    gens = translations(g)
     # composing shifts along w_1 and w_2 with the inverse of both is trivial
-    combined = gens[0] * gens[1]
+    combined = compose(gens[0], gens[1])
     inv = inverse(combined)
-    assert (combined * inv).images == tuple(range(g.vertex_count))
+    assert compose(combined, inv).images == tuple(range(g.vertex_count))
 
 
 def test_rotation_R():
     g = graph((1, 1, 1))
-    r = rotation_R(g)
-    assert (r * r).images == tuple(range(g.vertex_count))
+    r = reflection(g)
+    assert compose(r, r).images == tuple(range(g.vertex_count))
     assert r.images[g.vertex_of((1, 2, 3))] == g.vertex_of((3, 2, 1))
     for entries in [(2, 1, 2), (1, 3, 2), (2, 2, 2)]:
-        rotation_R(graph(entries))  # adjacency verified on construction
+        assert is_automorphism(graph(entries), reflection(graph(entries)).images)
 
 
 def test_cyclic_C_admission():
     g = graph((2, 1, 2, 1))
-    cyclic_C(g, 2)
+    assert is_automorphism(g, rotation(g, 2).images)
     with pytest.raises(NotAnAutomorphism):
-        cyclic_C(g, 1)
+        rotation(g, 1)
     assert admitted_cyclic_order(KSignature((2, 1, 2, 1))) == 2
     assert admitted_cyclic_order(
         KSignature((2, 3, 4, 3, 2, 3, 4, 3, 2, 3, 4, 3))
     ) == 3
     assert admitted_cyclic_order(KSignature((2, 2, 2))) == 3
     for s in range(1, 4):
-        cyclic_C(graph((2, 2, 2)), s)
+        assert is_automorphism(graph((2, 2, 2)), rotation(graph((2, 2, 2)), s).images)
 
 
 def test_admitted_cyclic_order_matches_the_lattice_rule():
@@ -120,21 +126,18 @@ def test_generated_group_of_census_needs_no_smith_form(text, monkeypatch):
 
 def test_cyclic_C_refuses_a_rotation_the_census_lattice_does_not_allow():
     g = build_general_quotient(parse_matrix_arg("2,0,-1;0,2,-1;-1,-1,3"))
-    with pytest.raises(NotAnAutomorphism, match="lattice is not invariant"):
-        cyclic_C(g, 1)
+    assert not g.lattice.admits_rotation(1)
+    with pytest.raises(NotAnAutomorphism):
+        rotation(g, 1)
 
 
 @pytest.mark.parametrize("entries", [(1, 2, 3), (3, 1, 1), (2, 1, 2, 1)])
 def test_lift_refuses_a_rotation_that_does_not_keep_the_lattice(entries):
-    # the class tables assume L keeps the lattice; without the admission
-    # check of cyclic_C, the verification of the image array still refuses
+    # a rotation the lattice rule refuses does not lift to a vertex permutation
     g = graph(entries)
-    n = len(entries)
     assert not g.lattice.admits_rotation(1)
     with pytest.raises(NotAnAutomorphism):
-        symmetry.perm_from_coordinate_map(
-            g, lambda x: tuple(x[(j - 1) % n] for j in range(n))
-        )
+        rotation(g, 1)
 
 
 def test_group_closure_examples():
@@ -146,8 +149,7 @@ def test_group_closure_examples():
 def test_group_closure_cap():
     g = graph((2, 2, 2))
     with pytest.raises(CapExceeded):
-        generated = generated_group(g).generators
-        group_closure(generated, cap=10)
+        group_closure(generators(g), cap=10)
 
 
 def test_brute_force_small_cases():
@@ -212,9 +214,7 @@ def test_brute_force_cap(monkeypatch):
 
 def test_generators_preserve_adjacency():
     g = graph((1, 2, 1))
-    from heawood_kit.symmetry import is_automorphism
-
-    for gen in translation_generators(g) + [rotation_R(g)]:
+    for gen in translations(g) + [reflection(g)]:
         assert is_automorphism(g, gen.images)
 
 
@@ -351,7 +351,7 @@ def test_failed_branch_prunes_its_orbit(entries, most, monkeypatch):
 )
 def test_brute_force_equals_generated_on_d3_grid(entries):
     g = graph(entries)
-    assert brute_force_automorphisms(g, cap=g.vertex_count).order == generated_group(g).order
+    assert brute_force_automorphisms(g, cap=g.vertex_count).order == generated_order(g.lattice)
 
 
 @pytest.mark.parametrize("entries, order", [((3, 3, 3, 3), 1400), ((1, 1, 1, 1, 1), 310)])
@@ -609,9 +609,6 @@ def test_trace_stops_failing_branches_early(entries, order, monkeypatch):
     assert brute_force_automorphisms(g, cap=g.vertex_count) == group
 
 
-AUTOMORPHISM_SIGNATURES = [
-    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2),
-]
 CENSUS_MATRICES = [
     "2,0,-1;0,2,-1;-1,-1,3",
     "4,0,-1;0,4,-1;-1,-1,5",
@@ -662,25 +659,72 @@ def test_search_tree_is_pinned(source, monkeypatch):
     assert (group.order, calls, digest.hexdigest()[:16]) == SEARCH_TREES[source]
 
 
-@pytest.mark.parametrize(
-    "g",
-    [graph(k) for k in AUTOMORPHISM_SIGNATURES]
-    + [build_general_quotient(parse_matrix_arg(text)) for text in CENSUS_MATRICES],
-    ids=[",".join(map(str, k)) for k in AUTOMORPHISM_SIGNATURES] + CENSUS_MATRICES,
-)
-def test_generated_group_order_from_base_matches_closure(g, monkeypatch):
-    orbit_tuples = symmetry._orbit_tuples
+def buildable_signatures(top, n):
+    """The quotients of the signatures in {0..top}^n that build."""
+    graphs = []
+    for entries in product(range(top + 1), repeat=n):
+        try:
+            graphs.append(build_heawood_graph(KSignature(entries, delta=0 in entries)))
+        except DegenerateQuotient:
+            pass
+    return graphs
 
-    def no_listing(gens, points, *args):
-        # the elements are the orbit of the identity's image array
-        if len(points) == g.vertex_count:
-            raise AssertionError("generated_group listed group elements")
-        return orbit_tuples(gens, points, *args)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "_orbit_tuples", no_listing)
-        group = generated_group(g)
-    assert group.order == group_closure(group.generators).order
+def census_quotients(count, most):
+    """Quotients of seeded matrices of 3 and 4 columns and as many rows or
+    one fewer, entries in [-3, 3], of order at most ``most``; infinite and
+    degenerate ones are skipped."""
+    rng = random.Random(7)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.choice((3, 4))
+        rows = [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(n - rng.randint(0, 1))
+        ]
+        try:
+            index = ClassIndex(intlin.IntMatrix.from_rows(rows))
+            if index.order <= most:
+                graphs.append(build_general_quotient(index))
+        except (InfiniteQuotient, DegenerateQuotient):
+            pass
+    return graphs
+
+
+# the signatures of the benchmark's automorphism workload, the census
+# matrices one by one, and three grids of quotients
+QUOTIENTS = {
+    **{
+        ",".join(map(str, k)): lambda k=k: [graph(k)]
+        for k in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (1, 1, 1, 1), (2, 1, 2, 1),
+                  (2, 2, 2, 2)]
+    },
+    **{
+        text: lambda text=text: [build_general_quotient(parse_matrix_arg(text))]
+        for text in CENSUS_MATRICES
+    },
+    "0..3^3": lambda: buildable_signatures(3, 3),
+    "0..2^4": lambda: buildable_signatures(2, 4),
+    "census": lambda: census_quotients(60, 100),
+}
+
+
+@lru_cache(maxsize=None)
+def lifted(source):
+    """Each quotient of a source with its generators lifted vertex by vertex."""
+    return [(g, generators(g)) for g in QUOTIENTS[source]()]
+
+
+@pytest.mark.parametrize("source", QUOTIENTS)
+def test_generated_order_matches_closure(source):
+    for g, gens in lifted(source):
+        assert group_closure(gens).order == generated_order(g.lattice)
+        assert generated_group(g).order == generated_order(g.lattice)
+
+
+@pytest.mark.parametrize("source", QUOTIENTS)
+def test_every_lifted_generator_is_an_automorphism(source):
+    for g, gens in lifted(source):
+        assert all(is_automorphism(g, gen.images) for gen in gens)
 
 
 def test_is_automorphism_reads_unsorted_rows():
@@ -694,60 +738,6 @@ def test_is_automorphism_reads_unsorted_rows():
     assert is_automorphism(g, tuple((-i) % 6 for i in range(6)))
     # swapping 0 and 1 sends the edge {1, 2} to {0, 2}
     assert not is_automorphism(g, (1, 0, 2, 3, 4, 5))
-
-
-LIFT_QUOTIENTS = [
-    KSignature((2, 2, 2)),
-    KSignature((1, 2, 3)),
-    KSignature((2, 1, 2, 1)),
-    KSignature((3, 3, 3, 3)),
-    KSignature((1, 1, 1, 1, 1)),
-    KSignature((6, 6, 0), delta=True),
-    KSignature((3, 3, 0), delta=True),
-    KSignature((2, 0, 2, 1), delta=True),
-] + CENSUS_MATRICES
-
-
-@pytest.mark.parametrize(
-    "source",
-    LIFT_QUOTIENTS,
-    ids=[
-        s if isinstance(s, str) else ",".join(map(str, s.entries)) for s in LIFT_QUOTIENTS
-    ],
-)
-def test_generators_match_the_per_vertex_lift(source):
-    if isinstance(source, str):
-        g = build_general_quotient(parse_matrix_arg(source))
-    else:
-        g = build_heawood_graph(source)
-    n = g.d + 1
-    for i, gen in enumerate(translation_generators(g), 1):
-        w = w_vector(i, g.d)
-        assert gen.images == lift_per_vertex(g, lambda x: tuple(map(add, x, w)))
-    reflected = lift_per_vertex(g, lambda x: tuple(n + 1 - a for a in x))
-    assert rotation_R(g).images == reflected
-    for s in range(1, n):
-        if g.lattice.admits_rotation(s):
-            rotated = lift_per_vertex(g, lambda x: tuple(x[(j - s) % n] for j in range(n)))
-            assert cyclic_C(g, s).images == rotated
-
-
-@pytest.mark.parametrize("entries", [(2, 1, 2, 1), (2, 2, 2, 2)])
-def test_generators_locate_one_point_per_permutation(entries, monkeypatch):
-    # a lift that looks up every vertex makes one call per vertex and generator
-    g = graph(entries)
-    calls = 0
-    original = lattice.from_ambient
-
-    def counting(v):
-        nonlocal calls
-        calls += 1
-        return original(v)
-
-    for module in (lattice, quotient):
-        monkeypatch.setattr(module, "from_ambient", counting)
-    group = generated_group(g)
-    assert calls <= factorial(g.d) * len(group.generators)
 
 
 def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():

@@ -15,9 +15,10 @@ from oracles import (
     permutahedron_membership,
     rotate_partition,
     tiles_containing,
+    w_vector,
 )
 
-from heawood_kit.lattice import canonicalize, from_ambient, to_ambient, w_vector
+from heawood_kit.lattice import canonicalize, from_ambient, to_ambient
 from heawood_kit.tiling import SliceError, is_tiling_vertex
 
 
