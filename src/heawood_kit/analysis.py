@@ -8,10 +8,10 @@ search colors the graph with.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .intlin import InvalidSignature
-from .limits import HAMILTONIAN_BUDGET, check_vertex_cap
+from .limits import check_vertex_cap
 from .quotient import QuotientGraph
 
 
@@ -136,72 +136,6 @@ def hamiltonian_alternating(g: QuotientGraph, i: int) -> HamiltonianWalkResult:
         cycle=tuple(cycle),
         vertices=g.vertex_count,
     )
-
-
-def hamiltonian_backtracking(
-    g: QuotientGraph, budget: Optional[int] = None
-) -> HamiltonianWalkResult:
-    """Exhaustive cycle search with a node budget.
-
-    Outcome none-found is a proof only when the search space was exhausted
-    within budget; otherwise the result is flagged indeterminate.  The
-    budget is ``limits.HAMILTONIAN_BUDGET`` nodes unless ``budget`` is
-    given; HEAWOOD_CAP is a vertex cap and does not change it.  The
-    depth-first search keeps its path on an explicit stack, one neighbour
-    iterator per expanded path vertex, so its depth is not bounded by
-    Python's recursion limit.
-    """
-    limit = budget if budget is not None else HAMILTONIAN_BUDGET
-    n = g.vertex_count
-    if n == 0:
-        return HamiltonianWalkResult("general-backtracking", "none-found", 0)
-    expanded = 0
-    path = [0]
-    on_path = [False] * n
-    on_path[0] = True
-    pending: list[Iterator[int]] = []
-    while True:
-        # expand the last vertex of the path
-        expanded += 1
-        if expanded > limit:
-            return HamiltonianWalkResult(
-                "general-backtracking", "indeterminate", 0, vertices=n
-            )
-        v = path[-1]
-        if len(path) < n:
-            pending.append(iter(g.adjacency[v]))
-        elif 0 in g.adjacency[v]:
-            break
-        # step to the next free neighbour, backing up past finished vertices
-        while pending:
-            if len(path) > len(pending):
-                on_path[path.pop()] = False
-            w = next((u for u in pending[-1] if not on_path[u]), None)
-            if w is not None:
-                path.append(w)
-                on_path[w] = True
-                break
-            pending.pop()
-        else:
-            return HamiltonianWalkResult(
-                "general-backtracking", "none-found", 0, vertices=n
-            )
-    _validate_cycle(g, path)
-    return HamiltonianWalkResult(
-        "general-backtracking",
-        "hamiltonian-cycle",
-        len(path),
-        cycle=tuple(path),
-        vertices=n,
-    )
-
-
-def _validate_cycle(g: QuotientGraph, cycle: Sequence[int]) -> None:
-    if not len(set(cycle)) == len(cycle) == g.vertex_count:
-        raise CycleError("cycle does not visit every vertex exactly once")
-    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-        if b not in g.adjacency[a]:
-            raise CycleError("cycle uses a non-edge")
 
 
 def _colorable(g: QuotientGraph, t: int) -> bool:

@@ -6,9 +6,9 @@ analyses, process census matrices, render tiles, and dump fixtures.  Each
 command returns its answer: a dict, which goes out as JSON, or the text of
 an export.  cli() alone adds the schema tag, writes the answer to stdout or
 the -o file, and maps the answer or the error raised to the exit code:
-0 success, 2 validation error, 3 cap or budget refusal.  Only the core
-modules load with this one; a command imports the symmetry, analysis,
-export and fixture code it runs where it runs it, after its cap checks.
+0 success, 2 validation error, 3 cap refusal.  Only the core modules
+load with this one; a command imports the symmetry, analysis, export and
+fixture code it runs where it runs it, after its cap checks.
 """
 
 from __future__ import annotations
@@ -121,10 +121,8 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
 
 def cmd_aut(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
-    # a zero-free quotient is a torus, never degenerate, so its generated
-    # order reads the lattice alone; a zero entry needs the build's check
-    if 0 in k.entries or args.mode != "generated":
-        check_caps(k, "build", "search" if args.mode != "generated" else None)
+    if args.mode != "generated":
+        check_caps(k, "build", "search")
         graph = build_heawood_graph(k)
         lattice = graph.lattice
     else:

@@ -12,8 +12,9 @@ vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
 names the class of any tuple by its Smith coordinates, for signatures,
 delta signatures and general matrices alike, and answers every other
 lattice question of the quotient from the same Smith form: the class
-tables of translations, whether it is a triangulated torus, which
-coordinate rotations keep it and whether its rows span all ones;
+tables of translations, whether it is a degenerate quotient or a
+triangulated torus, which coordinate rotations keep it and whether its
+rows span all ones;
 ``reduce_to_fundamental`` looks up the fundamental vector of a class in
 the index of its signature.
 """
@@ -160,12 +161,13 @@ class ClassIndex:
     sublattice exactly when its Smith coordinates are all zero.  One
     Smith form answers every lattice question of a quotient: the class
     of a point (``key``), the class table of a translation (``mapped``),
-    the short vectors that rule out a torus (``short_vector``), the
-    rotations that keep the lattice (``admits_rotation``,
-    ``least_rotation``) and whether the rows span all ones
-    (``all_ones_in_span``, from the rows of u past the rank).  A matrix
-    narrower than three columns raises ``ShapeError``, since the tiling
-    has dimension d >= 2, and an infinite quotient ``InfiniteQuotient``.
+    the short vectors that rule out a torus (``short_vector``), the unit
+    vectors that make it degenerate (``unit_vector``), the rotations that
+    keep the lattice (``admits_rotation``, ``least_rotation``) and whether
+    the rows span all ones (``all_ones_in_span``, from the rows of u past
+    the rank).  A matrix narrower than three columns raises ``ShapeError``,
+    since the tiling has dimension d >= 2, and an infinite quotient
+    ``InfiniteQuotient``.
     """
 
     def __init__(
@@ -237,6 +239,22 @@ class ClassIndex:
             q = seen.setdefault(self.key(p), p)
             if q != p:
                 return tuple(map(sub, p, q)) if 0 in p else None
+
+    def unit_vector(self) -> Optional[tuple[int, ...]]:
+        """A unit vector e_j in the sublattice when d = 2, or None.
+
+        Two neighbours of a tiling vertex differ by an ambient vector with
+        coordinates in -2..2, and they meet in the quotient only when it is
+        a lattice vector, its coordinates all congruent mod d + 1.  For
+        d >= 3 none is; for d = 2 those differences are ±amb(e_j).  So the
+        quotient is degenerate, some vertex having fewer than d + 1
+        distinct neighbours, exactly when there is such a vector.
+        """
+        n = self.rows.cols
+        if n != 3:
+            return None
+        units = (tuple(int(i == j) for i in range(n)) for j in range(n))
+        return next((e for e in units if not any(self.key(e))), None)
 
     @property
     def all_ones_in_span(self) -> bool:

@@ -20,7 +20,6 @@ VERTEX_CAPS = {
     "search": 200,  # the exact automorphism search
     "chromatic": 60,  # the exact chromatic number
 }
-HAMILTONIAN_BUDGET = 10**6  # nodes the Hamiltonian backtracking expands
 
 
 class CapExceeded(RuntimeError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
-from operator import add, eq, mul, sub
+from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .intlin import Frozen, IntMatrix
@@ -136,9 +136,10 @@ def _build_quotient(
     swapping values v, v+1 >= 2 of p keeps a; wrapping d+1 round to 2
     lands in T_d = a + e_j, p_j = d+1, which minus[j] undoes for the last
     slot.  The graph keeps ``rank`` and the sort's ``position`` for
-    ``number_of`` and ``vertex_of``.  A quotient in which some vertex has
-    fewer than d+1 distinct neighbours raises ``DegenerateQuotient``.
+    ``number_of`` and ``vertex_of``.  A degenerate quotient is refused
+    before the build, by ``refuse_degenerate``.
     """
+    refuse_degenerate(index)
     n, classes = index.rows.cols, index.classes
     d = n - 1
     size = len(classes)
@@ -179,12 +180,6 @@ def _build_quotient(
         slots[-1] += map((wrap * size).__add__, tiles[d])
         back[wrap] = list(map((r * size).__add__, minus[p.index(n)]))
     slots.append(list(chain.from_iterable(back)))
-    if any(any(map(eq, a, b)) for a, b in combinations(slots, 2)):
-        edges = sum(map(len, map(set, zip(*slots)))) // 2
-        raise DegenerateQuotient(
-            f"degenerate quotient: {edges} edges on {len(codes)} vertices,"
-            f" not {n * len(codes) // 2}; repeated edges merged"
-        )
     order = sorted(range(len(codes)), key=codes.__getitem__)
     position = [0] * len(order)
     for i, u in enumerate(order):
@@ -203,6 +198,20 @@ def _build_quotient(
     )
     tiles = [map(column.__getitem__, order) for column in tile_columns]
     return graph, map(tuple, map(sorted, zip(*tiles)))
+
+
+def refuse_degenerate(index: ClassIndex) -> None:
+    """Raise ``DegenerateQuotient`` naming ``ClassIndex.unit_vector``, if
+    any: d = 2, and each vertex keeps two distinct neighbours, or one when
+    the lattice holds all three unit vectors, that is when D = 1."""
+    vector = index.unit_vector()
+    if vector is not None:
+        vertices = 2 * index.order
+        edges = vertices // 2 if index.order == 1 else vertices
+        raise DegenerateQuotient(
+            f"degenerate quotient: the lattice holds the unit vector {vector},"
+            f" so {edges} edges on {vertices} vertices, not {3 * vertices // 2}"
+        )
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .intlin import Frozen
 from .lattice import ClassIndex
 from .limits import check_vertex_cap
-from .quotient import QuotientGraph
+from .quotient import QuotientGraph, refuse_degenerate
 
 Cells = dict[int, set[int]]  # a coloring's partition: cell start -> vertices
 Refined = tuple[tuple[int, ...], Cells, list[int]]  # colors, cells, trace
@@ -83,10 +83,11 @@ def generated_order(index: ClassIndex) -> int:
     a group of order D; the linear parts of the generators, -I and the
     rotation by s, form C_2 × C_{n/s}, which acts on it, and the group is
     their semidirect product (Conway & Sloane, SPLAG ch. 4: Aut(A_d) =
-    {±1} × S_{d+1}).  It reads the lattice alone, so it does not see a
-    degenerate quotient, which the build refuses; the tests lift the
-    generators vertex by vertex and count their group by closure.
+    {±1} × S_{d+1}).  It reads the lattice alone, and refuses a degenerate
+    quotient as the build does, by ``refuse_degenerate``; the tests lift
+    the generators vertex by vertex and count their group by closure.
     """
+    refuse_degenerate(index)
     return 2 * index.order * index.rows.cols // index.least_rotation()
 
 

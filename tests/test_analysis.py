@@ -6,11 +6,8 @@ import pytest
 from oracles import chromatic_by_exhaustion, heawood_number, skeleton_graph
 
 from heawood_kit.analysis import (
-    CycleError,
-    _validate_cycle,
     chromatic_number,
     hamiltonian_alternating,
-    hamiltonian_backtracking,
     is_bipartite,
     six_cycles_through,
 )
@@ -34,12 +31,6 @@ def triangle():
         d=1,
         labels=((0,), (1,), (2,)),
         adjacency=((1, 2), (0, 2), (0, 1)),
-    )
-
-
-def path3():
-    return QuotientGraph(
-        d=1, labels=((0,), (1,), (2,)), adjacency=((1,), (0, 2), (1,))
     )
 
 
@@ -172,33 +163,6 @@ def test_alternating_walk_classical():
     assert "hamiltonian-cycle" in outcomes.values()
 
 
-def test_backtracking_hamiltonian():
-    r = hamiltonian_backtracking(graph((1, 1, 1)))
-    assert r.outcome == "hamiltonian-cycle"
-    assert r.length == 14
-    r = hamiltonian_backtracking(path3())
-    assert r.outcome == "none-found"
-    r = hamiltonian_backtracking(graph((1, 3, 2)))
-    assert r.outcome == "hamiltonian-cycle"
-    r = hamiltonian_backtracking(graph((2, 2, 2)), budget=3)
-    assert r.outcome == "indeterminate"
-
-
-def test_backtracking_budget_ends_a_deep_search():
-    # the path grows past Python's recursion limit long before 2,000 nodes
-    # are spent; the search keeps its path on a stack, so the budget ends it
-    g = graph((20, 20, 20))
-    assert g.vertex_count == 2522
-    r = hamiltonian_backtracking(g, budget=2000)
-    assert (r.outcome, r.length, r.vertices) == ("indeterminate", 0, 2522)
-
-
-def test_backtracking_budget_ignores_vertex_cap(monkeypatch):
-    monkeypatch.setenv("HEAWOOD_CAP", "300")
-    r = hamiltonian_backtracking(graph((2, 2, 2)))
-    assert r.outcome == "hamiltonian-cycle"
-
-
 def test_chromatic_examples():
     assert chromatic_number(graph((1, 1, 1))) == 2
     assert chromatic_number(triangle()) == 3
@@ -269,14 +233,3 @@ def test_alternating_walk_refuses_bad_input():
         hamiltonian_alternating(graph((1, 1, 1)), 0)
     with pytest.raises(InvalidSignature, match="d = 2"):
         hamiltonian_alternating(graph((1, 1, 1, 1)), 1)
-
-
-def test_bad_cycle_raises():
-    g = cycle_graph(6)
-    _validate_cycle(g, [0, 1, 2, 3, 4, 5])
-    with pytest.raises(CycleError, match="non-edge"):
-        _validate_cycle(g, [0, 2, 1, 3, 4, 5])
-    with pytest.raises(CycleError, match="exactly once"):
-        _validate_cycle(g, [0, 1, 2, 3, 4, 4])
-    with pytest.raises(CycleError, match="exactly once"):
-        _validate_cycle(g, [0, 1, 2])

@@ -328,6 +328,7 @@ def test_cli_rejects_degenerate_quotient(capsys, argv, counts):
     assert code == 2
     assert out == ""
     assert "degenerate quotient" in err and counts in err
+    assert "the lattice holds the unit vector (1, 0, 0)" in err
 
 
 @pytest.mark.parametrize("matrix, width", [("3", 1), ("", 0), ("2,-1;-1,2", 2)])
@@ -487,19 +488,23 @@ def test_cli_fvector_caps_a_zero_entry_in_every_mode(capsys, monkeypatch):
 
 
 def test_cli_aut_generated_reads_a_zero_free_lattice_uncapped(capsys, monkeypatch):
-    # the closed form needs no build; a zero entry is built, and capped, for
-    # the build's degeneracy check
+    # the closed form needs no build, with or without a zero entry: the
+    # lattice itself decides degeneracy
     def no_build(k):
         raise AssertionError("aut --generated built the graph")
 
     monkeypatch.setenv("HEAWOOD_CAP", "7")
-    calls = count_smith_forms(monkeypatch)
-    code, out, err = run_cli(capsys, "aut", "-k", "0,1,1", "--generated")
-    assert (code, out, err) == (3, "", "refused: 8 vertices above build cap 7\n")
     monkeypatch.setattr(cli_module, "build_heawood_graph", no_build)
+    calls = count_smith_forms(monkeypatch)
     code, out, _ = run_cli(capsys, "aut", "-k", "40,40,40,40", "--generated")
     assert (code, len(calls)) == (0, 1)
     assert json.loads(out)["generated"] == 2126088
+    code, out, _ = run_cli(capsys, "aut", "-k", "0,1,1", "--generated")
+    assert (code, len(calls)) == (0, 2)
+    assert json.loads(out)["generated"] == 8
+    code, out, err = run_cli(capsys, "aut", "-k", "0,0,1", "--generated")
+    assert (code, out, len(calls)) == (2, "", 3)
+    assert "the lattice holds the unit vector (1, 0, 0)" in err
 
 
 def test_cli_builds_the_torus_of_a_delta_signature_that_has_one(capsys, tmp_path):

@@ -413,7 +413,9 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
     ids=["delta(0, 0, 1)", "census identity"],
 )
 def test_builders_refuse_degenerate_quotients(build):
-    with pytest.raises(DegenerateQuotient, match="edges on .* vertices, not"):
+    with pytest.raises(
+        DegenerateQuotient, match=r"unit vector \(1, 0, 0\), so .* edges on .* vertices, not"
+    ):
         build()
 
 
@@ -467,11 +469,49 @@ def test_builder_matches_the_per_vertex_oracle(source):
 )
 def test_builder_refuses_degenerate_quotients_as_the_oracle_does(source):
     index, k = class_index(source)
-    with pytest.raises(DegenerateQuotient) as want:
+    assert oracle_refusal(index, k) == builder_refusal(index, k)
+
+
+def oracle_refusal(index, k=None):
+    """The edge counts the per-vertex oracle refuses a quotient with, or
+    None when it builds the quotient."""
+    try:
         oracles.build_per_vertex(index, k)
-    with pytest.raises(DegenerateQuotient) as got:
+    except DegenerateQuotient as exc:
+        # "degenerate quotient: E edges on V vertices, not 3V/2; ..."
+        return str(exc).split(": ")[1].split(";")[0]
+    return None
+
+
+def builder_refusal(index, k=None):
+    """The edge counts the builder refuses a quotient with, after the unit
+    vector it names, or None when it builds the quotient."""
+    vector = index.unit_vector()
+    try:
         quotient._build_quotient(index, k)
-    assert str(got.value) == str(want.value)
+    except DegenerateQuotient as exc:
+        assert not any(index.key(vector)) and sorted(vector) == [0, 0, 1]
+        head, counts = str(exc).split(", so ")
+        assert head == f"degenerate quotient: the lattice holds the unit vector {vector}"
+        return counts
+    assert vector is None
+    return None
+
+
+def test_unit_vector_decides_degeneracy_as_the_oracle_does():
+    # every zero-entry signature of three grids, and seeded three-column
+    # lattices; for d >= 3 no quotient is degenerate
+    indexes = [
+        ClassIndex(KSignature(entries, delta=True).matrix())
+        for n, top in ((3, 3), (4, 2), (5, 1))
+        for entries in product(range(top + 1), repeat=n)
+        if 0 in entries
+    ] + list(random_lattices(100, columns=3, entries=3, vertices=200))
+    refusals = [oracle_refusal(index) for index in indexes]
+    assert refusals == [builder_refusal(index) for index in indexes]
+    degenerate = [index for index, r in zip(indexes, refusals) if r is not None]
+    assert (len(indexes), len(degenerate)) == (233, 45)
+    assert {index.rows.cols for index in degenerate} == {3}
 
 
 DUAL_COMPLEXES = {
@@ -523,17 +563,20 @@ def assert_short_vector_decides_the_torus(index):
     return vector is None
 
 
-def random_lattices(count, seed=7):
-    """Seeded lattices with 3-5 columns and at most 600 graph vertices."""
+def random_lattices(count, seed=7, columns=None, entries=2, vertices=600):
+    """Seeded lattices with ``columns`` columns, else 3-5, entries in
+    [-entries, entries] and at most ``vertices`` graph vertices."""
     rng = random.Random(seed)
     while count:
-        n = rng.randint(3, 5)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
+        n = columns or rng.randint(3, 5)
+        rows = [
+            tuple(rng.randint(-entries, entries) for _ in range(n)) for _ in range(n - 1)
+        ]
         try:
             index = ClassIndex(IntMatrix.from_rows(rows))
         except InfiniteQuotient:
             continue
-        if factorial(n - 1) * index.order <= 600:
+        if factorial(n - 1) * index.order <= vertices:
             count -= 1
             yield index
 

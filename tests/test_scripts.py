@@ -59,12 +59,17 @@ def test_hamiltonicity_sweep_runs():
                 assert walk["length"] < row["vertices"]
 
 
-def test_hamiltonicity_sweep_builds_each_graph_once(monkeypatch):
+def load_sweep():
     spec = importlib.util.spec_from_file_location(
         "hamiltonicity_sweep", ROOT / "scripts" / "hamiltonicity_sweep.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_hamiltonicity_sweep_builds_each_graph_once(monkeypatch):
+    module = load_sweep()
     calls = []
     build = module.build_heawood_graph
 
@@ -73,11 +78,24 @@ def test_hamiltonicity_sweep_builds_each_graph_once(monkeypatch):
         return build(k)
 
     monkeypatch.setattr(module, "build_heawood_graph", counting_build)
-    rows = module.sweep(3, 2, 200_000)
+    rows = module.sweep(3, 2)
     assert len(rows) == 8
-    # one build per signature, shared by its three walks and the backtracking
+    # one build per signature, shared by its three walks
     assert len(calls) == 8
     assert sorted(calls) == [tuple(row["k"]) for row in rows]
+
+
+def test_hamiltonicity_sweep_failures_up_to_entry_5():
+    # the rows where no alternating direction closes; the sweep reports
+    # them and settles nothing more about them
+    rows = load_sweep().sweep(3, 5)
+    assert len(rows) == 125
+    failures = [row["k"] for row in rows if not row["any_alternating_hamiltonian"]]
+    assert failures == [[3, 5, 4], [4, 3, 5], [5, 4, 3]]
+    assert all(
+        set(row) == {"k", "vertices", "alternating", "any_alternating_hamiltonian"}
+        for row in rows
+    )
 
 
 @pytest.mark.parametrize(

@@ -721,6 +721,20 @@ def test_generated_order_matches_closure(source):
         assert generated_group(g).order == generated_order(g.lattice)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        KSignature((0, 0, 1), delta=True).matrix(),
+        KSignature((0, 0, 0), delta=True).matrix(),
+        intlin.IntMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ],
+    ids=["delta(0, 0, 1)", "delta(0, 0, 0)", "census identity"],
+)
+def test_generated_order_refuses_degenerate_quotients(rows):
+    with pytest.raises(DegenerateQuotient, match=r"unit vector \(1, 0, 0\)"):
+        generated_order(ClassIndex(rows))
+
+
 @pytest.mark.parametrize("source", QUOTIENTS)
 def test_every_lifted_generator_is_an_automorphism(source):
     for g, gens in lifted(source):
