@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import gcd, prod
 from operator import add, mod, mul, sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .intlin import (
     Frozen,
@@ -96,6 +96,26 @@ def to_ambient(a: Sequence[int]) -> tuple[int, ...]:
     n = len(a)
     total = sum(a)
     return tuple(n * x - total for x in a)
+
+
+def ambient_columns(classes: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """``to_ambient`` of every class, one list per coordinate j: the column
+    of a_j times n minus the column of the sums, in whole-list steps."""
+    n = len(classes[0])
+    totals = list(map(sum, classes))
+    return [list(map(sub, map(n.__mul__, column), totals)) for column in zip(*classes)]
+
+
+def combine_columns(
+    coefficients: Sequence[int], columns: Sequence[Sequence[int]], size: int
+) -> Iterator[int]:
+    """The sum of c_i times column i, entry by entry over ``size`` entries,
+    made lazily and skipping the zero coefficients."""
+    total: Iterator[int] = repeat(0, size)
+    for c, column in zip(coefficients, columns):
+        if c:
+            total = map(add, total, map(c.__mul__, column))
+    return total
 
 
 def from_ambient(v: Sequence[int]) -> tuple[int, ...]:
@@ -202,7 +222,18 @@ class ClassIndex:
 
     @cached_property
     def keys(self) -> list[tuple[int, ...]]:
-        return [self.key(a) for a in self.classes]
+        """The ``key`` of each listed class, made column by column: each
+        Smith coordinate is one whole-list dot product over the coordinate
+        columns of all D classes.  An order-1 quotient keeps no Smith
+        column, so its one class has the empty key."""
+        size = len(self.classes)
+        if not self.moduli:
+            return [()] * size
+        coordinates = list(zip(*self.classes))
+        return list(zip(*(
+            map(mod, combine_columns(col, coordinates, size), repeat(m))
+            for col, m in zip(self.columns, self.moduli)
+        )))
 
     @cached_property
     def position(self) -> dict[tuple[int, ...], int]:

@@ -14,10 +14,17 @@ from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
 from operator import add, mul, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlin import Frozen, IntMatrix
-from .lattice import ClassIndex, KSignature, from_ambient, signature_index, to_ambient
+from .lattice import (
+    ClassIndex,
+    KSignature,
+    ambient_columns,
+    combine_columns,
+    from_ambient,
+    signature_index,
+)
 from .tiling import SliceError, base_permutation, is_tiling_vertex
 
 VertexKey = tuple[int, ...]
@@ -116,47 +123,67 @@ class QuotientGraph(Frozen):
         return self.labels[self.vertex_of(x)]
 
 
-def _build_quotient(
-    index: ClassIndex, signature: Optional[KSignature] = None
-) -> tuple[QuotientGraph, Iterator[tuple[int, ...]]]:
-    """Graph and tile-class facets of the quotient by the rows of an index.
+class _TilePass(NamedTuple):
+    """The one pass over the tiles that both readers of a quotient share.
+
+    Vertex u = rank(p) * D + c is x = p + amb(a_c) for the permutation
+    p = perms[rank(p)] and the listed class a_c.  Column t of
+    ``tile_columns`` holds the tile class T_t of every vertex, ``codes``
+    the code of its label and ``order`` the vertices sorted by label.
+    ``downs`` holds p shifted down by t for each p and t, so a label is
+    downs[rank(p)][t] + amb(T_t) for the t of its code, and ``minus[j]``
+    is the class table of subtracting e_j.
+    """
+
+    index: ClassIndex
+    perms: list[tuple[int, ...]]
+    downs: list[list[tuple[int, ...]]]
+    ambient: list[tuple[int, ...]]
+    minus: list[list[int]]
+    codes: list[int]
+    tile_columns: list[list[int]]
+    order: list[int]
+
+    def facets(self) -> Iterator[tuple[int, ...]]:
+        """The d+1 tile classes of each vertex, sorted, in label order."""
+        tiles = [map(column.__getitem__, self.order) for column in self.tile_columns]
+        return map(tuple, map(sorted, zip(*tiles)))
+
+
+def _tile_pass(index: ClassIndex) -> _TilePass:
+    """Tile classes, label codes and label order of the quotient by the
+    rows of an index.
 
     The dimension d is the width of the rows minus one.  Each vertex is
     x = p + amb(a) for exactly one permutation p with p_1 = 1 and one
-    class a, numbered rank(p) * D + index(a); the build takes one p at a
+    class a, numbered rank(p) * D + index(a); the pass takes one p at a
     time, in whole-list steps over the D classes.  For each shift t, x
     lies in the tile at offset a - e(S_t), S_t the positions of the values
     1..t in p: the tile classes T_t are T_{t-1} mapped through minus[j],
-    p_j = t, from T_0 = range(D), and the facets are zip(*T), formed
-    lazily since only the torus reads them.  The label is the least of p
-    shifted down by t plus amb(T_t), compared as an int in a balanced base
-    wider than twice any coordinate: the code is linear and keeps tuple
-    order, so a candidate costs one int add, t rides in the low digit and
-    one tuple is made per vertex.  Neighbours fill d+1 slots of D numbers:
-    swapping values v, v+1 >= 2 of p keeps a; wrapping d+1 round to 2
-    lands in T_d = a + e_j, p_j = d+1, which minus[j] undoes for the last
-    slot.  The graph keeps ``rank`` and the sort's ``position`` for
-    ``number_of`` and ``vertex_of``.  A degenerate quotient is refused
-    before the build, by ``refuse_degenerate``.
+    p_j = t, from T_0 = range(D), and the facets of the torus are zip(*T).
+    The label is the least of p shifted down by t plus amb(T_t), compared
+    as an int in a balanced base wider than twice any coordinate: the
+    code is linear and keeps tuple order, so a candidate costs one int
+    add, t rides in the low digit, and the sort is on ints.  The ambient
+    coordinates and their codes are made column by column over the D
+    classes.  A degenerate quotient is refused before the pass, by
+    ``refuse_degenerate``.
     """
     refuse_degenerate(index)
     n, classes = index.rows.cols, index.classes
     d = n - 1
     size = len(classes)
-    ambient = [to_ambient(a) for a in classes]
+    columns = ambient_columns(classes)
     minus = [index.mapped(index.key([-(i == j) for j in range(n)])) for i in range(n)]
     perms = [(1,) + rest for rest in permutations(range(2, n + 1))]
-    rank = {p: r for r, p in enumerate(perms)}
     # a candidate's coordinates lie within n + max|amb| of zero
-    base = 2 * (n + max(map(abs, chain.from_iterable(ambient)))) + 2
+    base = 2 * (n + max(map(abs, chain.from_iterable(columns)))) + 2
     weights = [n * base ** (d - i) for i in range(n)]
-    ambient_codes = [sum(map(mul, weights, a)) for a in ambient]
-    labels: list[VertexKey] = []
+    ambient_codes = list(combine_columns(weights, columns, size))
+    downs: list[list[tuple[int, ...]]] = []
     codes: list[int] = []
     tile_columns: list[list[int]] = [[] for _ in range(n)]
-    slots: list[list[int]] = [[] for _ in range(d)]
-    back: list[list[int]] = [[] for _ in perms]
-    for r, p in enumerate(perms):
+    for p in perms:
         down = [tuple((v - t - 1) % n + 1 for v in p) for t in range(n)]
         tiles = [range(size)]
         for t in range(1, n):
@@ -166,38 +193,68 @@ def _build_quotient(
                 map(ambient_codes.__getitem__, tile))
             for t, (q, tile) in enumerate(zip(down, tiles))
         ]
-        best = list(map(min, *candidates))
-        codes += best
-        for c, code in enumerate(best):
-            t = code % n
-            labels.append(tuple(map(add, down[t], ambient[tiles[t][c]])))
+        codes += map(min, *candidates)
         for column, tile in zip(tile_columns, tiles):
             column += tile
-        for slot, v in zip(slots, range(2, n)):
-            s = rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]
-            slot += range(s * size, s * size + size)
-        wrap = rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)]
-        slots[-1] += map((wrap * size).__add__, tiles[d])
-        back[wrap] = list(map((r * size).__add__, minus[p.index(n)]))
-    slots.append(list(chain.from_iterable(back)))
+        downs.append(down)
     order = sorted(range(len(codes)), key=codes.__getitem__)
+    return _TilePass(
+        index, perms, downs, list(zip(*columns)), minus, codes, tile_columns, order
+    )
+
+
+def _quotient_graph(
+    tiles: _TilePass, signature: Optional[KSignature] = None
+) -> QuotientGraph:
+    """The quotient graph that a tile pass describes.
+
+    Labels are made in label order, one tuple per vertex.  Neighbours fill
+    d+1 slots of V numbers: swapping values v, v+1 >= 2 of p keeps the
+    class; wrapping d+1 round to 2 lands in T_d = a + e_j, p_j = d+1,
+    which minus[j] undoes for the last slot.  The graph keeps ``rank`` and
+    the sort's ``position`` for ``number_of`` and ``vertex_of``.
+    """
+    index, perms, downs, ambient, minus, codes, tile_columns, order = tiles
+    n, size = len(perms[0]), len(index.classes)
+    d = n - 1
+    labels: list[VertexKey] = []
+    for u in order:
+        t = codes[u] % n
+        labels.append(tuple(map(add, downs[u // size][t], ambient[tile_columns[t][u]])))
+    rank = {p: r for r, p in enumerate(perms)}
+    blocks = [range(r * size, r * size + size) for r in range(len(perms))]
+    slots = [
+        list(chain.from_iterable(
+            blocks[rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]]
+            for p in perms
+        ))
+        for v in range(2, n)
+    ]
+    wraps = [
+        rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)] for p in perms
+    ]
+    starts = chain.from_iterable(map(repeat, (w * size for w in wraps), repeat(size)))
+    slots.append(list(map(add, starts, tile_columns[d])))
+    # block wraps[r] steps back to block r
+    unwrap = sorted(range(len(perms)), key=wraps.__getitem__)
+    slots.append(list(chain.from_iterable(
+        map((r * size).__add__, minus[perms[r].index(n)]) for r in unwrap
+    )))
     position = [0] * len(order)
     for i, u in enumerate(order):
         position[u] = i
     columns = [
         list(map(position.__getitem__, map(slot.__getitem__, order))) for slot in slots
     ]
-    graph = QuotientGraph(
+    return QuotientGraph(
         d=d,
-        labels=tuple(map(labels.__getitem__, order)),
+        labels=tuple(labels),
         adjacency=tuple(map(tuple, map(sorted, zip(*columns)))),
         signature=signature,
         lattice=index,
         rank=rank,
         position=position,
     )
-    tiles = [map(column.__getitem__, order) for column in tile_columns]
-    return graph, map(tuple, map(sorted, zip(*tiles)))
 
 
 def refuse_degenerate(index: ClassIndex) -> None:
@@ -216,7 +273,7 @@ def refuse_degenerate(index: ClassIndex) -> None:
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
     """Quotient graph of a signature, numbered by the closed-form index."""
-    return _build_quotient(signature_index(k), k)[0]
+    return _quotient_graph(_tile_pass(signature_index(k)), k)
 
 
 def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
@@ -230,7 +287,7 @@ def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
     passes the index instead and the build reuses its Smith form.
     """
     index = rows if isinstance(rows, ClassIndex) else ClassIndex(rows)
-    return _build_quotient(index)[0]
+    return _quotient_graph(_tile_pass(index))
 
 
 class SimplicialComplex(NamedTuple):
@@ -245,14 +302,33 @@ class SimplicialComplex(NamedTuple):
         return len(self.facets[0]) - 1 if self.facets else -1
 
     def faces(self, i: int) -> set[tuple[int, ...]]:
-        """All i-dimensional faces as sorted vertex tuples."""
-        return set(chain.from_iterable(map(combinations, self.facets, repeat(i + 1))))
+        """All i-dimensional faces as sorted vertex tuples, whatever the
+        vertex order inside each facet."""
+        return _faces(_sorted_facets(self.facets), i)
 
     def fvector_enumerated(self) -> tuple[int, ...]:
-        return tuple(len(self.faces(i)) for i in range(self.dim + 1))
+        """Face counts by enumeration: f_0 counts the distinct vertices of
+        the facets, f_d the distinct facets, and only the dimensions in
+        between go through ``combinations``."""
+        facets = _sorted_facets(self.facets)
+        top = len(set(facets))
+        if self.dim < 1:
+            return (top,) * (self.dim + 1)
+        middle = [len(_faces(facets, i)) for i in range(1, self.dim)]
+        return (len(set(chain.from_iterable(facets))), *middle, top)
 
     def euler_characteristic(self) -> int:
         return alternating_sum(self.fvector_enumerated())
+
+
+def _sorted_facets(facets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each facet as its sorted vertex tuple."""
+    return list(map(tuple, map(sorted, facets)))
+
+
+def _faces(facets: Iterable[tuple[int, ...]], i: int) -> set[tuple[int, ...]]:
+    """The i-dimensional faces of sorted facets."""
+    return set(chain.from_iterable(map(combinations, facets, repeat(i + 1))))
 
 
 def alternating_sum(fvector: Sequence[int]) -> int:
@@ -266,17 +342,17 @@ def build_torus_complex(k: KSignature | ClassIndex) -> SimplicialComplex:
     Vertices are the listed classes, the fundamental vectors for a
     signature; each graph vertex contributes the facet of the d+1 tile
     classes containing it, in graph vertex order so the duality bijection
-    is positional.  A lattice with a short vector has no torus and is
-    refused before the build.  A caller that has made the ``ClassIndex``
+    is positional.  It reads only the label order and the tile columns of
+    the tile pass, and makes no graph.  A lattice with a short vector has
+    no torus and is refused before the build.  A caller that has made the ``ClassIndex``
     already, of a signature or of a general matrix, passes the index and
     the build reuses its Smith form.
     """
     index = signature_index(k) if isinstance(k, KSignature) else k
     _refuse_short_vector(index)
-    _, facets = _build_quotient(index)
     return SimplicialComplex(
         vertex_count=len(index.classes),
-        facets=tuple(facets),
+        facets=tuple(_tile_pass(index).facets()),
         vertex_labels=tuple(index.classes),
     )
 
@@ -324,12 +400,14 @@ def dual_graph(c: SimplicialComplex) -> QuotientGraph:
     A ridge met again is paired at once with the facet that first showed
     it.  If a ridge lies in three or more facets, or twice in one, every
     ridge is also grouped with all its facets, each pair of which joins.
+    Ridges are read from each facet sorted, one facet at a time, so no
+    sorted copy of the facets is kept; the labels are the facets as given.
     """
     facets = c.facets
     adjacency: list[set[int]] = [set() for _ in facets]
     first: dict[tuple[int, ...], int] = {}
     crowded = False
-    for idx, facet in enumerate(facets):
+    for idx, facet in enumerate(map(sorted, facets)):
         for ridge in combinations(facet, len(facet) - 1):
             j = first.setdefault(ridge, idx)
             if j < 0:
@@ -341,7 +419,7 @@ def dual_graph(c: SimplicialComplex) -> QuotientGraph:
     # each sight was a first or a closing second one unless some pair is missing
     if crowded or sum(map(len, facets)) != len(first) + list(first.values()).count(-1):
         sharing: dict[tuple[int, ...], list[int]] = {}
-        for idx, facet in enumerate(facets):
+        for idx, facet in enumerate(map(sorted, facets)):
             for ridge in combinations(facet, len(facet) - 1):
                 sharing.setdefault(ridge, []).append(idx)
         for group in sharing.values():

@@ -30,10 +30,10 @@ order ``generated_order`` reads off the lattice in closed form.
 
 ``build_per_vertex`` is the package's original quotient builder: it
 walks every vertex in turn, stepping its d+1 tile classes, building the
-d+1 candidate label tuples and appending its neighbours, where
-``_build_quotient`` works a whole permutation at a time on integer-coded
-labels, so their labels, adjacency, facets and numbering must agree
-exactly.
+d+1 candidate label tuples and appending its neighbours, where the
+package's ``_tile_pass`` works a whole permutation at a time on
+integer-coded labels, and ``_quotient_graph`` reads the graph from it,
+so their labels, adjacency, facets and numbering must agree exactly.
 
 ``validate_per_facet`` and ``dual_graph_grouped`` are the package's
 original facet checks and dual graph: one scans facet by facet and stops
@@ -360,10 +360,11 @@ def validate_per_facet(c: SimplicialComplex) -> None:
 
 
 def dual_graph_grouped(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """Adjacency of the dual graph: facets sharing a ridge, by ridge groups."""
+    """Adjacency of the dual graph: facets sharing a ridge, by ridge groups
+    of the sorted facets."""
     ridge_map: dict[tuple[int, ...], list[int]] = {}
     for idx, facet in enumerate(c.facets):
-        for ridge in combinations(facet, len(facet) - 1):
+        for ridge in combinations(sorted(facet), len(facet) - 1):
             ridge_map.setdefault(ridge, []).append(idx)
     adjacency: list[set[int]] = [set() for _ in c.facets]
     for sharing in ridge_map.values():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +35,27 @@ from heawood_kit.quotient import (
 @lru_cache(maxsize=None)
 def graph(entries):
     return build_heawood_graph(KSignature(entries))
+
+
+# SHA-256 of exports whose bytes the schema keeps stable; a change in the
+# facet order or the label order changes them
+EXPORT_DIGESTS = {
+    "json 10,10,10": "6675576aea486aa708142a002ac80347ae4e696f3d89970643d6195f150a26f0",
+    "dot 10,10,10": "d406324f2b3d3c9f9ea9f8de201ffec2f4c70456f12fc8b7f8b8f1c56422ca96",
+    "off 3,3,3,3": "12dee021e1e55ca7a60aaf9834e48989ac0076410cb38e0d854a3354135480f4",
+}
+
+
+def test_exports_keep_their_pinned_digests():
+    g = graph((10, 10, 10))
+    torus = build_torus_complex(KSignature((3, 3, 3, 3)))
+    exports = {
+        "json 10,10,10": export_graph_json(g),
+        "dot 10,10,10": export_graph_dot(g),
+        "off 3,3,3,3": export_complex_off(torus),
+    }
+    digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in exports.items()}
+    assert digests == EXPORT_DIGESTS
 
 
 def test_coord_label():

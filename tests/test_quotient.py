@@ -19,6 +19,7 @@ from test_symmetry import CENSUS_MATRICES
 
 from heawood_kit import lattice, quotient
 from heawood_kit.artifacts import parse_matrix_arg
+from heawood_kit.fixtures import klein_quartic
 from heawood_kit.intlin import IntMatrix, ShapeError, build_mk
 from heawood_kit.lattice import (
     ClassIndex,
@@ -258,7 +259,7 @@ def test_not_simplicial_validation():
         ((0, 1, 1), r"\(1, -1, 0\)"),
     ]:
         index = signature_index(KSignature(entries, delta=True))
-        _, facets = quotient._build_quotient(index)
+        facets = quotient._tile_pass(index).facets()
         with pytest.raises(NotSimplicial):
             oracles.validate_per_facet(
                 SimplicialComplex(vertex_count=index.order, facets=tuple(facets))
@@ -452,7 +453,8 @@ def class_index(source):
 @pytest.mark.parametrize("source", BUILDER_QUOTIENTS)
 def test_builder_matches_the_per_vertex_oracle(source):
     index, k = class_index(source)
-    g, facets = quotient._build_quotient(index, k)
+    tiles = quotient._tile_pass(index)
+    g, facets = quotient._quotient_graph(tiles, k), tiles.facets()
     want, want_facets = oracles.build_per_vertex(index, k)
     assert g.labels == want.labels
     assert g.adjacency == want.adjacency
@@ -469,7 +471,7 @@ def test_builder_matches_the_per_vertex_oracle(source):
 )
 def test_builder_refuses_degenerate_quotients_as_the_oracle_does(source):
     index, k = class_index(source)
-    assert oracle_refusal(index, k) == builder_refusal(index, k)
+    assert oracle_refusal(index, k) == builder_refusal(index)
 
 
 def oracle_refusal(index, k=None):
@@ -483,12 +485,12 @@ def oracle_refusal(index, k=None):
     return None
 
 
-def builder_refusal(index, k=None):
+def builder_refusal(index):
     """The edge counts the builder refuses a quotient with, after the unit
     vector it names, or None when it builds the quotient."""
     vector = index.unit_vector()
     try:
-        quotient._build_quotient(index, k)
+        quotient._tile_pass(index)
     except DegenerateQuotient as exc:
         assert not any(index.key(vector)) and sorted(vector) == [0, 0, 1]
         head, counts = str(exc).split(", so ")
@@ -540,7 +542,7 @@ def genuine_torus(index):
     """Do the facets of the quotient build, pass the per-facet oracle and
     count i! S(d+1, i+1) D faces of each dimension i?"""
     try:
-        _, facets = quotient._build_quotient(index)
+        facets = quotient._tile_pass(index).facets()
     except DegenerateQuotient:
         return False
     c = SimplicialComplex(vertex_count=index.order, facets=tuple(facets))
@@ -608,3 +610,99 @@ def test_strict_signatures_have_no_short_vector():
     for n, top in ((3, 6), (4, 4), (5, 2), (6, 1)):
         for entries in product(range(1, top + 1), repeat=n):
             assert signature_index(KSignature(entries)).short_vector() is None
+
+
+GRID_SIGNATURES = [
+    entries
+    for n, top in ((3, 3), (4, 2))
+    for entries in product(range(1, top + 1), repeat=n)
+]
+CENSUS_TORI = [
+    text
+    for text in CENSUS_MATRICES + ["2,-1,0;0,2,-3;-1,0,4"]
+    if ClassIndex(parse_matrix_arg(text)).short_vector() is None
+]
+
+
+def class_table_indexes():
+    """Indexes of the grids, two delta signatures, the census matrices,
+    seeded random lattices and two order-1 quotients."""
+    yield from (signature_index(KSignature(entries)) for entries in GRID_SIGNATURES)
+    for entries in [(0, 2, 2), (6, 6, 0)]:
+        yield signature_index(KSignature(entries, delta=True))
+    yield from (ClassIndex(parse_matrix_arg(text)) for text in CENSUS_MATRICES)
+    yield from random_lattices(60)
+    yield from (ClassIndex(identity_matrix(n)) for n in (3, 4))
+
+
+def test_column_wise_class_tables_equal_the_per_class_ones():
+    indexes = list(class_table_indexes())
+    for index in indexes:
+        assert index.keys == [index.key(a) for a in index.classes]
+        ambient = [to_ambient(a) for a in index.classes]
+        assert list(zip(*lattice.ambient_columns(index.classes))) == ambient
+        if index.unit_vector() is None:
+            assert quotient._tile_pass(index).ambient == ambient
+    # the identity matrices, and some random lattices, give order 1
+    order_one = [index for index in indexes if index.order == 1]
+    assert indexes[-2:] == order_one[-2:]
+    assert all((index.moduli, index.keys) == ((), [()]) for index in order_one)
+
+
+def test_torus_build_makes_no_graph(monkeypatch):
+    made = []
+    original = quotient.QuotientGraph
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quotient, "QuotientGraph", counting)
+    build_torus_complex(KSignature((2, 1, 3, 1)))
+    build_torus_complex(ClassIndex(parse_matrix_arg(CENSUS_TORI[0])))
+    assert made == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(KSignature(e), id=str(e)) for e in GRID_SIGNATURES]
+    + [pytest.param(parse_matrix_arg(text), id=text) for text in CENSUS_TORI],
+)
+def test_torus_facets_and_dual_match_the_graph_build(source):
+    index, k = class_index(source)
+    c = build_torus_complex(index)
+    g, facets = oracles.build_per_vertex(index, k)
+    assert c.facets == facets
+    built = build_heawood_graph(k) if k else build_general_quotient(index)
+    assert built.adjacency == g.adjacency
+    assert dual_graph(c).adjacency == g.adjacency
+
+
+def shuffled(c, rng):
+    """The complex with the vertices inside each facet shuffled."""
+    facets = tuple(tuple(rng.sample(facet, len(facet))) for facet in c.facets)
+    return c._replace(facets=facets)
+
+
+SHUFFLED_COMPLEXES = {
+    **{name: SimplicialComplex(6, facets) for name, facets in DUAL_COMPLEXES.items()},
+    "klein quartic": klein_quartic(),
+    "torus (2, 1, 3, 1)": torus((2, 1, 3, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "c", SHUFFLED_COMPLEXES.values(), ids=SHUFFLED_COMPLEXES.keys()
+)
+def test_vertex_order_inside_facets_changes_nothing(c):
+    ordered = c._replace(facets=tuple(map(tuple, map(sorted, c.facets))))
+    rng = random.Random(7)
+    for _ in range(3):
+        s = shuffled(c, rng)
+        assert s.fvector_enumerated() == ordered.fvector_enumerated()
+        assert s.euler_characteristic() == ordered.euler_characteristic()
+        assert dual_graph(s).adjacency == dual_graph(ordered).adjacency
+        assert oracles.dual_graph_grouped(s) == dual_graph(ordered).adjacency
+        for i in range(c.dim + 1):
+            assert s.faces(i) == ordered.faces(i)
+            assert all(list(face) == sorted(face) for face in s.faces(i))
