@@ -97,9 +97,15 @@ def _complex_coordinates(c: SimplicialComplex) -> list[tuple[float, float, float
     return coords
 
 
-def export_complex_off(c: SimplicialComplex) -> str:
-    if c.dim > 3:
+def check_off_dimension(d: int) -> None:
+    """Raise ``UnsupportedDimension`` for a complex of dimension d above 3,
+    which OFF cannot hold; the CLI asks before it builds the torus."""
+    if d > 3:
         raise UnsupportedDimension("OFF export handles dimension at most 3")
+
+
+def export_complex_off(c: SimplicialComplex) -> str:
+    check_off_dimension(c.dim)
     edge_count = len(c.faces(1))
     lines = ["OFF", f"{c.vertex_count} {len(c.facets)} {edge_count}"]
     for x, y, z in _complex_coordinates(c):

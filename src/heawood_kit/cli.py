@@ -20,7 +20,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .intlin import parse_matrix_arg
-from .lattice import ClassIndex, KSignature, signature_index
+from .lattice import ClassIndex, KSignature
 from .limits import SCHEMA, CapExceeded, check_vertex_cap
 from .quotient import (
     alternating_sum,
@@ -69,12 +69,13 @@ def cmd_build(args: argparse.Namespace) -> dict | str:
         raise ValueError("--format off exports a torus and needs --torus")
     k = parse_signature(args.k)
     check_caps(k, "build")
+    if args.format == "off":
+        from . import artifacts
+
+        artifacts.check_off_dimension(k.d)
+        return artifacts.export_complex_off(build_torus_complex(k))
     if args.torus:
         complex_ = build_torus_complex(k)
-        if args.format == "off":
-            from . import artifacts
-
-            return artifacts.export_complex_off(complex_)
         fvector = complex_.fvector_enumerated()
         return {
             "signature": list(k.entries),
@@ -107,7 +108,7 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
     # with a zero entry even the formula runs the torus check, of up to D + 1 keys
     if 0 in k.entries or args.mode != "formula":
         check_caps(k, "build")
-    lattice = k if args.mode == "formula" else signature_index(k)
+    lattice = k if args.mode == "formula" else k.index
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("formula", "both"):
         payload["formula"] = list(fvector_formula(lattice))

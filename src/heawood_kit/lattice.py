@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import gcd, prod
 from operator import add, mod, mul, sub
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .intlin import (
     Frozen,
@@ -36,6 +36,9 @@ from .intlin import (
     closed_form_dk,
     smith_normal_form,
 )
+
+if TYPE_CHECKING:
+    from .quotient import _TilePass
 
 
 class NotInLattice(ValueError):
@@ -55,6 +58,9 @@ class KSignature(Frozen):
 
     Strict signatures have length >= 3 and all entries positive; zeros are
     admitted only when delta=True, and every derived object carries the flag.
+    The ``index`` of a signature is made on first use and kept, so the
+    builders that read one signature object share one Smith form and one
+    tile pass; equal but distinct objects each make their own.
     """
 
     _fields = ("entries", "delta")
@@ -83,6 +89,11 @@ class KSignature(Frozen):
 
     def order(self) -> int:
         return closed_form_dk(self.entries)
+
+    @cached_property
+    def index(self) -> "ClassIndex":
+        """Class index of the signature, its classes the fundamental vectors."""
+        return ClassIndex(self.matrix(), enumerate_fundamental(self))
 
 
 def canonicalize(a: Sequence[int]) -> tuple[int, ...]:
@@ -145,15 +156,14 @@ def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     return _cached_index(k).rep(a)
 
 
-def signature_index(k: KSignature) -> "ClassIndex":
-    """Class index of a signature, its classes the fundamental vectors."""
-    return ClassIndex(k.matrix(), enumerate_fundamental(k))
-
-
 @lru_cache(maxsize=16)
 def _cached_index(k: KSignature) -> "ClassIndex":
-    """The index of ``signature_index``, one Smith form per signature."""
-    return signature_index(k)
+    """A class index of the signature's value, one Smith form per value.
+
+    It is made here, not read from ``k.index``: the cache keeps its key,
+    and with it any tile pass a builder had kept on that key's index.
+    """
+    return ClassIndex(k.matrix(), enumerate_fundamental(k))
 
 
 def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
@@ -185,9 +195,10 @@ class ClassIndex:
     vectors that make it degenerate (``unit_vector``), the rotations that
     keep the lattice (``admits_rotation``, ``least_rotation``) and whether
     the rows span all ones (``all_ones_in_span``, from the rows of u past
-    the rank).  A matrix narrower than three columns raises ``ShapeError``,
-    since the tiling has dimension d >= 2, and an infinite quotient
-    ``InfiniteQuotient``.
+    the rank).  The index also keeps the quotient's ``tile_pass``, so the
+    graph and the torus built from one index share it.  A matrix narrower
+    than three columns raises ``ShapeError``, since the tiling has
+    dimension d >= 2, and an infinite quotient ``InfiniteQuotient``.
     """
 
     def __init__(
@@ -244,6 +255,19 @@ class ClassIndex:
                 f" of {self.order} classes"
             )
         return position
+
+    @cached_property
+    def tile_pass(self) -> _TilePass:
+        """The one pass over the tiles of the quotient, ``quotient._tile_pass``.
+
+        Whichever builder reads it first makes it, and the others read the
+        kept one.  It holds no reference back to the index, so keeping it
+        forms no reference cycle.  A degenerate quotient raises here, and
+        nothing is kept.
+        """
+        from .quotient import _tile_pass
+
+        return _tile_pass(self)
 
     def key(self, a: Sequence[int]) -> tuple[int, ...]:
         """Smith coordinates z = a @ v mod diag of the class of a."""

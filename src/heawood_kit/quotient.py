@@ -23,7 +23,6 @@ from .lattice import (
     ambient_columns,
     combine_columns,
     from_ambient,
-    signature_index,
 )
 from .tiling import SliceError, base_permutation, is_tiling_vertex
 
@@ -124,7 +123,9 @@ class QuotientGraph(Frozen):
 
 
 class _TilePass(NamedTuple):
-    """The one pass over the tiles that both readers of a quotient share.
+    """The one pass over the tiles that both readers of a quotient share,
+    kept by its ``ClassIndex`` as ``tile_pass`` and holding no reference
+    back to it.
 
     Vertex u = rank(p) * D + c is x = p + amb(a_c) for the permutation
     p = perms[rank(p)] and the listed class a_c.  Column t of
@@ -135,7 +136,6 @@ class _TilePass(NamedTuple):
     is the class table of subtracting e_j.
     """
 
-    index: ClassIndex
     perms: list[tuple[int, ...]]
     downs: list[list[tuple[int, ...]]]
     ambient: list[tuple[int, ...]]
@@ -145,9 +145,9 @@ class _TilePass(NamedTuple):
     order: list[int]
 
     def facets(self) -> Iterator[tuple[int, ...]]:
-        """The d+1 tile classes of each vertex, sorted, in label order."""
-        tiles = [map(column.__getitem__, self.order) for column in self.tile_columns]
-        return map(tuple, map(sorted, zip(*tiles)))
+        """The d+1 tile classes of each vertex, T_0 to T_d, in label order;
+        ``SimplicialComplex`` sorts them."""
+        return zip(*(map(column.__getitem__, self.order) for column in self.tile_columns))
 
 
 def _tile_pass(index: ClassIndex) -> _TilePass:
@@ -198,15 +198,13 @@ def _tile_pass(index: ClassIndex) -> _TilePass:
             column += tile
         downs.append(down)
     order = sorted(range(len(codes)), key=codes.__getitem__)
-    return _TilePass(
-        index, perms, downs, list(zip(*columns)), minus, codes, tile_columns, order
-    )
+    return _TilePass(perms, downs, list(zip(*columns)), minus, codes, tile_columns, order)
 
 
 def _quotient_graph(
-    tiles: _TilePass, signature: Optional[KSignature] = None
+    index: ClassIndex, signature: Optional[KSignature] = None
 ) -> QuotientGraph:
-    """The quotient graph that a tile pass describes.
+    """The quotient graph that the tile pass of an index describes.
 
     Labels are made in label order, one tuple per vertex.  Neighbours fill
     d+1 slots of V numbers: swapping values v, v+1 >= 2 of p keeps the
@@ -214,7 +212,7 @@ def _quotient_graph(
     which minus[j] undoes for the last slot.  The graph keeps ``rank`` and
     the sort's ``position`` for ``number_of`` and ``vertex_of``.
     """
-    index, perms, downs, ambient, minus, codes, tile_columns, order = tiles
+    perms, downs, ambient, minus, codes, tile_columns, order = index.tile_pass
     n, size = len(perms[0]), len(index.classes)
     d = n - 1
     labels: list[VertexKey] = []
@@ -272,8 +270,13 @@ def refuse_degenerate(index: ClassIndex) -> None:
 
 
 def build_heawood_graph(k: KSignature) -> QuotientGraph:
-    """Quotient graph of a signature, numbered by the closed-form index."""
-    return _quotient_graph(_tile_pass(signature_index(k)), k)
+    """Quotient graph of a signature, numbered by the closed-form index.
+
+    It reads the signature's kept ``index`` and that index's kept tile
+    pass, so a graph built after the torus of the same signature object
+    makes neither again.
+    """
+    return _quotient_graph(k.index, k)
 
 
 def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
@@ -284,33 +287,46 @@ def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
     quotient order vertices.  ``ClassIndex`` raises for a matrix narrower
     than three columns and for an infinite quotient.  A caller that has
     made the ``ClassIndex`` of the matrix already, to read its order,
-    passes the index instead and the build reuses its Smith form.
+    passes the index instead and the build reuses its Smith form, and its
+    tile pass if a torus build made one.
     """
     index = rows if isinstance(rows, ClassIndex) else ClassIndex(rows)
-    return _quotient_graph(_tile_pass(index))
+    return _quotient_graph(index)
 
 
-class SimplicialComplex(NamedTuple):
-    """Pure complex given by facets over integer-indexed vertices."""
+class SimplicialComplex(Frozen):
+    """Pure complex given by facets over integer-indexed vertices.
 
-    vertex_count: int
-    facets: tuple[tuple[int, ...], ...]
-    vertex_labels: tuple = ()
+    Each facet is stored as its sorted vertex tuple, sorted once here, so
+    the vertex order inside a given facet changes nothing and the readers
+    below take the facets as stored.
+    """
+
+    _fields = ("vertex_count", "facets", "vertex_labels")
+
+    def __init__(
+        self,
+        vertex_count: int,
+        facets: Iterable[Sequence[int]],
+        vertex_labels: tuple = (),
+    ) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "facets", tuple(map(tuple, map(sorted, facets))))
+        object.__setattr__(self, "vertex_labels", vertex_labels)
 
     @property
     def dim(self) -> int:
         return len(self.facets[0]) - 1 if self.facets else -1
 
     def faces(self, i: int) -> set[tuple[int, ...]]:
-        """All i-dimensional faces as sorted vertex tuples, whatever the
-        vertex order inside each facet."""
-        return _faces(_sorted_facets(self.facets), i)
+        """All i-dimensional faces as sorted vertex tuples."""
+        return _faces(self.facets, i)
 
     def fvector_enumerated(self) -> tuple[int, ...]:
         """Face counts by enumeration: f_0 counts the distinct vertices of
         the facets, f_d the distinct facets, and only the dimensions in
         between go through ``combinations``."""
-        facets = _sorted_facets(self.facets)
+        facets = self.facets
         top = len(set(facets))
         if self.dim < 1:
             return (top,) * (self.dim + 1)
@@ -319,11 +335,6 @@ class SimplicialComplex(NamedTuple):
 
     def euler_characteristic(self) -> int:
         return alternating_sum(self.fvector_enumerated())
-
-
-def _sorted_facets(facets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Each facet as its sorted vertex tuple."""
-    return list(map(tuple, map(sorted, facets)))
 
 
 def _faces(facets: Iterable[tuple[int, ...]], i: int) -> set[tuple[int, ...]]:
@@ -344,15 +355,16 @@ def build_torus_complex(k: KSignature | ClassIndex) -> SimplicialComplex:
     classes containing it, in graph vertex order so the duality bijection
     is positional.  It reads only the label order and the tile columns of
     the tile pass, and makes no graph.  A lattice with a short vector has
-    no torus and is refused before the build.  A caller that has made the ``ClassIndex``
-    already, of a signature or of a general matrix, passes the index and
-    the build reuses its Smith form.
+    no torus and is refused before the build.  A signature's kept
+    ``index``, or an index the caller passes, of a signature or of a
+    general matrix, keeps its Smith form and the tile pass, so a graph
+    built from the same object afterwards makes neither again.
     """
-    index = signature_index(k) if isinstance(k, KSignature) else k
+    index = k.index if isinstance(k, KSignature) else k
     _refuse_short_vector(index)
     return SimplicialComplex(
         vertex_count=len(index.classes),
-        facets=tuple(_tile_pass(index).facets()),
+        facets=index.tile_pass.facets(),
         vertex_labels=tuple(index.classes),
     )
 
@@ -398,36 +410,44 @@ def dual_graph(c: SimplicialComplex) -> QuotientGraph:
     """Graph on facets, adjacent when they share a codimension-1 face.
 
     A ridge met again is paired at once with the facet that first showed
-    it.  If a ridge lies in three or more facets, or twice in one, every
-    ridge is also grouped with all its facets, each pair of which joins.
-    Ridges are read from each facet sorted, one facet at a time, so no
-    sorted copy of the facets is kept; the labels are the facets as given.
+    it, into adjacency lists.  Two facets share a second ridge only when
+    they are equal, and then each ridge of the later one pairs the same
+    two facets, one after another, so a pair equal to the last one kept
+    is dropped.  If a ridge lies in three or more facets, or twice in one,
+    every ridge is grouped with all its facets instead, each pair of which
+    joins once.  Ridges are read from the facets as stored, sorted; the
+    labels are the facets.
     """
     facets = c.facets
-    adjacency: list[set[int]] = [set() for _ in facets]
+    adjacency: list[list[int]] = [[] for _ in facets]
     first: dict[tuple[int, ...], int] = {}
     crowded = False
-    for idx, facet in enumerate(map(sorted, facets)):
+    paired = 0
+    for idx, facet in enumerate(facets):
         for ridge in combinations(facet, len(facet) - 1):
             j = first.setdefault(ridge, idx)
             if j < 0:
                 crowded = True
             elif j != idx:
-                adjacency[j].add(idx)
-                adjacency[idx].add(j)
                 first[ridge] = -1
+                paired += 1
+                if adjacency[idx][-1:] != [j]:
+                    adjacency[j].append(idx)
+                    adjacency[idx].append(j)
     # each sight was a first or a closing second one unless some pair is missing
-    if crowded or sum(map(len, facets)) != len(first) + list(first.values()).count(-1):
+    if crowded or sum(map(len, facets)) != len(first) + paired:
         sharing: dict[tuple[int, ...], list[int]] = {}
-        for idx, facet in enumerate(map(sorted, facets)):
+        for idx, facet in enumerate(facets):
             for ridge in combinations(facet, len(facet) - 1):
                 sharing.setdefault(ridge, []).append(idx)
+        joined: list[set[int]] = [set() for _ in facets]
         for group in sharing.values():
             for i, j in combinations(group, 2):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+                joined[i].add(j)
+                joined[j].add(i)
+        adjacency = list(map(list, joined))
     return QuotientGraph(
         d=c.dim,
-        labels=tuple(facets),
+        labels=facets,
         adjacency=tuple(map(tuple, map(sorted, adjacency))),
     )

@@ -172,6 +172,17 @@ def test_cli_build_refuses_format_that_does_not_fit(capsys, extra):
     assert "--torus" in err and f"--format {extra[-1]}" in err
 
 
+def test_cli_refuses_off_above_dimension_three_before_the_build(capsys, monkeypatch):
+    def no_build(k):
+        raise RuntimeError("the torus was built")
+
+    monkeypatch.setattr(cli_module, "build_torus_complex", no_build)
+    code, out, err = run_cli(capsys, "build", "-k", "1,1,1,1,1", "--torus",
+                             "--format", "off")
+    assert (code, out) == (2, "")
+    assert "OFF export handles dimension at most 3" in err
+
+
 def test_cli_build_torus_summary(capsys):
     code, out, _ = run_cli(capsys, "build", "-k", "1,1,1", "--torus")
     payload = json.loads(out)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -27,7 +29,6 @@ from heawood_kit.lattice import (
     KSignature,
     enumerate_fundamental,
     reduce_to_fundamental,
-    signature_index,
     to_ambient,
 )
 from heawood_kit.quotient import (
@@ -258,7 +259,7 @@ def test_not_simplicial_validation():
         ((0, 0, 1, 2), r"\(0, 1, -1, 0\)"),
         ((0, 1, 1), r"\(1, -1, 0\)"),
     ]:
-        index = signature_index(KSignature(entries, delta=True))
+        index = KSignature(entries, delta=True).index
         facets = quotient._tile_pass(index).facets()
         with pytest.raises(NotSimplicial):
             oracles.validate_per_facet(
@@ -453,12 +454,12 @@ def class_index(source):
 @pytest.mark.parametrize("source", BUILDER_QUOTIENTS)
 def test_builder_matches_the_per_vertex_oracle(source):
     index, k = class_index(source)
-    tiles = quotient._tile_pass(index)
-    g, facets = quotient._quotient_graph(tiles, k), tiles.facets()
+    g = quotient._quotient_graph(index, k)
+    facets = SimplicialComplex(index.order, index.tile_pass.facets()).facets
     want, want_facets = oracles.build_per_vertex(index, k)
     assert g.labels == want.labels
     assert g.adjacency == want.adjacency
-    assert tuple(facets) == want_facets
+    assert facets == want_facets
     assert g.rank == want.rank
     assert g.position == want.position
     assert g.signature == want.signature and g.lattice is index
@@ -609,7 +610,7 @@ def test_short_vector_decides_the_torus_on_random_lattices():
 def test_strict_signatures_have_no_short_vector():
     for n, top in ((3, 6), (4, 4), (5, 2), (6, 1)):
         for entries in product(range(1, top + 1), repeat=n):
-            assert signature_index(KSignature(entries)).short_vector() is None
+            assert KSignature(entries).index.short_vector() is None
 
 
 GRID_SIGNATURES = [
@@ -627,9 +628,9 @@ CENSUS_TORI = [
 def class_table_indexes():
     """Indexes of the grids, two delta signatures, the census matrices,
     seeded random lattices and two order-1 quotients."""
-    yield from (signature_index(KSignature(entries)) for entries in GRID_SIGNATURES)
+    yield from (KSignature(entries).index for entries in GRID_SIGNATURES)
     for entries in [(0, 2, 2), (6, 6, 0)]:
-        yield signature_index(KSignature(entries, delta=True))
+        yield KSignature(entries, delta=True).index
     yield from (ClassIndex(parse_matrix_arg(text)) for text in CENSUS_MATRICES)
     yield from random_lattices(60)
     yield from (ClassIndex(identity_matrix(n)) for n in (3, 4))
@@ -679,9 +680,9 @@ def test_torus_facets_and_dual_match_the_graph_build(source):
 
 
 def shuffled(c, rng):
-    """The complex with the vertices inside each facet shuffled."""
-    facets = tuple(tuple(rng.sample(facet, len(facet))) for facet in c.facets)
-    return c._replace(facets=facets)
+    """The complex made from its facets with the vertices inside each shuffled."""
+    facets = [rng.sample(facet, len(facet)) for facet in c.facets]
+    return SimplicialComplex(c.vertex_count, facets, c.vertex_labels)
 
 
 SHUFFLED_COMPLEXES = {
@@ -695,14 +696,76 @@ SHUFFLED_COMPLEXES = {
     "c", SHUFFLED_COMPLEXES.values(), ids=SHUFFLED_COMPLEXES.keys()
 )
 def test_vertex_order_inside_facets_changes_nothing(c):
-    ordered = c._replace(facets=tuple(map(tuple, map(sorted, c.facets))))
+    # the constructor sorts each facet, so a shuffled complex is the same value
     rng = random.Random(7)
     for _ in range(3):
         s = shuffled(c, rng)
-        assert s.fvector_enumerated() == ordered.fvector_enumerated()
-        assert s.euler_characteristic() == ordered.euler_characteristic()
-        assert dual_graph(s).adjacency == dual_graph(ordered).adjacency
-        assert oracles.dual_graph_grouped(s) == dual_graph(ordered).adjacency
+        assert s == c
+        assert all(list(facet) == sorted(facet) for facet in s.facets)
+        assert s.fvector_enumerated() == c.fvector_enumerated()
+        assert s.euler_characteristic() == c.euler_characteristic()
+        assert dual_graph(s).adjacency == dual_graph(c).adjacency
+        assert oracles.dual_graph_grouped(s) == dual_graph(c).adjacency
         for i in range(c.dim + 1):
-            assert s.faces(i) == ordered.faces(i)
+            assert s.faces(i) == c.faces(i)
             assert all(list(face) == sorted(face) for face in s.faces(i))
+
+
+def count_quotient_work(monkeypatch):
+    """Count the Smith forms and the tile passes made from now on."""
+    calls = {"smith_normal_form": 0, "_tile_pass": 0}
+    for module, name in ((lattice, "smith_normal_form"), (quotient, "_tile_pass")):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("torus_first", [True, False], ids=["torus first", "graph first"])
+def test_one_signature_object_makes_one_smith_form_and_one_tile_pass(
+    torus_first, monkeypatch
+):
+    entries = (2, 1, 3, 1)
+    fresh_graph = build_heawood_graph(KSignature(entries))
+    fresh_torus = build_torus_complex(KSignature(entries))
+    calls = count_quotient_work(monkeypatch)
+    k = KSignature(entries)
+    if torus_first:
+        c, g = build_torus_complex(k), build_heawood_graph(k)
+    else:
+        g, c = build_heawood_graph(k), build_torus_complex(k)
+    assert calls == {"smith_normal_form": 1, "_tile_pass": 1}
+    assert g == fresh_graph and c == fresh_torus
+    assert (g.rank, g.position) == (fresh_graph.rank, fresh_graph.position)
+    assert g.lattice is k.index
+    # the cache is per object: an equal but distinct signature builds again
+    calls.update(smith_normal_form=0, _tile_pass=0)
+    build_torus_complex(KSignature(entries))
+    build_heawood_graph(KSignature(entries))
+    assert calls == {"smith_normal_form": 2, "_tile_pass": 2}
+    # a refused torus makes no tile pass
+    calls.update(smith_normal_form=0, _tile_pass=0)
+    with pytest.raises(NotSimplicial):
+        build_torus_complex(KSignature((0, 1, 1), delta=True))
+    assert calls == {"smith_normal_form": 1, "_tile_pass": 0}
+
+
+def test_a_dropped_graph_is_freed_without_the_cycle_collector():
+    # the tile pass kept on the index holds nothing that points back to it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        k = KSignature((2, 1, 3, 1))
+        build_torus_complex(k)
+        g = build_heawood_graph(k)
+        del k
+        lattice_ref = weakref.ref(g.lattice)
+        del g
+        assert lattice_ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -124,6 +124,29 @@ def test_every_definition_is_reachable():
     assert dead == []
 
 
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def test_the_one_cache_decorator_is_lattice_cached_index():
+    # a value-keyed cache lets a process that repeats a call skip work that
+    # a one-command process always does, so what a quotient derives is kept
+    # on the object that owns it, with cached_property
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    decorated, references = [], 0
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            references += isinstance(node, (ast.Name, ast.Attribute)) and (
+                name in CACHE_DECORATORS
+            )
+            if isinstance(node, functions) and CACHE_DECORATORS & set().union(
+                *map(used_names, node.decorator_list)
+            ):
+                decorated.append(f"{path.relative_to(PACKAGE)} {node.name}")
+    # the one reference is that decorator
+    assert (decorated, references) == (["lattice.py _cached_index"], 1)
+
+
 def test_only_limits_sets_limits_or_reads_the_environment():
     # every limit default and the one reader of HEAWOOD_CAP live in
     # limits.py, so a cap cannot be decided in two places
