@@ -37,14 +37,14 @@ EXIT_REFUSED = 3
 
 
 def parse_signature(text: str) -> KSignature:
-    entries = tuple(int(v) for v in text.split(","))
-    return KSignature(entries, delta=0 in entries)
+    return KSignature(text.split(","))
 
 
-def check_caps(k: KSignature, *steps: Optional[str]) -> None:
-    """Refuse k when the closed-form vertex count d!·D of H_k is above the
-    cap of any of ``steps``, checked in order; a None step is skipped."""
-    vertices = factorial(k.d) * k.order()
+def check_caps(index: ClassIndex, *steps: Optional[str]) -> None:
+    """Refuse a quotient when its vertex count d!·D, read from the order
+    of its index, is above the cap of any of ``steps``, checked in order;
+    a None step is skipped.  It lists no class."""
+    vertices = factorial(index.rows.cols - 1) * index.order
     for step in filter(None, steps):
         check_vertex_cap(vertices, step)
 
@@ -68,7 +68,7 @@ def cmd_build(args: argparse.Namespace) -> dict | str:
     if not args.torus and args.format == "off":
         raise ValueError("--format off exports a torus and needs --torus")
     k = parse_signature(args.k)
-    check_caps(k, "build")
+    check_caps(k.index, "build")
     if args.format == "off":
         from . import artifacts
 
@@ -107,13 +107,12 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
     # with a zero entry even the formula runs the torus check, of up to D + 1 keys
     if 0 in k.entries or args.mode != "formula":
-        check_caps(k, "build")
-    lattice = k if args.mode == "formula" else k.index
+        check_caps(k.index, "build")
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("formula", "both"):
-        payload["formula"] = list(fvector_formula(lattice))
+        payload["formula"] = list(fvector_formula(k))
     if args.mode in ("enumerate", "both"):
-        enumerated = list(build_torus_complex(lattice).fvector_enumerated())
+        enumerated = list(build_torus_complex(k).fvector_enumerated())
         payload["enumerated"] = enumerated
         if args.mode == "both":
             payload["match"] = enumerated == payload["formula"]
@@ -123,16 +122,13 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
 def cmd_aut(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
     if args.mode != "generated":
-        check_caps(k, "build", "search")
+        check_caps(k.index, "build", "search")
         graph = build_heawood_graph(k)
-        lattice = graph.lattice
-    else:
-        lattice = ClassIndex(k.matrix())
     from . import symmetry
 
     payload: dict = {"signature": list(k.entries)}
     if args.mode in ("generated", "compare"):
-        payload["generated"] = symmetry.generated_order(lattice)
+        payload["generated"] = symmetry.generated_order(k.index)
     if args.mode in ("brute", "compare"):
         payload["brute"] = symmetry.brute_force_automorphisms(graph).order
     if args.mode == "compare":
@@ -142,7 +138,7 @@ def cmd_aut(args: argparse.Namespace) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
-    check_caps(k, "build", "chromatic" if args.chromatic else None)
+    check_caps(k.index, "build", "chromatic" if args.chromatic else None)
     from . import analysis
 
     if args.hamiltonian is not None:
@@ -173,7 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
 def cmd_census(args: argparse.Namespace) -> dict:
     matrix = parse_matrix_arg(args.matrix)
     index = ClassIndex(matrix)
-    check_vertex_cap(factorial(matrix.cols - 1) * index.order, "build")
+    check_caps(index, "build")
     graph = build_general_quotient(index)
     return {
         "matrix": [list(r) for r in matrix.row_list()],
@@ -187,7 +183,7 @@ def cmd_census(args: argparse.Namespace) -> dict:
 def cmd_render(args: argparse.Namespace) -> str:
     k = parse_signature(args.k)
     if k.d == 2:  # other dimensions have no scene and exit 2 below
-        check_caps(k, "build")
+        check_caps(k.index, "build")
     from . import artifacts
 
     scene = artifacts.fundamental_tile_scene(k, domain=args.domain)

@@ -8,24 +8,25 @@ form subtracts the minimum so at least one entry is zero.
 The sublattice of a signature k is spanned (in coefficients, modulo the
 all-ones relation) by the rows of the banded matrix of that signature.  The
 finitely many classes of the quotient are indexed by the fundamental
-vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  ``ClassIndex``
-names the class of any tuple by its Smith coordinates, for signatures,
-delta signatures and general matrices alike, and answers every other
-lattice question of the quotient from the same Smith form: the class
-tables of translations, whether it is a degenerate quotient or a
-triangulated torus, which coordinate rotations keep it and whether its
-rows span all ones;
-``reduce_to_fundamental`` looks up the fundamental vector of a class in
-the index of its signature.
+vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  Zero entries are
+plain input; the lattice alone decides whether such a quotient is
+degenerate or has a torus.  ``ClassIndex`` names the class of any tuple
+by its Smith coordinates, for signatures and general matrices alike, and
+answers every other lattice question of the quotient from the same Smith
+form: the class tables of translations, whether it is a degenerate
+quotient or a triangulated torus, which coordinate rotations keep it and
+whether its rows span all ones.  A signature keeps its index per object,
+as ``KSignature.index``; ``reduce_to_fundamental`` looks up the
+fundamental vector of a class there.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product, repeat
 from math import gcd, prod
 from operator import add, mod, mul, sub
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .intlin import (
     Frozen,
@@ -54,27 +55,26 @@ class NotATransversal(ValueError):
 
 
 class KSignature(Frozen):
-    """Parameter vector k = (k_1, ..., k_{d+1}).
+    """Parameter vector k = (k_1, ..., k_{d+1}): at least three entries,
+    all nonnegative; zero entries are plain input.
 
-    Strict signatures have length >= 3 and all entries positive; zeros are
-    admitted only when delta=True, and every derived object carries the flag.
-    The ``index`` of a signature is made on first use and kept, so the
-    builders that read one signature object share one Smith form and one
-    tile pass; equal but distinct objects each make their own.
+    The ``index`` of a signature is made on first use and kept per
+    object, so the builders and reductions that read one signature object
+    share one Smith form and one tile pass; equal but distinct objects
+    each make their own, and a caller that reduces many points passes one
+    object.
     """
 
-    _fields = ("entries", "delta")
+    _fields = ("entries",)
 
+    # delta is ignored: zero entries need no flag, but older callers pass it
     def __init__(self, entries: Sequence[int], delta: bool = False) -> None:
         entries = tuple(int(x) for x in entries)
         if len(entries) < 3:
             raise InvalidSignature("signature needs at least three entries")
         if any(x < 0 for x in entries):
             raise InvalidSignature("signature entries must be nonnegative")
-        if not delta and any(x == 0 for x in entries):
-            raise InvalidSignature("zero entries require delta mode")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "delta", delta)
 
     @property
     def d(self) -> int:
@@ -92,8 +92,10 @@ class KSignature(Frozen):
 
     @cached_property
     def index(self) -> "ClassIndex":
-        """Class index of the signature, its classes the fundamental vectors."""
-        return ClassIndex(self.matrix(), enumerate_fundamental(self))
+        """Class index of the signature, its classes the fundamental
+        vectors.  Making it makes the Smith form alone; the vectors are
+        listed on the first read of its ``classes``."""
+        return ClassIndex(self.matrix(), _fundamental(self.entries))
 
 
 def canonicalize(a: Sequence[int]) -> tuple[int, ...]:
@@ -148,27 +150,23 @@ def from_ambient(v: Sequence[int]) -> tuple[int, ...]:
 def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     """Unique fundamental representative of the class of a.
 
-    The class is looked up by its Smith coordinates in the ``ClassIndex``
-    of the signature, built once per signature and kept for the next call.
+    The class is looked up by its Smith coordinates in ``k.index``, which
+    the signature object keeps: a caller that reduces many points passes
+    one object, and builds one index.
     """
     if len(a) != k.n:
         raise InvalidSignature("coefficient length does not match signature")
-    return _cached_index(k).rep(a)
-
-
-@lru_cache(maxsize=16)
-def _cached_index(k: KSignature) -> "ClassIndex":
-    """A class index of the signature's value, one Smith form per value.
-
-    It is made here, not read from ``k.index``: the cache keeps its key,
-    and with it any tile pass a builder had kept on that key's index.
-    """
-    return ClassIndex(k.matrix(), enumerate_fundamental(k))
+    return k.index.rep(a)
 
 
 def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
     """All fundamental vectors of k in lexicographic order."""
-    return [a for a in product(*(range(x + 1) for x in k.entries)) if 0 in a]
+    return list(_fundamental(k.entries))
+
+
+def _fundamental(entries: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The fundamental vectors of a signature's entries, listed lazily."""
+    return (a for a in product(*(range(x + 1) for x in entries)) if 0 in a)
 
 
 def quotient_order_general(rows: IntMatrix) -> int:
@@ -183,12 +181,13 @@ class ClassIndex:
     the quotient isomorphically onto the product of the cyclic groups
     Z/diag_j.  Only the columns of v whose diagonal entry exceeds 1 are
     kept, so on a cyclic quotient z is a single dot product, and their
-    product is the ``order``.  The classes are listed by representative:
-    the given ones, which must hit every class once and are checked at
-    once, or else the sorted min-zero images of the box 0 <= z_j < diag_j,
-    listed on first use, so that the order can be read and refused before
-    any work in it.  The generator ``rows`` are kept: a vector lies in the
-    sublattice exactly when its Smith coordinates are all zero.  One
+    product is the ``order``.  The classes are listed by representative,
+    on first use, so that the order can be read and refused before any
+    work in it: the given ones, which must hit every class once and are
+    checked on the first read of ``position``, or else the sorted min-zero
+    images of the box 0 <= z_j < diag_j.  The generator ``rows`` are
+    kept: a vector lies in the sublattice exactly when its Smith
+    coordinates are all zero.  One
     Smith form answers every lattice question of a quotient: the class
     of a point (``key``), the class table of a translation (``mapped``),
     the short vectors that rule out a torus (``short_vector``), the unit
@@ -202,7 +201,7 @@ class ClassIndex:
     """
 
     def __init__(
-        self, rows: IntMatrix, classes: Optional[Sequence[tuple[int, ...]]] = None
+        self, rows: IntMatrix, classes: Optional[Iterable[tuple[int, ...]]] = None
     ) -> None:
         n = rows.cols
         if n < 3:
@@ -220,12 +219,12 @@ class ClassIndex:
         self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
         self._back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
         self._ones_relations = [snf.u[i, rows.rows] for i in range(n, rows.rows + 1)]
-        if classes is not None:
-            self.classes = [tuple(a) for a in classes]
-            self.position  # noqa: B018 - reading it checks a given listing now
+        self._given = classes
 
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
+        if self._given is not None:
+            return list(map(tuple, self._given))
         return sorted(
             canonicalize([sum(map(mul, z, col)) for col in self._back])
             for z in product(*(range(x) for x in self.moduli))

@@ -398,7 +398,7 @@ def fvector_formula(k: KSignature | ClassIndex) -> tuple[int, ...]:
     if isinstance(k, KSignature) and 0 not in k.entries:
         d, order = k.d, k.order()
     else:
-        index = k if isinstance(k, ClassIndex) else ClassIndex(k.matrix())
+        index = k.index if isinstance(k, KSignature) else k
         _refuse_short_vector(index)
         d, order = index.rows.cols - 1, index.order
     return tuple(

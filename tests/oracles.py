@@ -117,7 +117,7 @@ def reduce_by_scan(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     Phase one repeatedly scans the entries and pulls the first out-of-range
     one into [0, k_i] by adding an integer multiple of row i of the banded
     matrix.  Phase two subtracts min(a) many all-ones vectors so some entry
-    becomes zero.  For delta-mode signatures the scan may not terminate.
+    becomes zero.  For signatures with a zero entry the scan may not terminate.
     """
     n = k.n
     kk = k.entries
@@ -747,8 +747,7 @@ def import_graph_json(text: str) -> QuotientGraph:
         adjacency[j].add(i)
     signature = None
     if payload.get("signature"):
-        entries = tuple(payload["signature"])
-        signature = KSignature(entries, delta=0 in entries)
+        signature = KSignature(payload["signature"])
     return QuotientGraph(
         d=payload["meta"]["d"],
         labels=labels,

@@ -73,7 +73,7 @@ def test_dot_export_structure():
 
 
 def test_json_round_trip():
-    delta = build_heawood_graph(KSignature((3, 3, 0), delta=True))
+    delta = build_heawood_graph(KSignature((3, 3, 0)))
     for g, entries in ((graph((2, 1, 2)), [2, 1, 2]), (delta, [3, 3, 0])):
         text = export_graph_json(g)
         payload = json.loads(text)
@@ -677,7 +677,7 @@ SMITH_FORMS = [
     (("aut", "-k", "0,2,2", "--generated"), 1),
     (("analyze", "-k", "1,1,2", "--bipartite", "--six-cycles", "--chromatic"), 1),
     (("census", "--matrix", "2,0,-1;0,2,-1;-1,-1,3"), 1),
-    (("render", "-k", "2,1,2"), 0),
+    (("render", "-k", "2,1,2"), 1),
 ]
 
 
@@ -686,7 +686,6 @@ SMITH_FORMS = [
     ids=[" ".join(argv) for argv, _ in SMITH_FORMS],
 )
 def test_cli_makes_at_most_one_smith_form(capsys, monkeypatch, argv, smith_forms):
-    lattice._cached_index.cache_clear()
     calls = count_smith_forms(monkeypatch)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -697,11 +696,12 @@ def test_cli_makes_at_most_one_smith_form(capsys, monkeypatch, argv, smith_forms
 
 
 # (argv, torus checks): --enumerate checks the torus once, in the build;
-# --both also prints the closed form, whose own check makes the second
+# --both also prints the closed form, which a zero-free signature answers
+# unchecked and which makes the second check when an entry is zero
 TORUS_CHECKS = [
     (("fvector", "-k", "2,1,2", "--enumerate"), 1),
     (("fvector", "-k", "0,2,2", "--enumerate"), 1),
-    (("fvector", "-k", "2,1,2", "--both"), 2),
+    (("fvector", "-k", "2,1,2", "--both"), 1),
     (("fvector", "-k", "0,2,2", "--both"), 2),
 ]
 
@@ -734,6 +734,26 @@ def test_cli_census_refuses_before_listing_classes():
     )
     assert proc.returncode == 3
     assert "20000400000 vertices above build cap" in proc.stderr
+
+
+def test_cli_refuses_a_large_signature_before_listing_classes(capsys, monkeypatch):
+    listed = []
+    original = lattice._fundamental
+
+    def recording(entries):
+        listed.append(entries)
+        yield from original(entries)
+
+    monkeypatch.setattr(lattice, "_fundamental", recording)
+    code, out, err = run_cli(capsys, "build", "-k", "40,40,40,40")
+    assert (code, out) == (3, "")
+    assert "1594566 vertices above build cap" in err
+    code, out, _ = run_cli(capsys, "aut", "-k", "40,40,40,40", "--generated")
+    assert (code, json.loads(out)["generated"]) == (0, 2_126_088)
+    assert listed == []
+    # a build lists them, once
+    assert run_cli(capsys, "build", "-k", "1,1,1")[0] == 0
+    assert listed == [(1, 1, 1)]
 
 
 def test_cli_build_torus_enumerates_faces_once(capsys, monkeypatch):

@@ -38,8 +38,8 @@ def test_signature_validation():
     with pytest.raises(InvalidSignature):
         KSignature((1, 2))
     with pytest.raises(InvalidSignature):
-        KSignature((1, 0, 1))
-    assert KSignature((1, 0, 1), delta=True).delta
+        KSignature((1, -1, 1))
+    assert KSignature((1, 0, 1)).entries == (1, 0, 1)
 
 
 def test_w_vector_examples():
@@ -131,15 +131,17 @@ def test_fundamental_pairwise_inequivalent():
 def test_class_index_refuses_classes_that_are_not_a_transversal():
     k = KSignature((2, 1, 2))
     classes = enumerate_fundamental(k)
-    ClassIndex(k.matrix(), classes)
+    assert len(ClassIndex(k.matrix(), classes).position) == len(classes)
     same_class = tuple(a + r for a, r in zip(classes[1], k.matrix().row(0)))
     for bad in [
         classes[:-1] + classes[:1],  # a class twice, the last one missing
         classes[:1] + [same_class] + classes[1:],  # a class under two names
         classes[:-1],  # a class missing
     ]:
+        # a given listing is checked on the first read of its positions
+        index = ClassIndex(k.matrix(), bad)
         with pytest.raises(NotATransversal):
-            ClassIndex(k.matrix(), bad)
+            index.position
 
 
 def test_quotient_order_general_examples():
@@ -156,8 +158,9 @@ def test_quotient_order_infinite():
         quotient_order_general(rank_deficient)
 
 
-@given(SMALL_SIGNATURES)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=4))
 def test_quotient_order_matches_closed_form(entries):
+    # the caps read the index order, so it must be the closed form, zeros too
     assert quotient_order_general(build_mk(entries)) == closed_form_dk(entries)
 
 
@@ -185,7 +188,7 @@ def test_reduction_matches_the_scan_oracle(n, top):
 
 
 def test_delta_mode_reduction():
-    k = KSignature((1, 1, 0), delta=True)
+    k = KSignature((1, 1, 0))
     reps = enumerate_fundamental(k)
     assert len(reps) == closed_form_dk(k.entries) == 4
     for rep in reps:
@@ -196,8 +199,9 @@ def test_delta_mode_reduction():
 
 
 def test_delta_reduction_keeps_its_class_index(monkeypatch):
-    # one Smith form per delta signature, not one per call
-    rep = reduce_to_fundamental((9, -4, 6), KSignature((6, 6, 0), delta=True))
+    # one Smith form per signature object, kept by it, not one per call
+    k = KSignature((6, 6, 0))
+    rep = reduce_to_fundamental((9, -4, 6), k)
     calls = []
     original = intlin.smith_normal_form
 
@@ -207,8 +211,10 @@ def test_delta_reduction_keeps_its_class_index(monkeypatch):
 
     for module in (intlin, lattice):
         monkeypatch.setattr(module, "smith_normal_form", counting)
-    assert reduce_to_fundamental((9, -4, 6), KSignature((6, 6, 0), delta=True)) == rep
+    assert reduce_to_fundamental((9, -4, 6), k) == rep
+    assert reduce_to_fundamental((0, 0, 0), k) == (0, 0, 0)
     assert calls == []
+    assert k.index.rep((9, -4, 6)) == rep
 
 
 def test_all_ones_in_span_matches_the_span_oracle():

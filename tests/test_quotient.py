@@ -259,14 +259,14 @@ def test_not_simplicial_validation():
         ((0, 0, 1, 2), r"\(0, 1, -1, 0\)"),
         ((0, 1, 1), r"\(1, -1, 0\)"),
     ]:
-        index = KSignature(entries, delta=True).index
+        index = KSignature(entries).index
         facets = quotient._tile_pass(index).facets()
         with pytest.raises(NotSimplicial):
             oracles.validate_per_facet(
                 SimplicialComplex(vertex_count=index.order, facets=tuple(facets))
             )
         with pytest.raises(NotSimplicial, match=vector):
-            build_torus_complex(KSignature(entries, delta=True))
+            build_torus_complex(KSignature(entries))
 
 
 ORACLE_SIGNATURES = [
@@ -295,7 +295,7 @@ def test_closed_form_index_matches_bfs_oracle(entries):
 
 @pytest.mark.parametrize("entries", ORACLE_DELTAS)
 def test_closed_form_index_matches_bfs_oracle_delta(entries):
-    k = KSignature(entries, delta=True)
+    k = KSignature(entries)
     g = build_heawood_graph(k)
     reduce = lambda a: reduce_to_fundamental(a, k)  # noqa: E731
     assert (g.labels, g.adjacency) == oracles.bfs_quotient(k.d, reduce)
@@ -313,7 +313,7 @@ def test_closed_form_index_matches_bfs_oracle_census(rows):
     "build",
     [
         lambda: build_general_quotient(IntMatrix.from_rows(ORACLE_CENSUS[1])),
-        lambda: build_heawood_graph(KSignature((3, 3, 0), delta=True)),
+        lambda: build_heawood_graph(KSignature((3, 3, 0))),
     ],
 )
 def test_key_of_reuses_the_quotients_reducer(build, monkeypatch):
@@ -335,7 +335,7 @@ def test_key_of_reuses_the_quotients_reducer(build, monkeypatch):
 
 LOOKUP_QUOTIENTS = (
     [pytest.param(KSignature(e), id=str(e)) for e in ORACLE_SIGNATURES]
-    + [pytest.param(KSignature(e, delta=True), id=f"delta{e}") for e in ORACLE_DELTAS]
+    + [pytest.param(KSignature(e), id=f"delta{e}") for e in ORACLE_DELTAS]
     + [pytest.param(IntMatrix.from_rows(r), id=f"census{r}") for r in ORACLE_CENSUS]
 )
 
@@ -344,7 +344,7 @@ LOOKUP_QUOTIENTS = (
 def test_vertex_of_matches_the_key_oracle(quotient):
     if isinstance(quotient, KSignature):
         g, rows = build_heawood_graph(quotient), quotient.matrix().row_list()
-        reduce = reduce_to_fundamental if quotient.delta else reduce_by_scan
+        reduce = reduce_to_fundamental if 0 in quotient.entries else reduce_by_scan
         reducer = lambda a: reduce(a, quotient)  # noqa: E731
     else:
         g, rows = build_general_quotient(quotient), quotient.row_list()
@@ -386,7 +386,7 @@ def test_vertex_of_reduces_once(monkeypatch):
 )
 def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
     if isinstance(source[0], int):
-        k = KSignature(source, delta=0 in source)
+        k = KSignature(source)
         d, order = k.d, k.order()
         build = lambda: build_heawood_graph(k)  # noqa: E731
     else:
@@ -409,7 +409,7 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: build_heawood_graph(KSignature((0, 0, 1), delta=True)),
+        lambda: build_heawood_graph(KSignature((0, 0, 1))),
         lambda: build_general_quotient(identity_matrix(3)),
     ],
     ids=["delta(0, 0, 1)", "census identity"],
@@ -440,7 +440,7 @@ BUILDER_QUOTIENTS = (
         pytest.param(KSignature(e), id=str(e))
         for e in [(2, 1, 2), (3, 3, 3, 3), (2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1)]
     ]
-    + [pytest.param(KSignature(e, delta=True), id=f"delta{e}") for e in ORACLE_DELTAS]
+    + [pytest.param(KSignature(e), id=f"delta{e}") for e in ORACLE_DELTAS]
     + [pytest.param(parse_matrix_arg(text), id=text) for text in CENSUS_MATRICES]
 )
 
@@ -467,7 +467,7 @@ def test_builder_matches_the_per_vertex_oracle(source):
 
 @pytest.mark.parametrize(
     "source",
-    [KSignature((0, 0, 1), delta=True), identity_matrix(3)],
+    [KSignature((0, 0, 1)), identity_matrix(3)],
     ids=["delta(0, 0, 1)", "census identity"],
 )
 def test_builder_refuses_degenerate_quotients_as_the_oracle_does(source):
@@ -505,7 +505,7 @@ def test_unit_vector_decides_degeneracy_as_the_oracle_does():
     # every zero-entry signature of three grids, and seeded three-column
     # lattices; for d >= 3 no quotient is degenerate
     indexes = [
-        ClassIndex(KSignature(entries, delta=True).matrix())
+        ClassIndex(KSignature(entries).matrix())
         for n, top in ((3, 3), (4, 2), (5, 1))
         for entries in product(range(top + 1), repeat=n)
         if 0 in entries
@@ -595,7 +595,7 @@ def test_short_vector_decides_the_torus_on_the_delta_grid():
         entries
         for entries in grid
         if assert_short_vector_decides_the_torus(
-            ClassIndex(KSignature(entries, delta=True).matrix())
+            ClassIndex(KSignature(entries).matrix())
         )
     ]
     assert (len(grid), len(tori)) == (236, 59)
@@ -630,7 +630,7 @@ def class_table_indexes():
     seeded random lattices and two order-1 quotients."""
     yield from (KSignature(entries).index for entries in GRID_SIGNATURES)
     for entries in [(0, 2, 2), (6, 6, 0)]:
-        yield KSignature(entries, delta=True).index
+        yield KSignature(entries).index
     yield from (ClassIndex(parse_matrix_arg(text)) for text in CENSUS_MATRICES)
     yield from random_lattices(60)
     yield from (ClassIndex(identity_matrix(n)) for n in (3, 4))
@@ -750,7 +750,7 @@ def test_one_signature_object_makes_one_smith_form_and_one_tile_pass(
     # a refused torus makes no tile pass
     calls.update(smith_normal_form=0, _tile_pass=0)
     with pytest.raises(NotSimplicial):
-        build_torus_complex(KSignature((0, 1, 1), delta=True))
+        build_torus_complex(KSignature((0, 1, 1)))
     assert calls == {"smith_normal_form": 1, "_tile_pass": 0}
 
 

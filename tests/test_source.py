@@ -127,24 +127,46 @@ def test_every_definition_is_reachable():
 CACHE_DECORATORS = {"cache", "lru_cache"}
 
 
-def test_the_one_cache_decorator_is_lattice_cached_index():
+def test_the_package_uses_no_cache_decorator():
     # a value-keyed cache lets a process that repeats a call skip work that
     # a one-command process always does, so what a quotient derives is kept
     # on the object that owns it, with cached_property
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    decorated, references = [], 0
+    found = []
     for path in sorted(PACKAGE.glob("**/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            name = getattr(node, "id", getattr(node, "attr", None))
-            references += isinstance(node, (ast.Name, ast.Attribute)) and (
-                name in CACHE_DECORATORS
-            )
-            if isinstance(node, functions) and CACHE_DECORATORS & set().union(
-                *map(used_names, node.decorator_list)
-            ):
-                decorated.append(f"{path.relative_to(PACKAGE)} {node.name}")
-    # the one reference is that decorator
-    assert (decorated, references) == (["lattice.py _cached_index"], 1)
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        found += [
+            f"{path.relative_to(PACKAGE)} {name}"
+            for name in sorted(CACHE_DECORATORS & (used_names(tree) | imported))
+        ]
+    assert found == []
+
+
+def test_no_call_passes_the_ignored_delta_flag():
+    # KSignature accepts delta only for callers written when zero entries
+    # needed it; no call here passes it, by keyword or as KSignature's
+    # second argument, so the keyword can go with its last outside caller
+    root = PACKAGE.parents[1]
+    sources = [
+        path
+        for folder in ("src", "tests", "scripts")
+        for path in sorted((root / folder).glob("**/*.py"))
+    ]
+    assert len(sources) > 10
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (
+            any(keyword.arg == "delta" for keyword in node.keywords)
+            or ("KSignature" in used_names(node.func) and len(node.args) > 1)
+        )
+    ]
+    assert found == []
 
 
 def test_only_limits_sets_limits_or_reads_the_environment():

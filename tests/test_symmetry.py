@@ -103,7 +103,7 @@ def test_cyclic_C_admission():
 def test_admitted_cyclic_order_matches_the_lattice_rule():
     for n, top in [(3, 4), (4, 3), (5, 2)]:
         for entries in product(range(top + 1), repeat=n):
-            k = KSignature(entries, delta=0 in entries)
+            k = KSignature(entries)
             shift = ClassIndex(k.matrix()).least_rotation()
             assert admitted_cyclic_order(k) == n // shift, entries
 
@@ -664,7 +664,7 @@ def buildable_signatures(top, n):
     graphs = []
     for entries in product(range(top + 1), repeat=n):
         try:
-            graphs.append(build_heawood_graph(KSignature(entries, delta=0 in entries)))
+            graphs.append(build_heawood_graph(KSignature(entries)))
         except DegenerateQuotient:
             pass
     return graphs
@@ -724,8 +724,8 @@ def test_generated_order_matches_closure(source):
 @pytest.mark.parametrize(
     "rows",
     [
-        KSignature((0, 0, 1), delta=True).matrix(),
-        KSignature((0, 0, 0), delta=True).matrix(),
+        KSignature((0, 0, 1)).matrix(),
+        KSignature((0, 0, 0)).matrix(),
         intlin.IntMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
     ],
     ids=["delta(0, 0, 1)", "delta(0, 0, 0)", "census identity"],
@@ -733,6 +733,23 @@ def test_generated_order_matches_closure(source):
 def test_generated_order_refuses_degenerate_quotients(rows):
     with pytest.raises(DegenerateQuotient, match=r"unit vector \(1, 0, 0\)"):
         generated_order(ClassIndex(rows))
+
+
+def test_a_signature_index_answers_its_order_without_listing_a_class(monkeypatch):
+    # the index of a signature makes its Smith form alone; the 265,761
+    # fundamental vectors of (40,40,40,40) are listed only when read
+    listed = []
+    original = lattice._fundamental
+
+    def recording(entries):
+        listed.append(entries)
+        yield from original(entries)
+
+    monkeypatch.setattr(lattice, "_fundamental", recording)
+    k = KSignature((40, 40, 40, 40))
+    assert k.index.order == intlin.closed_form_dk(k.entries) == 265_761
+    assert generated_order(k.index) == 2 * 265_761 * 4 == 2_126_088
+    assert listed == [] and "classes" not in vars(k.index)
 
 
 @pytest.mark.parametrize("source", QUOTIENTS)
@@ -764,7 +781,7 @@ def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():
     group = symmetry.PermutationGroup((swap,), 2)
     values = [
         (intlin.IntMatrix(1, 2, (3, 4)), intlin.IntMatrix(rows=1, cols=2, entries=(3, 4))),
-        (KSignature((1, 2, 0), True), KSignature(entries=[1, 2, 0], delta=True)),
+        (KSignature((1, 2, 0)), KSignature(entries=[1, 2, 0])),
         (swap, VertexPermutation(images=(1, 0))),
         (group, symmetry.PermutationGroup(generators=(swap,), order=2)),
     ]
@@ -775,7 +792,7 @@ def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():
             value.order = 1
         with pytest.raises(AttributeError):
             del value.entries
-    assert KSignature((1, 1, 1)) != KSignature((1, 1, 1), delta=True)
-    assert repr(KSignature((1, 2, 3))) == "KSignature(entries=(1, 2, 3), delta=False)"
+    assert KSignature((1, 1, 1)) != KSignature((1, 1, 2))
+    assert repr(KSignature((1, 2, 3))) == "KSignature(entries=(1, 2, 3))"
     assert closure(group.generators) == {swap, VertexPermutation.identity(2)}
     assert g.neighbour_sets[0] == set(g.adjacency[0])
