@@ -6,11 +6,11 @@ order of the group generated by translations, the point reflection, and
 any admitted cyclic shift off its lattice in closed form, then compare
 against full brute-force search.
 Signatures where the two differ carry extra symmetry beyond the generic
-construction.  The exact search runs on every graph of at most --cap
-vertices; the default covers every d = 3 signature with entries up to 3.
+construction.  The exact search runs on every graph of the sweep; the
+script has no vertex cap, and HEAWOOD_CAP does not touch it.
 
 Usage:
-    python3 scripts/aut_survey.py [--max-entry 2] [--n 3] [--cap 2000]
+    python3 scripts/aut_survey.py [--max-entry 2] [--n 3]
 """
 
 import argparse
@@ -18,31 +18,26 @@ import json
 from itertools import product
 
 from heawood_kit.lattice import KSignature
-from heawood_kit.limits import SCHEMA, CapExceeded
+from heawood_kit.limits import SCHEMA
 from heawood_kit.quotient import build_heawood_graph
 from heawood_kit.symmetry import brute_force_automorphisms, generated_order
 
 
-def survey(n: int, max_entry: int, cap: int) -> list[dict]:
+def survey(n: int, max_entry: int) -> list[dict]:
     rows = []
     for entries in product(range(1, max_entry + 1), repeat=n):
         k = KSignature(entries)
         g = build_heawood_graph(k)
         generated = generated_order(g.lattice)
-        row = {
+        brute = brute_force_automorphisms(g).order
+        rows.append({
             "k": list(entries),
             "vertices": g.vertex_count,
             "cyclic_order": n // g.lattice.least_rotation(),
             "generated": generated,
-        }
-        try:
-            brute = brute_force_automorphisms(g, cap=cap).order
-            row["brute"] = brute
-            row["exceptional"] = brute != generated
-        except CapExceeded:
-            row["brute"] = None
-            row["exceptional"] = None
-        rows.append(row)
+            "brute": brute,
+            "exceptional": brute != generated,
+        })
     return rows
 
 
@@ -50,12 +45,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=3, help="signature length")
     parser.add_argument("--max-entry", type=int, default=2)
-    parser.add_argument("--cap", type=int, default=2000)
     parser.add_argument("-o", "--output")
     args = parser.parse_args()
     if args.n < 3:
         parser.error(f"--n must be at least 3: the tiling needs d >= 2, not {args.n}")
-    rows = survey(args.n, args.max_entry, args.cap)
+    rows = survey(args.n, args.max_entry)
     text = json.dumps({"schema": SCHEMA, "survey": rows}, indent=2)
     if args.output:
         with open(args.output, "w") as fh:

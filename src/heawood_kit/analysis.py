@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .intlin import InvalidSignature
-from .limits import check_vertex_cap
 from .quotient import QuotientGraph
 
 
@@ -183,9 +182,9 @@ def _colorable(g: QuotientGraph, t: int) -> bool:
 
 
 def chromatic_number(g: QuotientGraph) -> int:
-    """Exact chromatic number of a graph within the chromatic cap: the
-    least t >= 1 for which ``_colorable`` succeeds, 0 on the empty graph."""
-    check_vertex_cap(g.vertex_count, "chromatic")
+    """Exact chromatic number of any graph: the least t >= 1 for which
+    ``_colorable`` succeeds, 0 on the empty graph.  Its cost is the
+    backtracking tree below the answer, not the vertex count."""
     if g.vertex_count == 0:
         return 0
     t = 1

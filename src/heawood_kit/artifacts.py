@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .intlin import parse_matrix_arg  # noqa: F401 - re-exported
-from .lattice import KSignature, enumerate_fundamental, to_ambient
+from .lattice import KSignature, to_ambient
 from .limits import SCHEMA
 from .quotient import QuotientGraph, SimplicialComplex, coord_label
 
@@ -173,7 +173,7 @@ def fundamental_tile_scene(
 ) -> RenderScene2D:
     if k.d != 2:
         raise UnsupportedDimension("2D scenes need d = 2")
-    reps = enumerate_fundamental(k)
+    reps = k.index.classes
     hexagons = tuple(tuple(_hexagon_points(rep)) for rep in reps)
     colors = tuple(_palette(i, len(reps)) for i in range(len(reps)))
     poly = _domain_polygon(k, domain) if domain else None

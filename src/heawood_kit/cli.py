@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import factorial
 from typing import Optional, Sequence
 
 from .intlin import parse_matrix_arg
 from .lattice import ClassIndex, KSignature
-from .limits import SCHEMA, CapExceeded, check_vertex_cap
+from .limits import SCHEMA, CapExceeded, check_caps
 from .quotient import (
     alternating_sum,
     build_general_quotient,
@@ -38,15 +37,6 @@ EXIT_REFUSED = 3
 
 def parse_signature(text: str) -> KSignature:
     return KSignature(text.split(","))
-
-
-def check_caps(index: ClassIndex, *steps: Optional[str]) -> None:
-    """Refuse a quotient when its vertex count d!·D, read from the order
-    of its index, is above the cap of any of ``steps``, checked in order;
-    a None step is skipped.  It lists no class."""
-    vertices = factorial(index.rows.cols - 1) * index.order
-    for step in filter(None, steps):
-        check_vertex_cap(vertices, step)
 
 
 def write(text: str, out: Optional[str]) -> None:

@@ -79,12 +79,11 @@ def simplicial_automorphism_order(c: SimplicialComplex) -> int:
         for u in facet:
             stars[u].append(v + f)
     adjacency = tuple(map(tuple, stars)) + tuple(c.facets)
-    size = len(adjacency)
     incidence = QuotientGraph(
-        d=1, labels=tuple((i,) for i in range(size)), adjacency=adjacency
+        d=1, labels=tuple((i,) for i in range(len(adjacency))), adjacency=adjacency
     )
     colors = [0] * v + [1] * len(c.facets)
-    return brute_force_automorphisms(incidence, cap=size, initial_colors=colors).order
+    return brute_force_automorphisms(incidence, initial_colors=colors).order
 
 
 def klein_quartic_aut_order() -> dict[str, int]:
@@ -93,7 +92,7 @@ def klein_quartic_aut_order() -> dict[str, int]:
 
     c = klein_quartic()
     dual = dual_graph(c)
-    dual_order = brute_force_automorphisms(dual, cap=len(c.facets)).order
+    dual_order = brute_force_automorphisms(dual).order
     return {
         "simplicial": simplicial_automorphism_order(c),
         "dual_graph": dual_order,

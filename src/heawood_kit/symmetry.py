@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 from .intlin import Frozen
 from .lattice import ClassIndex
-from .limits import check_vertex_cap
 from .quotient import QuotientGraph, refuse_degenerate
 
 Cells = dict[int, set[int]]  # a coloring's partition: cell start -> vertices
@@ -266,7 +265,6 @@ def _base_chain(
 
 def brute_force_automorphisms(
     g: QuotientGraph,
-    cap: Optional[int] = None,
     initial_colors: Optional[Sequence[int]] = None,
 ) -> PermutationGroup:
     """Exact automorphism group by individualization and refinement.
@@ -295,10 +293,10 @@ def brute_force_automorphisms(
     the order: the product of the orbit sizes (McKay & Piperno 2014 for
     the search and the trace; Seress 2003 for orders read off a stabilizer
     chain).  Given ``initial_colors``, only automorphisms that keep those
-    colors count.
+    colors count.  It answers any graph it is given: the search cap is
+    the command line's, checked before the build.
     """
     n = g.vertex_count
-    check_vertex_cap(n, "search", cap)
     chain, base, traces = _base_chain(g, initial_colors)
     leaf_position = {c: v for v, c in enumerate(chain[-1][0])}
 

@@ -13,7 +13,6 @@ from heawood_kit.analysis import (
 )
 from heawood_kit.intlin import InvalidSignature
 from heawood_kit.lattice import KSignature
-from heawood_kit.limits import CapExceeded
 from heawood_kit.quotient import (
     QuotientGraph,
     build_heawood_graph,
@@ -173,17 +172,6 @@ def test_chromatic_examples():
     assert chromatic_number(cycle_graph(5)) == 3
 
 
-def test_chromatic_cap(monkeypatch):
-    monkeypatch.setenv("HEAWOOD_CAP", "5")
-    with pytest.raises(CapExceeded, match="^38 vertices above chromatic cap 5$"):
-        chromatic_number(graph((2, 2, 2)))
-    monkeypatch.setenv("HEAWOOD_CAP", "38")
-    assert chromatic_number(graph((2, 2, 2))) == 2
-    monkeypatch.delenv("HEAWOOD_CAP")
-    with pytest.raises(CapExceeded, match="^182 vertices above chromatic cap 60$"):
-        chromatic_number(graph((5, 5, 5)))
-
-
 def random_graph(rng, n, p):
     nbrs = [set() for _ in range(n)]
     for i, j in combinations(range(n), 2):
@@ -209,10 +197,9 @@ def test_chromatic_number_matches_exhaustive_coloring():
     assert chromatic_number(graphs[5]) == 7  # the complete graph on 7 vertices
 
 
-def test_chromatic_number_of_a_large_bipartite_quotient(monkeypatch):
+def test_chromatic_number_of_a_large_bipartite_quotient():
     # a search that recursed once per colored vertex would pass Python's
     # recursion limit here
-    monkeypatch.setenv("HEAWOOD_CAP", "2000")
     g = graph((14, 14, 14))
     assert g.vertex_count == 1262
     assert chromatic_number(g) == 2

@@ -23,7 +23,7 @@ from heawood_kit.artifacts import (
 from heawood_kit.cli import cli
 from heawood_kit.fixtures import klein_quartic
 from heawood_kit.lattice import KSignature
-from heawood_kit.limits import CapExceeded, check_vertex_cap
+from heawood_kit.limits import CapExceeded, check_caps
 from heawood_kit.quotient import (
     SimplicialComplex,
     build_heawood_graph,
@@ -301,8 +301,8 @@ def test_cli_cap_exit_code(capsys, monkeypatch):
     ids=["build", "search", "chromatic"],
 )
 def test_vertex_cap_refusals_read_alike(capsys, monkeypatch, argv, vertices, what, cap):
-    # one message from the command line and the library; the command
-    # refuses on the closed-form count, before it builds anything
+    # the command refuses with the message of the one cap check, on the
+    # closed-form count, before it builds anything
     def no_build(k):
         raise AssertionError("the command built the graph before its cap checks")
 
@@ -311,10 +311,13 @@ def test_vertex_cap_refusals_read_alike(capsys, monkeypatch, argv, vertices, wha
     message = f"{vertices} vertices above {what} cap {cap}"
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", f"refused: {message}\n")
+    index = KSignature(argv[2].split(",")).index
     with pytest.raises(CapExceeded) as refusal:
-        check_vertex_cap(vertices, what)
+        check_caps(index, what)
     assert str(refusal.value) == message
-    check_vertex_cap(cap, what)
+    # a count equal to the cap passes
+    monkeypatch.setenv("HEAWOOD_CAP", str(vertices))
+    check_caps(index, what)
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc"])
@@ -754,6 +757,23 @@ def test_cli_refuses_a_large_signature_before_listing_classes(capsys, monkeypatc
     # a build lists them, once
     assert run_cli(capsys, "build", "-k", "1,1,1")[0] == 0
     assert listed == [(1, 1, 1)]
+
+
+def test_cli_render_lists_the_classes_once(capsys, monkeypatch):
+    # the scene reads the classes of the index the cap check made, so
+    # the listing generator is made once, by that index
+    listed = []
+    original = lattice._fundamental
+
+    def recording(entries):
+        listed.append(entries)
+        return original(entries)
+
+    monkeypatch.setattr(lattice, "_fundamental", recording)
+    code, out, _ = run_cli(capsys, "render", "-k", "2,1,2")
+    assert code == 0
+    assert out.startswith("<svg")
+    assert listed == [(2, 1, 2)]
 
 
 def test_cli_build_torus_enumerates_faces_once(capsys, monkeypatch):

@@ -70,7 +70,7 @@ def test_seven_fold_symmetry_exists():
     from heawood_kit.symmetry import brute_force_automorphisms
 
     c = surface()
-    group = brute_force_automorphisms(skeleton_graph(c), cap=24)
+    group = brute_force_automorphisms(skeleton_graph(c))
     facet_set = set(c.facets)
 
     def element_order(perm):

@@ -194,6 +194,34 @@ def test_only_limits_sets_limits_or_reads_the_environment():
     assert found == []
 
 
+def test_only_the_command_line_checks_a_vertex_cap():
+    # limits.py defines the one cap check and cli.py alone runs it, on
+    # closed-form counts before it builds, so no library function or
+    # script decides a vertex cap of its own
+    root = PACKAGE.parents[1]
+    sources = sorted(PACKAGE.glob("**/*.py")) + sorted((root / "scripts").glob("**/*.py"))
+    found = []
+    for path in sources:
+        if path.name == "limits.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = used_names(tree) | {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        found += [
+            f"{path.relative_to(root)} {name}"
+            for name in sorted(names & {"check_caps", "CapExceeded", "VERTEX_CAPS"})
+        ]
+    assert found == ["src/heawood_kit/cli.py CapExceeded", "src/heawood_kit/cli.py check_caps"]
+    limits = ast.parse((PACKAGE / "limits.py").read_text())
+    assert "check_caps" in {
+        node.name for node in limits.body if isinstance(node, ast.FunctionDef)
+    }
+
+
 def test_only_limits_spells_the_schema_tag():
     # the package and the scripts take the tag from limits.SCHEMA, so a
     # new schema version is set in one place

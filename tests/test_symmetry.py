@@ -201,15 +201,18 @@ def test_brute_force_orbit_sizes(entries, sizes):
     assert sorted(found) == sizes
 
 
-def test_brute_force_cap(monkeypatch):
-    with pytest.raises(CapExceeded, match="^38 vertices above search cap 10$"):
-        brute_force_automorphisms(graph((2, 2, 2)), cap=10)
-    monkeypatch.setenv("HEAWOOD_CAP", "37")
-    with pytest.raises(CapExceeded, match="^38 vertices above search cap 37$"):
-        brute_force_automorphisms(graph((2, 2, 2)))
-    monkeypatch.delenv("HEAWOOD_CAP")
-    with pytest.raises(CapExceeded, match="^390 vertices above search cap 200$"):
-        brute_force_automorphisms(graph((2, 2, 2, 2)))
+def test_library_searches_have_no_vertex_cap(monkeypatch):
+    # the caps are the command line's, checked on closed-form counts before
+    # the build; the library answers graphs above them, HEAWOOD_CAP unset
+    from heawood_kit.analysis import chromatic_number
+
+    monkeypatch.delenv("HEAWOOD_CAP", raising=False)
+    g = graph((2, 2, 2, 2))
+    assert g.vertex_count == 390
+    assert brute_force_automorphisms(g).order == generated_order(g.lattice)
+    g = graph((5, 5, 5))
+    assert g.vertex_count == 182
+    assert chromatic_number(g) == 2
 
 
 def test_generators_preserve_adjacency():
@@ -342,7 +345,7 @@ def test_failed_branch_prunes_its_orbit(entries, most, monkeypatch):
         return individualize(*args)
 
     monkeypatch.setattr(symmetry, "_individualize", counting)
-    brute_force_automorphisms(graph(entries), cap=400)
+    brute_force_automorphisms(graph(entries))
     assert calls <= most
 
 
@@ -351,13 +354,13 @@ def test_failed_branch_prunes_its_orbit(entries, most, monkeypatch):
 )
 def test_brute_force_equals_generated_on_d3_grid(entries):
     g = graph(entries)
-    assert brute_force_automorphisms(g, cap=g.vertex_count).order == generated_order(g.lattice)
+    assert brute_force_automorphisms(g).order == generated_order(g.lattice)
 
 
 @pytest.mark.parametrize("entries, order", [((3, 3, 3, 3), 1400), ((1, 1, 1, 1, 1), 310)])
 def test_brute_force_orders_above_default_cap(entries, order):
     g = graph(entries)
-    assert brute_force_automorphisms(g, cap=g.vertex_count).order == order
+    assert brute_force_automorphisms(g).order == order
     assert generated_group(g).order == order
 
 
@@ -597,7 +600,7 @@ def test_trace_stops_failing_branches_early(entries, order, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(symmetry, "_individualize", checking)
-        group = brute_force_automorphisms(g, cap=g.vertex_count)
+        group = brute_force_automorphisms(g)
     assert stopped > 0
     assert group.order == order
 
@@ -606,7 +609,7 @@ def test_trace_stops_failing_branches_early(entries, order, monkeypatch):
 
     # without the stop the search visits more branches and finds the same group
     monkeypatch.setattr(symmetry, "_individualize", untraced)
-    assert brute_force_automorphisms(g, cap=g.vertex_count) == group
+    assert brute_force_automorphisms(g) == group
 
 
 CENSUS_MATRICES = [
@@ -654,7 +657,7 @@ def test_search_tree_is_pinned(source, monkeypatch):
         return individualize(*args)
 
     monkeypatch.setattr(symmetry, "_individualize", counting)
-    group = brute_force_automorphisms(g, cap=g.vertex_count, initial_colors=initial)
+    group = brute_force_automorphisms(g, initial_colors=initial)
     digest = hashlib.sha256(repr([gen.images for gen in group.generators]).encode())
     assert (group.order, calls, digest.hexdigest()[:16]) == SEARCH_TREES[source]
 
