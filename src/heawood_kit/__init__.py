@@ -8,7 +8,7 @@ in general for d >= 3.  This package constructs both, computes their
 exact invariants, and cross-checks every closed form against enumeration.
 """
 
-from .intlin import IntMatrix, build_mk, closed_form_dk, det, smith_normal_form
+from .intlin import IntMatrix, build_mk, closed_form_dk, smith_normal_form
 from .lattice import (
     KSignature,
     enumerate_fundamental,
@@ -35,7 +35,6 @@ __all__ = [
     "build_mk",
     "build_torus_complex",
     "closed_form_dk",
-    "det",
     "dual_graph",
     "enumerate_fundamental",
     "fvector_formula",

@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
-Small dense matrices over Z with arbitrary-precision entries: Bareiss
-determinants, Smith normal form with unimodular transforms and the inverse
-of the column transform, and the parser of matrix literals such as
+Small dense matrices over Z with arbitrary-precision entries: Smith
+normal form with unimodular transforms and the inverse of the column
+transform, the banded matrix of a signature and its closed-form
+determinant, and the parser of matrix literals such as
 '2,0,-1;0,2,-1;-1,-1,3'.
 Everything here is exact; no floats.
 """
@@ -123,33 +124,6 @@ def closed_form_dk(k: Sequence[int]) -> int:
         a *= x + 1
         b *= x
     return a - b
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise ShapeError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
 
 
 class SnfResult(NamedTuple):

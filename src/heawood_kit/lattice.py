@@ -16,8 +16,12 @@ answers every other lattice question of the quotient from the same Smith
 form: the class tables of translations, whether it is a degenerate
 quotient or a triangulated torus, which coordinate rotations keep it and
 whether its rows span all ones.  A signature keeps its index per object,
-as ``KSignature.index``; ``reduce_to_fundamental`` looks up the
-fundamental vector of a class there.
+as ``KSignature.index``, made with its Smith form alone: the fundamental
+vectors are listed on the first read of its classes, so the order of any
+signature is read without them.  ``reduce_to_fundamental`` looks up the
+fundamental vector of a class there.  ``to_ambient`` takes coefficients
+to ambient coordinates; a tiling point goes back by the exact division
+of ``QuotientGraph.number_of``.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ from .intlin import (
 
 if TYPE_CHECKING:
     from .quotient import _TilePass
-
-
-class NotInLattice(ValueError):
-    """An ambient vector is not a weight-lattice element."""
 
 
 class InfiniteQuotient(ValueError):
@@ -131,22 +131,6 @@ def combine_columns(
     return total
 
 
-def from_ambient(v: Sequence[int]) -> tuple[int, ...]:
-    """Canonical coefficient tuple of an ambient weight-lattice vector.
-
-    Requires coordinate sum zero and all pairwise differences divisible by
-    the coordinate count.
-    """
-    n = len(v)
-    if sum(v) != 0:
-        raise NotInLattice("coordinates do not sum to zero")
-    m = min(v)
-    shifted = [x - m for x in v]
-    if any(x % n != 0 for x in shifted):
-        raise NotInLattice("pairwise differences not divisible by d+1")
-    return tuple(x // n for x in shifted)
-
-
 def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     """Unique fundamental representative of the class of a.
 
@@ -165,8 +149,12 @@ def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
 
 
 def _fundamental(entries: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The fundamental vectors of a signature's entries, listed lazily."""
-    return (a for a in product(*(range(x + 1) for x in entries)) if 0 in a)
+    """The fundamental vectors of a signature's entries, listed lazily:
+    nothing, not even the ranges of the box, is made before the first
+    one is read."""
+    for a in product(*(range(x + 1) for x in entries)):
+        if 0 in a:
+            yield a
 
 
 def quotient_order_general(rows: IntMatrix) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlin import Frozen, IntMatrix
@@ -22,7 +22,6 @@ from .lattice import (
     KSignature,
     ambient_columns,
     combine_columns,
-    from_ambient,
 )
 from .tiling import SliceError, base_permutation, is_tiling_vertex
 
@@ -101,17 +100,21 @@ class QuotientGraph(Frozen):
     def number_of(self, x: Sequence[int]) -> int:
         """Build-order number of the vertex that the tiling point x maps to.
 
-        It takes the p with p_1 = 1 and the shift x_1 - 1, and the Smith
-        coordinates of x - p.
+        It takes the p with p_1 = 1, for the shift c = x_1 - 1.  Each
+        coordinate of x - p is then c mod d+1 and they sum to 0, so x - p
+        is the ambient vector of the coefficients (x - p - c) / (d+1), an
+        exact division, and the vertex is their class: the coefficients'
+        Smith coordinates, which the all-ones vector leaves unchanged.
         """
         if self.rank is None:
             raise ValueError("graph carries no quotient data")
         x = tuple(x)
         if len(x) != self.d + 1 or not is_tiling_vertex(x):
             raise SliceError(f"{x} is not a vertex of the tiling")
-        p = base_permutation(x, x[0] - 1)
+        c, n = x[0] - 1, len(x)
+        p = base_permutation(x, c)
         index = self.lattice
-        z = index.key(from_ambient(tuple(map(sub, x, p))))
+        z = index.key([(v - q - c) // n for v, q in zip(x, p)])
         return self.rank[p] * len(index.classes) + index.position[z]
 
     def vertex_of(self, x: Sequence[int]) -> int:
@@ -424,6 +427,7 @@ def dual_graph(c: SimplicialComplex) -> QuotientGraph:
     crowded = False
     paired = 0
     for idx, facet in enumerate(facets):
+        row = adjacency[idx]
         for ridge in combinations(facet, len(facet) - 1):
             j = first.setdefault(ridge, idx)
             if j < 0:
@@ -431,9 +435,9 @@ def dual_graph(c: SimplicialComplex) -> QuotientGraph:
             elif j != idx:
                 first[ridge] = -1
                 paired += 1
-                if adjacency[idx][-1:] != [j]:
+                if not row or row[-1] != j:
                     adjacency[j].append(idx)
-                    adjacency[idx].append(j)
+                    row.append(j)
     # each sight was a first or a closing second one unless some pair is missing
     if crowded or sum(map(len, facets)) != len(first) + paired:
         sharing: dict[tuple[int, ...], list[int]] = {}

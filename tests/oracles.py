@@ -54,7 +54,13 @@ colors themselves, cell order included, must agree with it exactly,
 since the base and the branch order of the search are read off them.
 
 ``identity_matrix`` and ``matmul`` are the identity and the product of
-``IntMatrix`` values, which only the Smith-form checks need.
+``IntMatrix`` values, which only the Smith-form checks need, and ``det``
+is the Bareiss determinant, which checks the closed-form order and the
+unimodular transforms.  ``from_ambient`` is the package's original way
+back from an ambient vector to its canonical coefficients, checking
+that the vector lies in the weight lattice (``NotInLattice``), where
+``QuotientGraph.number_of`` divides exactly what the tiling makes a
+lattice vector.
 
 ``closure`` lists every element a set of generators generates,
 ``group_closure`` counts them, ``orbit`` reads a vertex's images off
@@ -84,7 +90,6 @@ from heawood_kit.lattice import (
     ClassIndex,
     KSignature,
     canonicalize,
-    from_ambient,
     to_ambient,
 )
 from heawood_kit.limits import CapExceeded
@@ -163,6 +168,53 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             tuple(sum(ri[t] * b[t, j] for t in range(a.cols)) for j in range(b.cols))
         )
     return IntMatrix.from_rows(out) if out else IntMatrix(0, b.cols, ())
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    if m.rows != m.cols:
+        raise ShapeError("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(m.row(i)) for i in range(n)]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    a[t], a[i] = a[i], a[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+            a[i][t] = 0
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1]
+
+
+class NotInLattice(ValueError):
+    """An ambient vector is not a weight-lattice element."""
+
+
+def from_ambient(v: Sequence[int]) -> tuple[int, ...]:
+    """Canonical coefficient tuple of an ambient weight-lattice vector.
+
+    Requires coordinate sum zero and all pairwise differences divisible by
+    the coordinate count.
+    """
+    n = len(v)
+    if sum(v) != 0:
+        raise NotInLattice("coordinates do not sum to zero")
+    m = min(v)
+    shifted = [x - m for x in v]
+    if any(x % n != 0 for x in shifted):
+        raise NotInLattice("pairwise differences not divisible by d+1")
+    return tuple(x // n for x in shifted)
 
 
 def integer_span_contains(rows: IntMatrix, target: Sequence[int]) -> bool:

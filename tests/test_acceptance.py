@@ -11,6 +11,7 @@ from math import factorial
 
 from oracles import (
     admitted_cyclic_order,
+    det,
     heawood_number,
     integer_span_contains,
     skeleton_graph,
@@ -24,7 +25,7 @@ from heawood_kit.analysis import (
     six_cycles_through,
 )
 from heawood_kit.fixtures import klein_quartic, klein_quartic_aut_order
-from heawood_kit.intlin import IntMatrix, build_mk, closed_form_dk, det
+from heawood_kit.intlin import IntMatrix, build_mk, closed_form_dk
 from heawood_kit.lattice import KSignature
 from heawood_kit.quotient import (
     build_general_quotient,

@@ -444,6 +444,40 @@ def test_cli_refuses_above_vertex_cap_before_building(argv, vertices):
     assert f"{vertices} vertices above build cap" in proc.stderr
 
 
+# A signature whose box of fundamental vectors no memory could hold: each
+# command answers from the lattice alone or refuses on the closed-form
+# vertex count, and lists no class either way.
+HUGE = "99999999999,1,1"
+HUGE_SIGNATURE_COMMANDS = [
+    (("build", "-k", HUGE), 3),
+    (("build", "-k", HUGE, "--torus"), 3),
+    (("fvector", "-k", HUGE, "--both"), 3),
+    (("fvector", "-k", HUGE, "--formula"), 0),
+    (("fvector", "-k", "0,99999999999,1", "--formula"), 3),
+    (("aut", "-k", HUGE, "--generated"), 0),
+    (("aut", "-k", HUGE, "--compare"), 3),
+    (("analyze", "-k", HUGE, "--bipartite"), 3),
+    (("render", "-k", HUGE), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code", HUGE_SIGNATURE_COMMANDS,
+    ids=[" ".join(argv) for argv, _ in HUGE_SIGNATURE_COMMANDS],
+)
+def test_cli_huge_entries_answer_or_refuse_without_listing(argv, exit_code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "heawood_kit.cli", *argv],
+        capture_output=True, text=True, env=fresh_env(), timeout=10,
+    )
+    assert proc.returncode == exit_code
+    assert "Traceback" not in proc.stderr
+    if exit_code == 3:
+        assert "vertices above build cap" in proc.stderr
+    elif argv[0] == "aut":
+        assert json.loads(proc.stdout)["generated"] == 600_000_000_002
+
+
 # Each command of the benchmark's cli workload and aut --generated, its
 # exit code, and the package modules it loads beyond the core that every
 # command loads.

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import identity_matrix, integer_span_contains, matmul
+from oracles import det, identity_matrix, integer_span_contains, matmul
 
 from heawood_kit.intlin import (
     IntMatrix,
@@ -11,7 +11,6 @@ from heawood_kit.intlin import (
     ShapeError,
     build_mk,
     closed_form_dk,
-    det,
     smith_normal_form,
 )
 

@@ -1,10 +1,18 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import integer_span_contains, reduce_by_scan, w_vector
+from oracles import (
+    NotInLattice,
+    det,
+    from_ambient,
+    integer_span_contains,
+    reduce_by_scan,
+    w_vector,
+)
 
 from heawood_kit import intlin, lattice
 from heawood_kit.intlin import (
@@ -12,17 +20,14 @@ from heawood_kit.intlin import (
     InvalidSignature,
     build_mk,
     closed_form_dk,
-    det,
 )
 from heawood_kit.lattice import (
     ClassIndex,
     InfiniteQuotient,
     KSignature,
     NotATransversal,
-    NotInLattice,
     canonicalize,
     enumerate_fundamental,
-    from_ambient,
     quotient_order_general,
     reduce_to_fundamental,
     to_ambient,
@@ -98,6 +103,20 @@ def test_enumerate_fundamental_counts():
     assert (1, 1, 1) not in enumerate_fundamental(KSignature((1, 1, 1)))
     assert len(enumerate_fundamental(KSignature((1, 2, 1)))) == 10
     assert len(enumerate_fundamental(KSignature((1, 1, 1, 1)))) == 15
+
+
+def test_making_an_index_lists_no_class():
+    # the fundamental vectors, and the ranges of their box, are made on the
+    # first read of classes, so the order of a long box takes no memory in
+    # proportion to its entries
+    k = KSignature((10**6, 1, 1))
+    tracemalloc.start()
+    try:
+        assert k.index.order == closed_form_dk(k.entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @given(SMALL_SIGNATURES)

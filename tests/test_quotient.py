@@ -353,7 +353,10 @@ def test_vertex_of_matches_the_key_oracle(quotient):
     index = {label: i for i, label in enumerate(g.labels)}
     for label in g.labels:
         shifted = tuple(a + b for a, b in zip(label, shift))
-        for x in [label, shifted] + neighbors(label):
+        # far from the origin, with negative coordinates: the lookup's
+        # exact division must floor them as the oracle does
+        far = tuple(a - 10**6 * b for a, b in zip(label, shift))
+        for x in [label, shifted, far] + neighbors(label):
             assert g.vertex_of(x) == index[oracles.key(x, reducer)]
 
 

@@ -10,6 +10,7 @@ from oracles import (
     TilingFace,
     canonical_face,
     face_vertices,
+    from_ambient,
     neighbors,
     neighbors_definitional,
     permutahedron_membership,
@@ -18,7 +19,7 @@ from oracles import (
     w_vector,
 )
 
-from heawood_kit.lattice import canonicalize, from_ambient, to_ambient
+from heawood_kit.lattice import canonicalize, to_ambient
 from heawood_kit.tiling import SliceError, is_tiling_vertex
 
 
