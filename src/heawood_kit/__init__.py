@@ -8,7 +8,7 @@ in general for d >= 3.  This package constructs both, computes their
 exact invariants, and cross-checks every closed form against enumeration.
 """
 
-from .intlin import IntMatrix, build_mk, closed_form_dk, smith_normal_form
+from .intlin import IntMatrix, build_mk, closed_form_dk
 from .lattice import (
     KSignature,
     enumerate_fundamental,
@@ -40,5 +40,4 @@ __all__ = [
     "fvector_formula",
     "quotient_order_general",
     "reduce_to_fundamental",
-    "smith_normal_form",
 ]

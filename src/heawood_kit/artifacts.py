@@ -86,10 +86,7 @@ def _complex_coordinates(c: SimplicialComplex) -> list[tuple[float, float, float
         n = len(c.vertex_labels[0])
         for lab in c.vertex_labels:
             amb = to_ambient(lab)
-            point = [amb[j] / n for j in range(min(3, n))]
-            while len(point) < 3:
-                point.append(0.0)
-            coords.append(tuple(point))
+            coords.append(tuple(amb[j] / n for j in range(3)))
         return coords
     for i in range(c.vertex_count):
         angle = 2 * math.pi * i / max(1, c.vertex_count)

@@ -1,16 +1,15 @@
 """Exact integer linear algebra.
 
-Small dense matrices over Z with arbitrary-precision entries: Smith
-normal form with unimodular transforms and the inverse of the column
-transform, the banded matrix of a signature and its closed-form
-determinant, and the parser of matrix literals such as
-'2,0,-1;0,2,-1;-1,-1,3'.
+Small dense matrices over Z with arbitrary-precision entries: the
+Hermite basis of a row span, grown one row at a time and kept reduced,
+the banded matrix of a signature and its closed-form determinant, and
+the parser of matrix literals such as '2,0,-1;0,2,-1;-1,-1,3'.
 Everything here is exact; no floats.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class ShapeError(ValueError):
@@ -86,9 +85,6 @@ class IntMatrix(Frozen):
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
-
 
 def parse_matrix_arg(text: str) -> IntMatrix:
     """Parse a semicolon/comma matrix literal like '2,0,-1;0,2,-1;-1,-1,3'."""
@@ -126,115 +122,59 @@ def closed_form_dk(k: Sequence[int]) -> int:
     return a - b
 
 
-class SnfResult(NamedTuple):
-    """Smith normal form s = u @ input @ v with unimodular u, v; v_inv @ v = I."""
-
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    v_inv: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return self.s.diagonal()
+HermiteBasis = list[Optional[list[int]]]
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Diagonalize over Z by elementary row/column operations.
+def hermite_basis(rows: Iterable[Sequence[int]], width: int) -> HermiteBasis:
+    """Hermite basis of the integer span of rows of the given width.
 
-    Pivots are chosen as the smallest nonzero entry in the working block,
-    which keeps intermediate growth tame at these sizes.  The diagonal is
-    made nonnegative and repaired into a divisibility chain.
+    Slot j holds the basis row whose pivot, its first nonzero entry, lies
+    in column j and is positive, or None when no row does.  Each entry of
+    a basis row in a later pivot column lies in [0, that pivot), so the
+    basis of a span is unique and, once its rank is the width, no entry
+    reaches the product of the pivots (Domich, Kannan & Trotter 1987).
     """
-    R, C = m.rows, m.cols
-    a = [list(m.row(i)) for i in range(R)]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-    v_inv = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    basis: HermiteBasis = [None] * width
+    for row in rows:
+        hermite_add(basis, row)
+    return basis
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+def hermite_add(basis: HermiteBasis, row: Sequence[int]) -> None:
+    """Add a row to the span of a Hermite basis, in place.
 
-    def add_row(dst, src, c):
-        # row dst += c * row src
-        ad, asrc = a[dst], a[src]
-        for j in range(C):
-            ad[j] += c * asrc[j]
-        ud, usrc = u[dst], u[src]
-        for j in range(R):
-            ud[j] += c * usrc[j]
+    The row meets the pivots from left to right.  At a pivot column,
+    Euclid's algorithm on the row and the basis row clears the row there,
+    and both are reduced again modulo the pivots to their right; a row
+    left nonzero at a column with no pivot becomes the basis row there.
+    Last, every basis row is reduced modulo the pivots to its right, which
+    the new or smaller pivots may have left out of range.
+    """
+    row: Optional[list[int]] = list(row)
+    for j, b in enumerate(basis):
+        if row is None or not row[j]:
+            continue
+        if b is None:
+            b, row = row, None
+        else:
+            while row[j]:
+                q = b[j] // row[j]
+                b, row = row, [u - q * v for u, v in zip(b, row)]
+            row = hermite_reduce(basis, row, j + 1)
+        basis[j] = hermite_reduce(basis, b if b[j] > 0 else [-x for x in b], j + 1)
+    for j, b in enumerate(basis):
+        if b is not None:
+            basis[j] = hermite_reduce(basis, b, j + 1)
 
-    def add_col(dst, src, c):
-        # column dst += c * column src; the inverse takes row src -= c * row dst
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-        vs, vd = v_inv[src], v_inv[dst]
-        for j in range(C):
-            vs[j] -= c * vd[j]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(R, C):
-        # locate the smallest nonzero entry of the trailing block
-        pivot = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
-        while True:
-            # clear column t; remainders become new, smaller pivots
-            dirty = False
-            for i in range(t + 1, R):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, C):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                # pivot must divide the whole trailing block for the chain
-                offender = None
-                for i in range(t + 1, R):
-                    for j in range(t + 1, C):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    return SnfResult(
-        s=IntMatrix.from_rows([tuple(r) for r in a]) if a else IntMatrix(0, C, ()),
-        u=IntMatrix.from_rows([tuple(r) for r in u]) if u else IntMatrix(0, 0, ()),
-        v=IntMatrix.from_rows([tuple(r) for r in v]) if v else IntMatrix(0, 0, ()),
-        v_inv=IntMatrix.from_rows([tuple(r) for r in v_inv]) if v else IntMatrix(0, 0, ()),
-    )
+def hermite_reduce(basis: HermiteBasis, row: Sequence[int], start: int = 0) -> list[int]:
+    """The row less the multiples of the basis rows that bring each of its
+    entries in a pivot column from ``start`` on into [0, pivot).  A row of
+    the span reduces to zero."""
+    row = list(row)
+    for j in range(start, len(basis)):
+        b = basis[j]
+        if b is not None and not 0 <= row[j] < b[j]:
+            q = row[j] // b[j]
+            row = [u - q * v for u, v in zip(row, b)]
+    return row

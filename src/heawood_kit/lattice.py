@@ -11,12 +11,13 @@ finitely many classes of the quotient are indexed by the fundamental
 vectors: tuples with 0 <= a_i <= k_i and some a_i = 0.  Zero entries are
 plain input; the lattice alone decides whether such a quotient is
 degenerate or has a torus.  ``ClassIndex`` names the class of any tuple
-by its Smith coordinates, for signatures and general matrices alike, and
-answers every other lattice question of the quotient from the same Smith
-form: the class tables of translations, whether it is a degenerate
-quotient or a triangulated torus, which coordinate rotations keep it and
-whether its rows span all ones.  A signature keeps its index per object,
-as ``KSignature.index``, made with its Smith form alone: the fundamental
+by its Hermite key, its reduced vector modulo the Hermite basis of the
+sublattice, for signatures and general matrices alike, and answers every
+other lattice question of the quotient from the same basis: the class
+tables of translations, whether it is a degenerate quotient or a
+triangulated torus, which coordinate rotations keep it and whether its
+rows span all ones.  A signature keeps its index per object, as
+``KSignature.index``, made with its Hermite basis alone: the fundamental
 vectors are listed on the first read of its classes, so the order of any
 signature is read without them.  ``reduce_to_fundamental`` looks up the
 fundamental vector of a class there.  ``to_ambient`` takes coefficients
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product, repeat
-from math import gcd, prod
-from operator import add, mod, mul, sub
+from math import prod
+from operator import add, floordiv, mod, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .intlin import (
@@ -39,7 +40,9 @@ from .intlin import (
     ShapeError,
     build_mk,
     closed_form_dk,
-    smith_normal_form,
+    hermite_add,
+    hermite_basis,
+    hermite_reduce,
 )
 
 if TYPE_CHECKING:
@@ -60,7 +63,7 @@ class KSignature(Frozen):
 
     The ``index`` of a signature is made on first use and kept per
     object, so the builders and reductions that read one signature object
-    share one Smith form and one tile pass; equal but distinct objects
+    share one Hermite basis and one tile pass; equal but distinct objects
     each make their own, and a caller that reduces many points passes one
     object.
     """
@@ -93,7 +96,7 @@ class KSignature(Frozen):
     @cached_property
     def index(self) -> "ClassIndex":
         """Class index of the signature, its classes the fundamental
-        vectors.  Making it makes the Smith form alone; the vectors are
+        vectors.  Making it makes the Hermite basis alone; the vectors are
         listed on the first read of its ``classes``."""
         return ClassIndex(self.matrix(), _fundamental(self.entries))
 
@@ -134,7 +137,7 @@ def combine_columns(
 def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
     """Unique fundamental representative of the class of a.
 
-    The class is looked up by its Smith coordinates in ``k.index``, which
+    The class is looked up by its Hermite key in ``k.index``, which
     the signature object keeps: a caller that reduces many points passes
     one object, and builds one index.
     """
@@ -163,29 +166,36 @@ def quotient_order_general(rows: IntMatrix) -> int:
 
 
 class ClassIndex:
-    """Smith coordinates of the classes of Z^n / (row span + all-ones line).
+    """Hermite keys of the classes of Z^n / (row span + all-ones line).
 
-    With s = u @ [rows; 1] @ v in Smith form, a -> z = a @ v mod diag maps
-    the quotient isomorphically onto the product of the cyclic groups
-    Z/diag_j.  Only the columns of v whose diagonal entry exceeds 1 are
-    kept, so on a cyclic quotient z is a single dot product, and their
-    product is the ``order``.  The classes are listed by representative,
-    on first use, so that the order can be read and refused before any
-    work in it: the given ones, which must hit every class once and are
-    checked on the first read of ``position``, or else the sorted min-zero
-    images of the box 0 <= z_j < diag_j.  The generator ``rows`` are
-    kept: a vector lies in the sublattice exactly when its Smith
-    coordinates are all zero.  One
-    Smith form answers every lattice question of a quotient: the class
-    of a point (``key``), the class table of a translation (``mapped``),
-    the short vectors that rule out a torus (``short_vector``), the unit
-    vectors that make it degenerate (``unit_vector``), the rotations that
-    keep the lattice (``admits_rotation``, ``least_rotation``) and whether
-    the rows span all ones (``all_ones_in_span``, from the rows of u past
-    the rank).  The index also keeps the quotient's ``tile_pass``, so the
-    graph and the torus built from one index share it.  A matrix narrower
-    than three columns raises ``ShapeError``, since the tiling has
-    dimension d >= 2, and an infinite quotient ``InfiniteQuotient``.
+    The Hermite basis of [rows; 1] has a pivot h_j in every column, and
+    their product is the ``order``; with fewer than n pivots the quotient
+    is infinite.  Reducing a vector modulo the basis brings each entry
+    into [0, h_j), and two vectors share a class exactly when they reduce
+    alike, so the key of a class is its reduced vector at the kept
+    columns, those with h_j > 1; the others reduce to 0.  A basis row
+    is 0 in every later column with pivot 1, so the rows with pivot 1
+    come off whole: a kept entry of the reduced vector is one dot product
+    with a ``columns`` vector, followed by the carries of the kept rows
+    among the kept columns, kept in ``_carries``.  On a cyclic quotient
+    the key is one dot product and one mod.  The classes are listed by
+    representative, on first use, so that the order can be read and
+    refused before any work in it: the given ones, which must hit every
+    class once and are checked on the first read of ``position``, or else
+    the sorted min-zero vectors of the box 0 <= a_j < h_j, one reduced
+    vector per class.  The generator ``rows`` are kept: a vector lies in
+    the sublattice exactly when its key is all zeros.  One basis answers
+    every lattice question of a quotient: the class of a point (``key``),
+    the class table of a translation (``mapped``), the short vectors that
+    rule out a torus (``short_vector``), the unit vectors that make it
+    degenerate (``unit_vector``), the rotations that keep the lattice
+    (``admits_rotation``, ``least_rotation``), and, from the basis of the
+    rows alone before all ones is added, whether the rows span all ones
+    (``all_ones_in_span``: all ones reduces to zero).  The index also
+    keeps the quotient's ``tile_pass``, so the graph and the torus built
+    from one index share it.  A matrix narrower than three columns raises
+    ``ShapeError``, since the tiling has dimension d >= 2, and an
+    infinite quotient ``InfiniteQuotient``.
     """
 
     def __init__(
@@ -196,42 +206,61 @@ class ClassIndex:
             raise ShapeError(
                 f"generator matrix has {n} columns; the tiling needs d + 1 >= 3"
             )
-        snf = smith_normal_form(IntMatrix.from_rows(rows.row_list() + [(1,) * n]))
-        diag = snf.diagonal()
-        if len(diag) < n or 0 in diag:
+        basis = hermite_basis(rows.row_list(), n)
+        ones = (1,) * n
+        self.all_ones_in_span = not any(hermite_reduce(basis, ones))
+        hermite_add(basis, ones)
+        if None in basis:
             raise InfiniteQuotient("generators span a proper sublattice subspace")
         self.rows = rows
-        kept = [j for j, x in enumerate(diag) if x > 1]
-        self.moduli = tuple(diag[j] for j in kept)
+        self.pivots = tuple(b[j] for j, b in enumerate(basis))
+        kept = [j for j, h in enumerate(self.pivots) if h > 1]
+        self.moduli = tuple(self.pivots[j] for j in kept)
         self.order = prod(self.moduli)
-        self.columns = [tuple(snf.v[i, j] for i in range(n)) for j in kept]
-        self._back = [tuple(snf.v_inv[j, i] for j in kept) for i in range(n)]
-        self._ones_relations = [snf.u[i, rows.rows] for i in range(n, rows.rows + 1)]
+        self.columns = [
+            tuple(
+                -b[j] if h == 1 else int(i == j)
+                for i, (h, b) in enumerate(zip(self.pivots, basis))
+            )
+            for j in kept
+        ]
+        # the entries of the earlier kept rows in each kept column, or none
+        carries = [[basis[i][j] for i in kept[:c]] for c, j in enumerate(kept)]
+        self._carries = [c if any(c) else () for c in carries]
         self._given = classes
 
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
         if self._given is not None:
             return list(map(tuple, self._given))
-        return sorted(
-            canonicalize([sum(map(mul, z, col)) for col in self._back])
-            for z in product(*(range(x) for x in self.moduli))
-        )
+        return sorted(map(canonicalize, product(*map(range, self.pivots))))
+
+    def _carried(self, columns: Sequence[Iterable[int]]) -> Iterator[tuple[int, ...]]:
+        """The keys of vectors given by their dot products with ``columns``,
+        one iterable per kept column, made column by column: the quotients
+        of the earlier kept columns are carried into each, which is then
+        taken mod its pivot."""
+        ys: list[list[int]] = []
+        for y, carries in zip(columns, self._carries):
+            for earlier, h, b in zip(ys, self.moduli, carries):
+                if b:
+                    y = map(sub, y, map(b.__mul__, map(floordiv, earlier, repeat(h))))
+            ys.append(list(y))
+        return zip(*(map(mod, y, repeat(h)) for y, h in zip(ys, self.moduli)))
 
     @cached_property
     def keys(self) -> list[tuple[int, ...]]:
         """The ``key`` of each listed class, made column by column: each
-        Smith coordinate is one whole-list dot product over the coordinate
-        columns of all D classes.  An order-1 quotient keeps no Smith
-        column, so its one class has the empty key."""
+        dot product is one whole-list sum over the coordinate columns of
+        all D classes.  An order-1 quotient keeps no column, so its one
+        class has the empty key."""
         size = len(self.classes)
         if not self.moduli:
             return [()] * size
         coordinates = list(zip(*self.classes))
-        return list(zip(*(
-            map(mod, combine_columns(col, coordinates, size), repeat(m))
-            for col, m in zip(self.columns, self.moduli)
-        )))
+        return list(self._carried(
+            [combine_columns(col, coordinates, size) for col in self.columns]
+        ))
 
     @cached_property
     def position(self) -> dict[tuple[int, ...], int]:
@@ -257,10 +286,14 @@ class ClassIndex:
         return _tile_pass(self)
 
     def key(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Smith coordinates z = a @ v mod diag of the class of a."""
-        return tuple(
-            [sum(map(mul, a, col)) % x for col, x in zip(self.columns, self.moduli)]
-        )
+        """The reduced vector of a at the kept columns: its class."""
+        ys: list[int] = []
+        for col, carries in zip(self.columns, self._carries):
+            y = sum(map(mul, a, col))
+            if carries:
+                y -= sum(map(mul, map(floordiv, ys, self.moduli), carries))
+            ys.append(y)
+        return tuple(map(mod, ys, self.moduli))
 
     def rep(self, a: Sequence[int]) -> tuple[int, ...]:
         """The listed representative of the class of a."""
@@ -298,24 +331,11 @@ class ClassIndex:
         units = (tuple(int(i == j) for i in range(n)) for j in range(n))
         return next((e for e in units if not any(self.key(e))), None)
 
-    @property
-    def all_ones_in_span(self) -> bool:
-        """Is the all-ones vector an integer combination of the ``rows``?
-
-        The rows of u past the rank n are a basis of the integer relations
-        among the rows of [rows; 1], since u is unimodular and u @ [rows; 1]
-        vanishes there.  All ones is a combination of the rows exactly when
-        some relation has -1 in the all-ones column, that is when the gcd
-        of that column's entries in those rows is 1.
-        """
-        return gcd(*self._ones_relations) == 1
-
     def admits_rotation(self, shift: int) -> bool:
         """Does rotating coordinates by shift map the lattice to itself?
 
-        It does when every rotated generator row has Smith coordinates
-        zero; the image then has the same finite index, so it is the
-        lattice.
+        It does when every rotated generator row has the zero key; the
+        image then has the same finite index, so it is the lattice.
         """
         return not any(
             any(self.key(r[-shift:] + r[:-shift])) for r in self.rows.row_list()
@@ -333,14 +353,11 @@ class ClassIndex:
     def mapped(self, z: Sequence[int]) -> list[int]:
         """Position of the class of a + b for each listed class a.
 
-        ``z`` is the key of b.  Keys are linear, so the key of a + b is
-        key(a) + z mod diag, taken one coordinate at a time over all the
-        keys: on a cyclic quotient, one add per class.
+        ``z`` is the key of b.  The key of a + b is key(a) + z with the
+        carries of ``_carried``, taken one column at a time over all the
+        keys: on a cyclic quotient, one add and one mod per class.
         """
         if not self.moduli:
             return [0]
-        keys = [
-            map(mod, map(add, column, repeat(y)), repeat(m))
-            for column, y, m in zip(zip(*self.keys), z, self.moduli)
-        ]
-        return list(map(self.position.__getitem__, zip(*keys)))
+        sums = [map(add, column, repeat(y)) for column, y in zip(zip(*self.keys), z)]
+        return list(map(self.position.__getitem__, self._carried(sums)))

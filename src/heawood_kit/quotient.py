@@ -51,7 +51,7 @@ class QuotientGraph(Frozen):
     p + amb(a), p a permutation with p_1 = 1 and a a listed class, has
     number rank[p] * D + (position of a's class), and ``position`` maps
     that number to the vertex index in label order.  ``number_of`` finds
-    the number of any tiling point from its Smith coordinates, and
+    the number of any tiling point from its Hermite key, and
     ``vertex_of`` its vertex.  Equality, hashing and the repr leave the
     quotient data out.
     """
@@ -104,7 +104,7 @@ class QuotientGraph(Frozen):
         coordinate of x - p is then c mod d+1 and they sum to 0, so x - p
         is the ambient vector of the coefficients (x - p - c) / (d+1), an
         exact division, and the vertex is their class: the coefficients'
-        Smith coordinates, which the all-ones vector leaves unchanged.
+        Hermite key, which the all-ones vector leaves unchanged.
         """
         if self.rank is None:
             raise ValueError("graph carries no quotient data")
@@ -290,7 +290,7 @@ def build_general_quotient(rows: IntMatrix | ClassIndex) -> QuotientGraph:
     quotient order vertices.  ``ClassIndex`` raises for a matrix narrower
     than three columns and for an infinite quotient.  A caller that has
     made the ``ClassIndex`` of the matrix already, to read its order,
-    passes the index instead and the build reuses its Smith form, and its
+    passes the index instead and the build reuses its Hermite basis, and its
     tile pass if a torus build made one.
     """
     index = rows if isinstance(rows, ClassIndex) else ClassIndex(rows)
@@ -360,7 +360,7 @@ def build_torus_complex(k: KSignature | ClassIndex) -> SimplicialComplex:
     the tile pass, and makes no graph.  A lattice with a short vector has
     no torus and is refused before the build.  A signature's kept
     ``index``, or an index the caller passes, of a signature or of a
-    general matrix, keeps its Smith form and the tile pass, so a graph
+    general matrix, keeps its Hermite basis and the tile pass, so a graph
     built from the same object afterwards makes neither again.
     """
     index = k.index if isinstance(k, KSignature) else k

@@ -83,9 +83,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import isqrt
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from heawood_kit.intlin import IntMatrix, InvalidSignature, ShapeError, smith_normal_form
+from heawood_kit.intlin import IntMatrix, InvalidSignature, ShapeError
 from heawood_kit.lattice import (
     ClassIndex,
     KSignature,
@@ -197,6 +197,129 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The entries m[i, i] of a matrix."""
+    return tuple(m[i, i] for i in range(min(m.rows, m.cols)))
+
+
+class SnfResult(NamedTuple):
+    """Smith normal form s = u @ input @ v with unimodular u, v; v_inv @ v = I."""
+
+    s: IntMatrix
+    u: IntMatrix
+    v: IntMatrix
+    v_inv: IntMatrix
+
+    def diagonal(self) -> tuple[int, ...]:
+        return diagonal(self.s)
+
+
+def smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Diagonalize over Z by elementary row/column operations.
+
+    Pivots are chosen as the smallest nonzero entry in the working block,
+    which keeps intermediate growth tame at these sizes.  The diagonal is
+    made nonnegative and repaired into a divisibility chain.  Nothing
+    bounds the entries of u, v and v_inv: past a handful of rows and
+    columns of small entries they can grow to thousands of bits within a
+    few pivots (Kannan & Bachem 1979), so the tests give it only such
+    small matrices.
+    """
+    R, C = m.rows, m.cols
+    a = [list(m.row(i)) for i in range(R)]
+    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
+    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    v_inv = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def add_row(dst, src, c):
+        # row dst += c * row src
+        ad, asrc = a[dst], a[src]
+        for j in range(C):
+            ad[j] += c * asrc[j]
+        ud, usrc = u[dst], u[src]
+        for j in range(R):
+            ud[j] += c * usrc[j]
+
+    def add_col(dst, src, c):
+        # column dst += c * column src; the inverse takes row src -= c * row dst
+        for r in a:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+        vs, vd = v_inv[src], v_inv[dst]
+        for j in range(C):
+            vs[j] -= c * vd[j]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(R, C):
+        # locate the smallest nonzero entry of the trailing block
+        pivot = None
+        for i in range(t, R):
+            for j in range(t, C):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        while True:
+            # clear column t; remainders become new, smaller pivots
+            dirty = False
+            for i in range(t + 1, R):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, C):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                # pivot must divide the whole trailing block for the chain
+                offender = None
+                for i in range(t + 1, R):
+                    for j in range(t + 1, C):
+                        if a[i][j] % a[t][t] != 0:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                add_row(t, offender, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return SnfResult(
+        s=IntMatrix.from_rows([tuple(r) for r in a]) if a else IntMatrix(0, C, ()),
+        u=IntMatrix.from_rows([tuple(r) for r in u]) if u else IntMatrix(0, 0, ()),
+        v=IntMatrix.from_rows([tuple(r) for r in v]) if v else IntMatrix(0, 0, ()),
+        v_inv=IntMatrix.from_rows([tuple(r) for r in v_inv]) if v else IntMatrix(0, 0, ()),
+    )
+
+
 class NotInLattice(ValueError):
     """An ambient vector is not a weight-lattice element."""
 
@@ -232,7 +355,7 @@ def integer_span_contains(rows: IntMatrix, target: Sequence[int]) -> bool:
         sum(target[i] * snf.v[i, j] for i in range(rows.cols))
         for j in range(rows.cols)
     ]
-    diag = snf.s.diagonal()
+    diag = snf.diagonal()
     for j in range(rows.cols):
         s_j = diag[j] if j < len(diag) else 0
         if s_j == 0:

@@ -49,6 +49,20 @@ def test_bipartite_examples():
     assert len(report.odd_cycle) % 2 == 1
 
 
+def test_odd_cycle_leaves_out_the_shared_part_of_the_two_paths():
+    # edge 0-1 and triangle 1, 2, 3: from root 0, the paths up from 2 and
+    # from 3 share 1 and 0, and only the meeting point 1 stays
+    g = QuotientGraph(
+        d=2,
+        labels=((0,), (1,), (2,), (3,)),
+        adjacency=((1,), (0, 2, 3), (1, 3), (1, 2)),
+    )
+    cycle = is_bipartite(g).odd_cycle
+    assert cycle == (2, 1, 3)
+    assert len(set(cycle)) == len(cycle) and len(cycle) % 2 == 1
+    assert all(b in g.adjacency[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def test_bipartite_for_even_d():
     for entries in list(product((1, 2), repeat=3)) + [(3, 1, 2), (2, 2, 3)]:
         report = is_bipartite(graph(entries))

@@ -7,7 +7,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from oracles import import_graph_json
+from oracles import det, import_graph_json
 
 from heawood_kit import cli as cli_module
 from heawood_kit import intlin, lattice
@@ -22,7 +22,8 @@ from heawood_kit.artifacts import (
 )
 from heawood_kit.cli import cli
 from heawood_kit.fixtures import klein_quartic
-from heawood_kit.lattice import KSignature
+from heawood_kit.intlin import IntMatrix
+from heawood_kit.lattice import ClassIndex, KSignature
 from heawood_kit.limits import CapExceeded, check_caps
 from heawood_kit.quotient import (
     SimplicialComplex,
@@ -478,6 +479,45 @@ def test_cli_huge_entries_answer_or_refuse_without_listing(argv, exit_code):
         assert json.loads(proc.stdout)["generated"] == 600_000_000_002
 
 
+# Lattices on which the transforms of a Smith form grow to thousands of
+# bits: the Hermite basis of each stays below its order, so every command
+# answers or refuses at once.  The 5 x 6 census matrix has order 763,564,689, the
+# Bareiss determinant of its rows and all ones.
+WIDE_CENSUS = (
+    "6,70,-56,-7,40,79;98,72,88,-5,-78,12;69,30,-73,99,-59,33;"
+    "0,-6,25,87,-93,20;-89,-22,80,57,51,48"
+)
+BOUNDED_INDEX_COMMANDS = [
+    (("build", "-k", "5,9,9,8,3,7,8"), 3, "727833600 vertices above build cap 200000"),
+    (("aut", "-k", "442,93,322,701", "--generated"), 0, 327_256_800),
+    (("aut", "-k", "5,9,9,8,3,7,8", "--generated"), 0, 2_021_760),
+    (("census", "--matrix", WIDE_CENSUS), 3, "91627762680 vertices above build cap 200000"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, answer", BOUNDED_INDEX_COMMANDS,
+    ids=[" ".join(argv[:2]) for argv, _, _ in BOUNDED_INDEX_COMMANDS],
+)
+def test_cli_index_of_a_wide_lattice_answers_at_once(argv, exit_code, answer):
+    proc = subprocess.run(
+        [sys.executable, "-m", "heawood_kit.cli", *argv],
+        capture_output=True, text=True, env=fresh_env(), timeout=10,
+    )
+    assert proc.returncode == exit_code
+    assert "Traceback" not in proc.stderr
+    if exit_code == 3:
+        assert answer in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["generated"] == answer
+
+
+def test_wide_census_order_is_the_determinant():
+    rows = parse_matrix_arg(WIDE_CENSUS)
+    with_ones = IntMatrix.from_rows(rows.row_list() + [(1,) * rows.cols])
+    assert ClassIndex(rows).order == det(with_ones) == 763_564_689
+
+
 # Each command of the benchmark's cli workload and aut --generated, its
 # exit code, and the package modules it loads beyond the core that every
 # command loads.
@@ -565,7 +605,7 @@ def test_cli_aut_generated_reads_a_zero_free_lattice_uncapped(capsys, monkeypatc
 
     monkeypatch.setenv("HEAWOOD_CAP", "7")
     monkeypatch.setattr(cli_module, "build_heawood_graph", no_build)
-    calls = count_smith_forms(monkeypatch)
+    calls = count_bases(monkeypatch)
     code, out, _ = run_cli(capsys, "aut", "-k", "40,40,40,40", "--generated")
     assert (code, len(calls)) == (0, 1)
     assert json.loads(out)["generated"] == 2126088
@@ -683,23 +723,23 @@ def test_cli_missing_signature_is_an_argparse_error(capsys, monkeypatch):
         "heawood build: error: the following arguments are required: -k\n")
 
 
-def count_smith_forms(monkeypatch) -> list:
+def count_bases(monkeypatch) -> list:
     calls = []
-    original = intlin.smith_normal_form
+    original = intlin.hermite_basis
 
-    def counting(m):
-        calls.append(m)
-        return original(m)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for module in (intlin, lattice):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
+        monkeypatch.setattr(module, "hermite_basis", counting)
     return calls
 
 
-# (argv, Smith forms): a command that needs the lattice makes one class
+# (argv, Hermite bases): a command that needs the lattice makes one class
 # index, which answers the order, the cap check, the build, the torus
 # check, the f-vector and the span of all ones
-SMITH_FORMS = [
+BASES = [
     (("build", "-k", "2,1,2"), 1),
     (("build", "-k", "2,1,2", "--torus"), 1),
     (("build", "-k", "0,2,2", "--torus"), 1),
@@ -719,15 +759,15 @@ SMITH_FORMS = [
 
 
 @pytest.mark.parametrize(
-    "argv, smith_forms", SMITH_FORMS,
-    ids=[" ".join(argv) for argv, _ in SMITH_FORMS],
+    "argv, bases", BASES,
+    ids=[" ".join(argv) for argv, _ in BASES],
 )
-def test_cli_makes_at_most_one_smith_form(capsys, monkeypatch, argv, smith_forms):
-    calls = count_smith_forms(monkeypatch)
+def test_cli_makes_at_most_one_smith_form(capsys, monkeypatch, argv, bases):
+    calls = count_bases(monkeypatch)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out
-    assert len(calls) == smith_forms <= 1
+    assert len(calls) == bases <= 1
     if argv[0] == "census":
         assert json.loads(out)["vertices"] == 16
 

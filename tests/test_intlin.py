@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import det, identity_matrix, integer_span_contains, matmul
+from oracles import det, identity_matrix, integer_span_contains, matmul, smith_normal_form
 
 from heawood_kit.intlin import (
     IntMatrix,
@@ -11,7 +11,6 @@ from heawood_kit.intlin import (
     ShapeError,
     build_mk,
     closed_form_dk,
-    smith_normal_form,
 )
 
 

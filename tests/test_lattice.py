@@ -1,6 +1,8 @@
 import random
 import tracemalloc
 from itertools import product
+from math import prod
+from operator import add, mul
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from oracles import (
     from_ambient,
     integer_span_contains,
     reduce_by_scan,
+    smith_normal_form,
     w_vector,
 )
 
@@ -96,6 +99,13 @@ def test_reduce_examples():
     assert reduce_to_fundamental((0, 0, 0), k) == (0, 0, 0)
     assert reduce_to_fundamental((2, -1, 0), k) == (0, 0, 0)
     assert reduce_to_fundamental((1, 0, 0), k) == (1, 0, 0)
+
+
+def test_reduce_refuses_a_tuple_of_another_length():
+    k = KSignature((1, 1, 1))
+    for a in [(1, 0), (1, 0, 0, 0)]:
+        with pytest.raises(InvalidSignature, match="coefficient length"):
+            reduce_to_fundamental(a, k)
 
 
 def test_enumerate_fundamental_counts():
@@ -218,18 +228,18 @@ def test_delta_mode_reduction():
 
 
 def test_delta_reduction_keeps_its_class_index(monkeypatch):
-    # one Smith form per signature object, kept by it, not one per call
+    # one Hermite basis per signature object, kept by it, not one per call
     k = KSignature((6, 6, 0))
     rep = reduce_to_fundamental((9, -4, 6), k)
     calls = []
-    original = intlin.smith_normal_form
+    original = intlin.hermite_basis
 
-    def counting(m):
-        calls.append(m)
-        return original(m)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for module in (intlin, lattice):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
+        monkeypatch.setattr(module, "hermite_basis", counting)
     assert reduce_to_fundamental((9, -4, 6), k) == rep
     assert reduce_to_fundamental((0, 0, 0), k) == (0, 0, 0)
     assert calls == []
@@ -237,8 +247,8 @@ def test_delta_reduction_keeps_its_class_index(monkeypatch):
 
 
 def test_all_ones_in_span_matches_the_span_oracle():
-    # the relations of the one Smith form answer what a second Smith form,
-    # of the rows alone, answers in the reference
+    # the Hermite basis of the rows alone answers what a Smith form of the
+    # rows answers in the reference
     rng = random.Random(11)
     answers = []
     while len(answers) < 300:
@@ -257,3 +267,40 @@ def test_all_ones_in_span_matches_the_span_oracle():
     for k in [(1, 1, 1), (2, 3, 2), (0, 2, 2)]:
         assert ClassIndex(build_mk(k)).all_ones_in_span
     assert not ClassIndex(IntMatrix.from_rows([(3, 0, 0), (0, 3, 0), (0, 0, 3)])).all_ones_in_span
+
+
+@given(st.data())
+def test_class_index_agrees_with_the_smith_oracle(data):
+    # small sizes only: past them the Smith oracle's transforms blow up
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    vector = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+    rows = IntMatrix.from_rows(data.draw(st.lists(vector, min_size=1, max_size=5)))
+    with_ones = IntMatrix.from_rows(rows.row_list() + [(1,) * n])
+    diagonal = smith_normal_form(with_ones).diagonal()
+    finite = len(diagonal) == n and 0 not in diagonal
+    try:
+        index = ClassIndex(rows)
+    except InfiniteQuotient:
+        assert not finite
+        return
+    assert finite and index.order == prod(diagonal)
+    assert index.all_ones_in_span is integer_span_contains(rows, (1,) * n)
+    # b is a plus a sublattice vector, or any vector
+    a = data.draw(vector)
+    if data.draw(st.booleans()):
+        coefficients = data.draw(st.lists(
+            st.integers(min_value=-3, max_value=3), min_size=rows.rows + 1, max_size=rows.rows + 1
+        ))
+        b = [x + sum(map(mul, coefficients, column)) for x, column in zip(a, zip(*with_ones.row_list()))]
+    else:
+        b = data.draw(vector)
+    same = integer_span_contains(with_ones, [x - y for x, y in zip(a, b)])
+    assert (index.key(a) == index.key(b)) is same
+    basis = intlin.hermite_basis(with_ones.row_list(), n)
+    pivots = [row[j] for j, row in enumerate(basis)]
+    assert all(0 <= row[c] < pivots[c] for j, row in enumerate(basis) for c in range(j + 1, n))
+    if index.order <= 500:
+        # the keys made column by column and the class tables agree with key
+        assert index.keys == list(map(index.key, index.classes))
+        shifted = [index.position[index.key(list(map(add, c, b)))] for c in index.classes]
+        assert index.mapped(index.key(b)) == shifted

@@ -124,6 +124,13 @@ def test_torus_examples():
     assert torus((2, 2, 2)).fvector_enumerated() == (19, 57, 38)
 
 
+def test_fvector_enumerated_of_a_point_set_and_of_nothing():
+    # a 0-dimensional complex counts its distinct points, an empty one has
+    # no face count at all
+    assert SimplicialComplex(3, [(0,), (2,), (1,), (2,)]).fvector_enumerated() == (3,)
+    assert SimplicialComplex(0, []).fvector_enumerated() == ()
+
+
 def test_stirling_examples():
     assert stirling2(4, 2) == 7
     assert stirling2(5, 3) == 25
@@ -319,13 +326,13 @@ def test_closed_form_index_matches_bfs_oracle_census(rows):
 def test_key_of_reuses_the_quotients_reducer(build, monkeypatch):
     g = build()
     calls = []
-    original = lattice.smith_normal_form
+    original = lattice.hermite_basis
 
-    def counting(m):
-        calls.append(m)
-        return original(m)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    monkeypatch.setattr(lattice, "hermite_basis", counting)
     for label in g.labels[:5]:
         assert g.key_of(label) == label
         shifted = tuple(a + b for a, b in zip(label, w_vector(1, g.d)))
@@ -396,7 +403,7 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
         m = IntMatrix.from_rows(source)
         d, order = m.cols - 1, lattice.quotient_order_general(m)
         build = lambda: build_general_quotient(m)  # noqa: E731
-    calls = {"smith_normal_form": 0, "reduce_to_fundamental": 0}
+    calls = {"hermite_basis": 0, "reduce_to_fundamental": 0}
     for name in calls:
         original = getattr(lattice, name)
 
@@ -406,7 +413,7 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
 
         monkeypatch.setattr(lattice, name, counting)
     assert build().vertex_count == factorial(d) * order
-    assert calls == {"smith_normal_form": 1, "reduce_to_fundamental": 0}
+    assert calls == {"hermite_basis": 1, "reduce_to_fundamental": 0}
 
 
 @pytest.mark.parametrize(
@@ -715,9 +722,9 @@ def test_vertex_order_inside_facets_changes_nothing(c):
 
 
 def count_quotient_work(monkeypatch):
-    """Count the Smith forms and the tile passes made from now on."""
-    calls = {"smith_normal_form": 0, "_tile_pass": 0}
-    for module, name in ((lattice, "smith_normal_form"), (quotient, "_tile_pass")):
+    """Count the Hermite bases and the tile passes made from now on."""
+    calls = {"hermite_basis": 0, "_tile_pass": 0}
+    for module, name in ((lattice, "hermite_basis"), (quotient, "_tile_pass")):
         original = getattr(module, name)
 
         def counting(*args, name=name, original=original):
@@ -741,20 +748,20 @@ def test_one_signature_object_makes_one_smith_form_and_one_tile_pass(
         c, g = build_torus_complex(k), build_heawood_graph(k)
     else:
         g, c = build_heawood_graph(k), build_torus_complex(k)
-    assert calls == {"smith_normal_form": 1, "_tile_pass": 1}
+    assert calls == {"hermite_basis": 1, "_tile_pass": 1}
     assert g == fresh_graph and c == fresh_torus
     assert (g.rank, g.position) == (fresh_graph.rank, fresh_graph.position)
     assert g.lattice is k.index
     # the cache is per object: an equal but distinct signature builds again
-    calls.update(smith_normal_form=0, _tile_pass=0)
+    calls.update(hermite_basis=0, _tile_pass=0)
     build_torus_complex(KSignature(entries))
     build_heawood_graph(KSignature(entries))
-    assert calls == {"smith_normal_form": 2, "_tile_pass": 2}
+    assert calls == {"hermite_basis": 2, "_tile_pass": 2}
     # a refused torus makes no tile pass
-    calls.update(smith_normal_form=0, _tile_pass=0)
+    calls.update(hermite_basis=0, _tile_pass=0)
     with pytest.raises(NotSimplicial):
         build_torus_complex(KSignature((0, 1, 1)))
-    assert calls == {"smith_normal_form": 1, "_tile_pass": 0}
+    assert calls == {"hermite_basis": 1, "_tile_pass": 0}
 
 
 def test_a_dropped_graph_is_freed_without_the_cycle_collector():

@@ -112,14 +112,14 @@ def test_admitted_cyclic_order_matches_the_lattice_rule():
 def test_generated_group_of_census_needs_no_smith_form(text, monkeypatch):
     g = build_general_quotient(parse_matrix_arg(text))
     calls = []
-    original = intlin.smith_normal_form
+    original = intlin.hermite_basis
 
-    def counting(m):
-        calls.append(m)
-        return original(m)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for module in (intlin, lattice):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
+        monkeypatch.setattr(module, "hermite_basis", counting)
     generated_group(g)
     assert calls == []
 
@@ -622,7 +622,9 @@ CENSUS_MATRICES = [
 
 # order, _individualize calls and the first 16 hex digits of the SHA-256
 # of the generator image arrays: trying other branches, or the same ones
-# in another order, changes the calls or the generators
+# in another order, changes the calls or the generators.  A census
+# quotient's digest also follows its numbering, which its listed classes,
+# the min-zero vectors of the Hermite box, decide
 SEARCH_TREES = {
     "1,1,1": (336, 14, "143fd4b000c7cafe"),
     "2,2,2": (114, 5, "463e9490c1d21d4d"),
@@ -632,10 +634,10 @@ SEARCH_TREES = {
     "2,1,2,1": (128, 13, "97d4651e007115f3"),
     "2,2,2,2": (520, 16, "2b25991002da134f"),
     "klein": (336, 9, "e5c4396d307d324f"),
-    "2,0,-1;0,2,-1;-1,-1,3": (96, 9, "cbc097e23eb4618d"),
-    "4,0,-1;0,4,-1;-1,-1,5": (96, 7, "70b84eb702205c40"),
-    "2,-1,0;0,2,-1;-1,0,2": (336, 14, "6844aaa15b0ad5a0"),
-    "7,-1,0;0,7,-1;-1,0,7": (342, 5, "39b59659f94d5cab"),
+    "2,0,-1;0,2,-1;-1,-1,3": (96, 9, "879db7b9b183ff41"),
+    "4,0,-1;0,4,-1;-1,-1,5": (96, 7, "29658634e217894c"),
+    "2,-1,0;0,2,-1;-1,0,2": (336, 14, "5d3164e4c7a4de3e"),
+    "7,-1,0;0,7,-1;-1,0,7": (342, 5, "d3188e025c694cea"),
 }
 
 
@@ -739,7 +741,7 @@ def test_generated_order_refuses_degenerate_quotients(rows):
 
 
 def test_a_signature_index_answers_its_order_without_listing_a_class(monkeypatch):
-    # the index of a signature makes its Smith form alone; the 265,761
+    # the index of a signature makes its Hermite basis alone; the 265,761
     # fundamental vectors of (40,40,40,40) are listed only when read
     listed = []
     original = lattice._fundamental
