@@ -60,20 +60,14 @@ def six_cycles_through(g: QuotientGraph, v: int) -> list[tuple[int, ...]]:
     """All simple 6-cycles through v as vertex tuples from v, one per
     cycle: the direction whose second vertex is the smaller."""
     out = []
-    adj = g.neighbour_sets
-
-    def extend(path: list[int]) -> None:
-        if len(path) == 6:
-            if path[1] < path[-1] and path[0] in adj[path[-1]]:
-                out.append(tuple(path))
-            return
-        for w in g.adjacency[path[-1]]:
-            if w not in path:
-                path.append(w)
-                extend(path)
-                path.pop()
-
-    extend([v])
+    adjacency = g.adjacency
+    paths = [[v]]  # a stack: a row pushed reversed is walked in its own order
+    while paths:
+        path = paths.pop()
+        if len(path) < 6:
+            paths += [path + [w] for w in reversed(adjacency[path[-1]]) if w not in path]
+        elif path[1] < path[-1] and v in adjacency[path[-1]]:
+            out.append(tuple(path))
     return out
 
 

@@ -8,7 +8,8 @@ an export.  cli() alone adds the schema tag, writes the answer to stdout or
 the -o file, and maps the answer or the error raised to the exit code:
 0 success, 2 validation error, 3 cap refusal.  Only the core modules
 load with this one; a command imports the symmetry, analysis, export and
-fixture code it runs where it runs it, after its cap checks.
+fixture code it runs where it runs it: after its cap checks, or, for the
+OFF export and the walk, before them, to check the request's own rules.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ def cmd_build(args: argparse.Namespace) -> dict | str:
     if not args.torus and args.format == "off":
         raise ValueError("--format off exports a torus and needs --torus")
     k = parse_signature(args.k)
-    check_caps(k.index, "build")
     if args.format == "off":
         from . import artifacts
 
         artifacts.check_off_dimension(k.d)
+        check_caps(k.index, "build")
         return artifacts.export_complex_off(build_torus_complex(k))
+    check_caps(k.index, "build")
     if args.torus:
         complex_ = build_torus_complex(k)
         fvector = complex_.fvector_enumerated()
@@ -128,11 +130,13 @@ def cmd_aut(args: argparse.Namespace) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> dict:
     k = parse_signature(args.k)
+    if args.hamiltonian is not None:
+        from . import analysis
+
+        analysis.check_walk(k.d, args.hamiltonian)
     check_caps(k.index, "build", "chromatic" if args.chromatic else None)
     from . import analysis
 
-    if args.hamiltonian is not None:
-        analysis.check_walk(k.d, args.hamiltonian)
     graph = build_heawood_graph(k)
     payload: dict = {"signature": list(k.entries)}
     if args.hamiltonian is not None:

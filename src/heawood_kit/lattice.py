@@ -286,14 +286,13 @@ class ClassIndex:
         return _tile_pass(self)
 
     def key(self, a: Sequence[int]) -> tuple[int, ...]:
-        """The reduced vector of a at the kept columns: its class."""
-        ys: list[int] = []
-        for col, carries in zip(self.columns, self._carries):
-            y = sum(map(mul, a, col))
-            if carries:
-                y -= sum(map(mul, map(floordiv, ys, self.moduli), carries))
-            ys.append(y)
-        return tuple(map(mod, ys, self.moduli))
+        """The reduced vector of a at the kept columns: its class, through
+        ``_carried``.  A vector of another length raises ``ShapeError``."""
+        if len(a) != self.rows.cols:
+            raise ShapeError(
+                f"vector of length {len(a)} for a lattice of {self.rows.cols} columns"
+            )
+        return next(self._carried([[sum(map(mul, a, col))] for col in self.columns]), ())
 
     def rep(self, a: Sequence[int]) -> tuple[int, ...]:
         """The listed representative of the class of a."""

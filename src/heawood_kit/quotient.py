@@ -10,7 +10,6 @@ every zero-free signature, and some with zero entries, such as (0,2,2).
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
 from operator import add, mul
@@ -91,11 +90,6 @@ class QuotientGraph(Frozen):
             for j in nbrs
             if i < j
         ]
-
-    @cached_property
-    def neighbour_sets(self) -> tuple[frozenset[int], ...]:
-        """The adjacency rows as sets, built on first use."""
-        return tuple(map(frozenset, self.adjacency))
 
     def number_of(self, x: Sequence[int]) -> int:
         """Build-order number of the vertex that the tiling point x maps to.

@@ -21,6 +21,7 @@ from .quotient import QuotientGraph, refuse_degenerate
 
 Cells = dict[int, set[int]]  # a coloring's partition: cell start -> vertices
 Refined = tuple[tuple[int, ...], Cells, list[int]]  # colors, cells, trace
+Chain = list[tuple[tuple[int, ...], Cells]]  # colors and cells at each level
 
 
 class NotAnAutomorphism(ValueError):
@@ -53,12 +54,13 @@ class PermutationGroup(Frozen):
 
 
 def is_automorphism(g: QuotientGraph, images: Sequence[int]) -> bool:
-    """Does the vertex map send each neighbour set onto its image's?"""
-    targets = g.neighbour_sets
-    for i, nbrs in enumerate(g.adjacency):
-        if {images[j] for j in nbrs} != targets[images[i]]:
-            return False
-    return True
+    """Does the vertex map send each adjacency row onto its image's row?
+    The rows are compared sorted, so their order does not matter."""
+    adjacency, image = g.adjacency, images.__getitem__
+    return all(
+        sorted(map(image, nbrs)) == sorted(adjacency[image(i)])
+        for i, nbrs in enumerate(adjacency)
+    )
 
 
 def _orbit(gens: Iterable[VertexPermutation], v: int) -> set[int]:
@@ -240,7 +242,7 @@ def _individualize(
 
 def _base_chain(
     g: QuotientGraph, initial_colors: Optional[Sequence[int]] = None
-) -> tuple[list[tuple[tuple[int, ...], Cells]], list[int], list[list[int]]]:
+) -> tuple[Chain, list[int], list[list[int]]]:
     """Refined colorings individualized at base points until discrete.
 
     Only the root's cells are grouped from colors; refinement hands out
@@ -261,6 +263,34 @@ def _base_chain(
         chain.append((colors, cells))
         traces.append(trace)
     return chain, base, traces
+
+
+def _extend(
+    g: QuotientGraph, chain: Chain, base: list[int], traces: list[list[int]],
+    level: int, refined: Optional[Refined],
+) -> Optional[list[int]]:
+    """Images of an automorphism taking chain[level] to the refined colors.
+
+    None if there is none, or if the refinement stopped on the trace.
+    Refinement keeps the order of the colors it splits, so colorings
+    with the same cell starts, hence sizes, at every level give the same
+    colors to matching cells; the leaf maps each vertex to its namesake.
+    Not a closure of the search, so the search forms no reference cycle.
+    """
+    if refined is None or refined[1].keys() != chain[level][1].keys():
+        return None
+    colors, cells, _ = refined
+    if level == len(base):
+        vertex_of = [0] * len(colors)
+        for v, c in enumerate(colors):
+            vertex_of[c] = v
+        images = [vertex_of[c] for c in chain[-1][0]]
+        return images if is_automorphism(g, images) else None
+    for y in sorted(cells[chain[level][0][base[level]]]):
+        refined = _individualize(g, colors, cells, y, traces[level])
+        if (images := _extend(g, chain, base, traces, level + 1, refined)) is not None:
+            return images
+    return None
 
 
 def brute_force_automorphisms(
@@ -298,30 +328,6 @@ def brute_force_automorphisms(
     """
     n = g.vertex_count
     chain, base, traces = _base_chain(g, initial_colors)
-    leaf_position = {c: v for v, c in enumerate(chain[-1][0])}
-
-    def extend(level: int, refined: Optional[Refined]) -> Optional[list[int]]:
-        """Images of an automorphism taking chain[level] to the refined colors.
-
-        None if there is none, or if the refinement stopped on the trace.
-        Refinement keeps the order of the colors it splits, so colorings
-        with the same cell starts, hence sizes, at every level give the same
-        colors to matching cells; the leaf maps each vertex to its namesake.
-        """
-        if refined is None or refined[1].keys() != chain[level][1].keys():
-            return None
-        colors, cells, _ = refined
-        if level == len(base):
-            images = [0] * n
-            for v, c in enumerate(colors):
-                images[leaf_position[c]] = v
-            return images if is_automorphism(g, images) else None
-        for y in sorted(cells[chain[level][0][base[level]]]):
-            refined = _individualize(g, colors, cells, y, traces[level])
-            if (images := extend(level + 1, refined)) is not None:
-                return images
-        return None
-
     gens: list[VertexPermutation] = []
     order = 1
     for level in reversed(range(len(base))):
@@ -331,7 +337,8 @@ def brute_force_automorphisms(
         for y in sorted(cells[colors[b]]):
             if y in seen or y in failed:
                 continue
-            images = extend(level + 1, _individualize(g, colors, cells, y, trace))
+            refined = _individualize(g, colors, cells, y, trace)
+            images = _extend(g, chain, base, traces, level + 1, refined)
             if images is None:
                 failed |= _orbit(gens, y)
             else:

@@ -400,6 +400,27 @@ def test_cli_hamiltonian_refuses_above_vertex_cap(capsys, monkeypatch):
     assert json.loads(out)["outcome"] == "hamiltonian-cycle"
 
 
+# A request that breaks its own rules is bad input whatever the size of
+# its quotient: each rule is checked before the cap.
+REQUESTS_CHECKED_BEFORE_THE_CAP = [
+    (("build", "-k", "9,9,9,9,9", "--torus", "--format", "off"),
+     "OFF export handles dimension at most 3"),
+    (("analyze", "-k", "9,9,9,9,9", "--hamiltonian", "1"),
+     "the alternating walk needs d = 2, not d = 4"),
+    (("analyze", "-k", "400,400,400", "--hamiltonian", "9"),
+     "walk index 9 out of range 1..3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", REQUESTS_CHECKED_BEFORE_THE_CAP,
+    ids=[" ".join(argv) for argv, _ in REQUESTS_CHECKED_BEFORE_THE_CAP],
+)
+def test_cli_checks_the_request_before_the_cap(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("extra", [(), ("--torus",)])
 def test_cli_build_refuses_above_vertex_cap(capsys, monkeypatch, extra):
     code, out, err = run_cli(capsys, "build", "-k", "40,40,40,40", *extra)
@@ -518,9 +539,9 @@ def test_wide_census_order_is_the_determinant():
     assert ClassIndex(rows).order == det(with_ones) == 763_564_689
 
 
-# Each command of the benchmark's cli workload and aut --generated, its
-# exit code, and the package modules it loads beyond the core that every
-# command loads.
+# Each command of the benchmark's cli workload, aut --generated and the
+# requests whose own rules come before the cap, its exit code, and the
+# package modules it loads beyond the core that every command loads.
 CORE_MODULES = {"cli", "intlin", "lattice", "limits", "quotient", "tiling"}
 COMMAND_MODULES = [
     (("build", "-k", "1,1,1"), 0, set()),
@@ -539,6 +560,11 @@ COMMAND_MODULES = [
     (("fixture", "klein-quartic"), 0, {"fixtures", "data"}),
     (("build", "-k", "1,-1,1"), 2, set()),
     (("aut", "-k", "2,2,2,2", "--brute"), 3, set()),
+    (("build", "-k", "9,9,9,9,9", "--torus", "--format", "off"), 2, {"artifacts"}),
+    (("analyze", "-k", "9,9,9,9,9", "--hamiltonian", "1"), 2, {"analysis"}),
+    (("analyze", "-k", "400,400,400", "--hamiltonian", "9"), 2, {"analysis"}),
+    (("analyze", "-k", "400,400,400", "--hamiltonian", "1"), 3, {"analysis"}),
+    (("analyze", "-k", "400,400,400", "--bipartite"), 3, set()),
 ]
 LIST_MODULES = (
     "import sys\n"

@@ -21,6 +21,7 @@ from heawood_kit import intlin, lattice
 from heawood_kit.intlin import (
     IntMatrix,
     InvalidSignature,
+    ShapeError,
     build_mk,
     closed_form_dk,
 )
@@ -106,6 +107,16 @@ def test_reduce_refuses_a_tuple_of_another_length():
     for a in [(1, 0), (1, 0, 0, 0)]:
         with pytest.raises(InvalidSignature, match="coefficient length"):
             reduce_to_fundamental(a, k)
+
+
+def test_key_refuses_a_vector_of_another_length():
+    index = KSignature((1, 1, 1)).index
+    for a in [(1, 0), (1, 0, 0, 0)]:
+        message = f"vector of length {len(a)} for a lattice of 3 columns"
+        with pytest.raises(ShapeError, match=message):
+            index.key(a)
+        with pytest.raises(ShapeError, match=message):
+            index.rep(a)
 
 
 def test_enumerate_fundamental_counts():

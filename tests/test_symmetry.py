@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from bisect import bisect_left
@@ -8,6 +9,7 @@ from math import factorial
 import pytest
 
 from heawood_kit import fixtures, intlin, lattice, symmetry
+from heawood_kit.analysis import six_cycles_through
 from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.lattice import ClassIndex, InfiniteQuotient, KSignature
 from heawood_kit.limits import CapExceeded
@@ -800,4 +802,26 @@ def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():
     assert KSignature((1, 1, 1)) != KSignature((1, 1, 2))
     assert repr(KSignature((1, 2, 3))) == "KSignature(entries=(1, 2, 3))"
     assert closure(group.generators) == {swap, VertexPermutation.identity(2)}
-    assert g.neighbour_sets[0] == set(g.adjacency[0])
+
+
+def test_a_searched_graph_keeps_only_its_fields():
+    g = build_heawood_graph(KSignature((2, 1, 2, 1)))
+    brute_force_automorphisms(g)
+    six_cycles_through(g, 0)
+    assert set(vars(g)) == {
+        "d", "labels", "adjacency", "signature", "lattice", "rank", "position"
+    }
+
+
+def test_search_leaves_no_reference_cycle():
+    # what the search and the census make is freed by reference counting
+    # alone, with nothing left for the cyclic collector
+    g = build_heawood_graph(KSignature((2, 1, 2, 1)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert brute_force_automorphisms(g).order == generated_order(g.lattice)
+        assert six_cycles_through(g, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
