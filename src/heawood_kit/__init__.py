@@ -9,12 +9,7 @@ exact invariants, and cross-checks every closed form against enumeration.
 """
 
 from .intlin import IntMatrix, build_mk, closed_form_dk
-from .lattice import (
-    KSignature,
-    enumerate_fundamental,
-    quotient_order_general,
-    reduce_to_fundamental,
-)
+from .lattice import KSignature, quotient_order_general
 from .quotient import (
     QuotientGraph,
     SimplicialComplex,
@@ -36,8 +31,6 @@ __all__ = [
     "build_torus_complex",
     "closed_form_dk",
     "dual_graph",
-    "enumerate_fundamental",
     "fvector_formula",
     "quotient_order_general",
-    "reduce_to_fundamental",
 ]

@@ -19,10 +19,10 @@ triangulated torus, which coordinate rotations keep it and whether its
 rows span all ones.  A signature keeps its index per object, as
 ``KSignature.index``, made with its Hermite basis alone: the fundamental
 vectors are listed on the first read of its classes, so the order of any
-signature is read without them.  ``reduce_to_fundamental`` looks up the
-fundamental vector of a class there.  ``to_ambient`` takes coefficients
-to ambient coordinates; a tiling point goes back by the exact division
-of ``QuotientGraph.number_of``.
+signature is read without them; ``k.index.classes`` lists them, and
+``k.index.rep(a)`` is the one in the class of a.  ``to_ambient`` takes
+coefficients to ambient coordinates; a tiling point goes back by the
+exact division of ``QuotientGraph.number_of``.
 """
 
 from __future__ import annotations
@@ -132,23 +132,6 @@ def combine_columns(
         if c:
             total = map(add, total, map(c.__mul__, column))
     return total
-
-
-def reduce_to_fundamental(a: Sequence[int], k: KSignature) -> tuple[int, ...]:
-    """Unique fundamental representative of the class of a.
-
-    The class is looked up by its Hermite key in ``k.index``, which
-    the signature object keeps: a caller that reduces many points passes
-    one object, and builds one index.
-    """
-    if len(a) != k.n:
-        raise InvalidSignature("coefficient length does not match signature")
-    return k.index.rep(a)
-
-
-def enumerate_fundamental(k: KSignature) -> list[tuple[int, ...]]:
-    """All fundamental vectors of k in lexicographic order."""
-    return list(_fundamental(k.entries))
 
 
 def _fundamental(entries: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -34,8 +34,7 @@ class VertexPermutation(Frozen):
     _fields = ("images",)
 
     def __init__(self, images: tuple[int, ...]) -> None:
-        if sorted(images) != list(range(len(images))):
-            raise NotAnAutomorphism("image array is not a bijection")
+        _refuse_non_bijection(images, len(images))
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -53,9 +52,18 @@ class PermutationGroup(Frozen):
         object.__setattr__(self, "order", order)
 
 
+def _refuse_non_bijection(images: Sequence[int], n: int) -> None:
+    """Raise ``NotAnAutomorphism`` unless images is a bijection of 0..n-1."""
+    if sorted(images) != list(range(n)):
+        raise NotAnAutomorphism("image array is not a bijection")
+
+
 def is_automorphism(g: QuotientGraph, images: Sequence[int]) -> bool:
     """Does the vertex map send each adjacency row onto its image's row?
-    The rows are compared sorted, so their order does not matter."""
+    The rows are compared sorted, so their order does not matter.  A map
+    that is not a bijection of the vertices, one of another length too,
+    raises ``NotAnAutomorphism``, as ``VertexPermutation`` does."""
+    _refuse_non_bijection(images, g.vertex_count)
     adjacency, image = g.adjacency, images.__getitem__
     return all(
         sorted(map(image, nbrs)) == sorted(adjacency[image(i)])
@@ -101,9 +109,7 @@ def generated_group(g: QuotientGraph) -> PermutationGroup:
     return PermutationGroup((), generated_order(g.lattice))
 
 
-def refine_colors(
-    g: QuotientGraph, initial: Optional[Sequence[int]] = None
-) -> tuple[int, ...]:
+def refine_colors(g: QuotientGraph, initial: Optional[Sequence[int]] = None) -> Refined:
     """Coarsest equitable coloring finer than the initial one.
 
     Colors are cell starts: a vertex's color is the number of vertices in
@@ -113,7 +119,8 @@ def refine_colors(
     vertex adjacent to it, that vertex's neighbours inside it, and every
     cell it touches splits into parts by count, in increasing count order
     in place of the old cell.  Every step depends only on colors and
-    counts, so the result does not depend on vertex labels.
+    counts, so the result does not depend on vertex labels.  Returns what
+    ``_refine`` does: the colors, their cells and the trace.
     """
     adjacency = g.adjacency
     values = initial if initial is not None else [len(nbrs) for nbrs in adjacency]
@@ -126,7 +133,7 @@ def refine_colors(
             cells[start] = set()
         cells[start].add(v)
         colors[v] = start
-    return _refine(adjacency, colors, cells, list(cells))[0]
+    return _refine(adjacency, colors, cells, list(cells))
 
 
 def _refine(
@@ -245,15 +252,12 @@ def _base_chain(
 ) -> tuple[Chain, list[int], list[list[int]]]:
     """Refined colorings individualized at base points until discrete.
 
-    Only the root's cells are grouped from colors; refinement hands out
-    the rest.  Each base point is the least vertex of the first
-    non-singleton cell; the chain holds (colors, cells) before each point
-    and at the discrete end, the traces the refinement after each point.
+    Refinement hands out the cells of every level, the root's too.  Each
+    base point is the least vertex of the first non-singleton cell; the
+    chain holds (colors, cells) before each point and at the discrete end,
+    the traces the refinement after each point.
     """
-    colors = refine_colors(g, initial_colors)
-    cells: Cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, set()).add(v)
+    colors, cells, _ = refine_colors(g, initial_colors)
     chain = [(colors, cells)]
     base: list[int] = []
     traces: list[list[int]] = []

@@ -214,12 +214,11 @@ def test_criterion_12_six_cycle_census():
 def test_criterion_13_property_suite_runs_deterministically():
     # the hypothesis profile pins derandomize=True; spot-check that two
     # invariant samples agree across evaluations
-    from heawood_kit.lattice import reduce_to_fundamental
     from oracles import vertex_key
 
     k = KSignature((2, 1, 2))
     first = [vertex_key((1 + 3 * t, 2 - 3 * t, 3), k) for t in range(5)]
     second = [vertex_key((1 + 3 * t, 2 - 3 * t, 3), k) for t in range(5)]
     assert first == second
-    a = reduce_to_fundamental((9, -4, 6), k)
-    assert reduce_to_fundamental(a, k) == a
+    a = k.index.rep((9, -4, 6))
+    assert k.index.rep(a) == a

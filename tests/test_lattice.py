@@ -31,9 +31,7 @@ from heawood_kit.lattice import (
     KSignature,
     NotATransversal,
     canonicalize,
-    enumerate_fundamental,
     quotient_order_general,
-    reduce_to_fundamental,
     to_ambient,
 )
 
@@ -96,17 +94,10 @@ def test_sublattice_examples():
 
 
 def test_reduce_examples():
-    k = KSignature((1, 1, 1))
-    assert reduce_to_fundamental((0, 0, 0), k) == (0, 0, 0)
-    assert reduce_to_fundamental((2, -1, 0), k) == (0, 0, 0)
-    assert reduce_to_fundamental((1, 0, 0), k) == (1, 0, 0)
-
-
-def test_reduce_refuses_a_tuple_of_another_length():
-    k = KSignature((1, 1, 1))
-    for a in [(1, 0), (1, 0, 0, 0)]:
-        with pytest.raises(InvalidSignature, match="coefficient length"):
-            reduce_to_fundamental(a, k)
+    index = KSignature((1, 1, 1)).index
+    assert index.rep((0, 0, 0)) == (0, 0, 0)
+    assert index.rep((2, -1, 0)) == (0, 0, 0)
+    assert index.rep((1, 0, 0)) == (1, 0, 0)
 
 
 def test_key_refuses_a_vector_of_another_length():
@@ -120,10 +111,10 @@ def test_key_refuses_a_vector_of_another_length():
 
 
 def test_enumerate_fundamental_counts():
-    assert len(enumerate_fundamental(KSignature((1, 1, 1)))) == 7
-    assert (1, 1, 1) not in enumerate_fundamental(KSignature((1, 1, 1)))
-    assert len(enumerate_fundamental(KSignature((1, 2, 1)))) == 10
-    assert len(enumerate_fundamental(KSignature((1, 1, 1, 1)))) == 15
+    assert len(KSignature((1, 1, 1)).index.classes) == 7
+    assert (1, 1, 1) not in KSignature((1, 1, 1)).index.classes
+    assert len(KSignature((1, 2, 1)).index.classes) == 10
+    assert len(KSignature((1, 1, 1, 1)).index.classes) == 15
 
 
 def test_making_an_index_lists_no_class():
@@ -143,25 +134,25 @@ def test_making_an_index_lists_no_class():
 @given(SMALL_SIGNATURES)
 def test_fundamental_count_matches_determinant(entries):
     k = KSignature(entries)
-    assert len(enumerate_fundamental(k)) == closed_form_dk(entries) == det(build_mk(entries))
+    assert len(k.index.classes) == closed_form_dk(entries) == det(build_mk(entries))
 
 
 @given(SMALL_SIGNATURES, st.lists(st.integers(min_value=-8, max_value=8), min_size=3, max_size=4))
 def test_reduce_idempotent_and_orbit_constant(entries, a):
     k = KSignature(entries)
     a = tuple((a + [0] * k.n)[: k.n])
-    rep = reduce_to_fundamental(a, k)
-    assert reduce_to_fundamental(rep, k) == rep
+    rep = k.index.rep(a)
+    assert k.index.rep(rep) == rep
     assert integer_span_contains(k.matrix(), tuple(x - r for x, r in zip(a, rep)))
     for row in k.matrix().row_list():
         shifted = tuple(x + g for x, g in zip(a, row))
-        assert reduce_to_fundamental(shifted, k) == rep
+        assert k.index.rep(shifted) == rep
 
 
 def test_fundamental_pairwise_inequivalent():
     for entries in [(1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2)]:
         k = KSignature(entries)
-        reps = enumerate_fundamental(k)
+        reps = k.index.classes
         for i, s in enumerate(reps):
             for t in reps[i + 1 :]:
                 diff = tuple(x - y for x, y in zip(t, s))
@@ -170,7 +161,7 @@ def test_fundamental_pairwise_inequivalent():
 
 def test_class_index_refuses_classes_that_are_not_a_transversal():
     k = KSignature((2, 1, 2))
-    classes = enumerate_fundamental(k)
+    classes = k.index.classes
     assert len(ClassIndex(k.matrix(), classes).position) == len(classes)
     same_class = tuple(a + r for a, r in zip(classes[1], k.matrix().row(0)))
     for bad in [
@@ -224,24 +215,24 @@ def test_reduction_matches_the_scan_oracle(n, top):
         k = KSignature(entries)
         for _ in range(12):
             a = tuple(rng.randint(-20, 20) for _ in range(n))
-            assert reduce_to_fundamental(a, k) == reduce_by_scan(a, k)
+            assert k.index.rep(a) == reduce_by_scan(a, k)
 
 
 def test_delta_mode_reduction():
     k = KSignature((1, 1, 0))
-    reps = enumerate_fundamental(k)
+    reps = k.index.classes
     assert len(reps) == closed_form_dk(k.entries) == 4
     for rep in reps:
-        assert reduce_to_fundamental(rep, k) == rep
+        assert k.index.rep(rep) == rep
         for row in k.matrix().row_list():
             shifted = tuple(x + g for x, g in zip(rep, row))
-            assert reduce_to_fundamental(shifted, k) == rep
+            assert k.index.rep(shifted) == rep
 
 
 def test_delta_reduction_keeps_its_class_index(monkeypatch):
     # one Hermite basis per signature object, kept by it, not one per call
     k = KSignature((6, 6, 0))
-    rep = reduce_to_fundamental((9, -4, 6), k)
+    rep = k.index.rep((9, -4, 6))
     calls = []
     original = intlin.hermite_basis
 
@@ -251,10 +242,9 @@ def test_delta_reduction_keeps_its_class_index(monkeypatch):
 
     for module in (intlin, lattice):
         monkeypatch.setattr(module, "hermite_basis", counting)
-    assert reduce_to_fundamental((9, -4, 6), k) == rep
-    assert reduce_to_fundamental((0, 0, 0), k) == (0, 0, 0)
-    assert calls == []
     assert k.index.rep((9, -4, 6)) == rep
+    assert k.index.rep((0, 0, 0)) == (0, 0, 0)
+    assert calls == []
 
 
 def test_all_ones_in_span_matches_the_span_oracle():

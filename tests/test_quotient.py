@@ -27,8 +27,6 @@ from heawood_kit.lattice import (
     ClassIndex,
     InfiniteQuotient,
     KSignature,
-    enumerate_fundamental,
-    reduce_to_fundamental,
     to_ambient,
 )
 from heawood_kit.quotient import (
@@ -195,7 +193,6 @@ def test_euler_characteristic():
 def test_face_class_census_matches_formula():
     # count canonical tiling faces per codimension directly via the
     # canonical-name construction: (partition with 1 first, class) pairs
-    from heawood_kit.lattice import enumerate_fundamental
     from oracles import OrderedPartition
 
     def ordered_partitions(n, blocks):
@@ -295,7 +292,7 @@ def test_closed_form_index_matches_bfs_oracle(entries):
     assert g.labels == labels
     assert g.adjacency == adjacency
     c = build_torus_complex(k)
-    classes = enumerate_fundamental(k)
+    classes = k.index.classes
     assert c.facets == oracles.torus_facets(labels, reduce, classes)
     assert c.vertex_labels == tuple(classes)
 
@@ -304,8 +301,7 @@ def test_closed_form_index_matches_bfs_oracle(entries):
 def test_closed_form_index_matches_bfs_oracle_delta(entries):
     k = KSignature(entries)
     g = build_heawood_graph(k)
-    reduce = lambda a: reduce_to_fundamental(a, k)  # noqa: E731
-    assert (g.labels, g.adjacency) == oracles.bfs_quotient(k.d, reduce)
+    assert (g.labels, g.adjacency) == oracles.bfs_quotient(k.d, k.index.rep)
 
 
 @pytest.mark.parametrize("rows", ORACLE_CENSUS)
@@ -351,8 +347,9 @@ LOOKUP_QUOTIENTS = (
 def test_vertex_of_matches_the_key_oracle(quotient):
     if isinstance(quotient, KSignature):
         g, rows = build_heawood_graph(quotient), quotient.matrix().row_list()
-        reduce = reduce_to_fundamental if 0 in quotient.entries else reduce_by_scan
-        reducer = lambda a: reduce(a, quotient)  # noqa: E731
+        reducer = quotient.index.rep
+        if 0 not in quotient.entries:
+            reducer = lambda a: reduce_by_scan(a, quotient)  # noqa: E731
     else:
         g, rows = build_general_quotient(quotient), quotient.row_list()
         reducer = ClassIndex(quotient).rep
@@ -370,18 +367,18 @@ def test_vertex_of_matches_the_key_oracle(quotient):
 def test_vertex_of_reduces_once(monkeypatch):
     g = graph((2, 1, 2))
     calls = []
-    original = lattice.reduce_to_fundamental
+    original = ClassIndex.key
 
-    def counting(a, k):
+    def counting(index, a):
         calls.append(a)
-        return original(a, k)
+        return original(index, a)
 
-    monkeypatch.setattr(lattice, "reduce_to_fundamental", counting)
+    monkeypatch.setattr(ClassIndex, "key", counting)
     far = tuple(a + 7 * b for a, b in zip((1, 2, 3), w_vector(2, 2)))
     for x in [(1, 2, 3), far] + neighbors(far):
         calls.clear()
         g.vertex_of(x)
-        assert calls == []
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -403,17 +400,17 @@ def test_build_reduces_once_per_class_and_coordinate(source, monkeypatch):
         m = IntMatrix.from_rows(source)
         d, order = m.cols - 1, lattice.quotient_order_general(m)
         build = lambda: build_general_quotient(m)  # noqa: E731
-    calls = {"hermite_basis": 0, "reduce_to_fundamental": 0}
-    for name in calls:
-        original = getattr(lattice, name)
+    calls = {"hermite_basis": 0, "rep": 0}
+    for owner, name in [(lattice, "hermite_basis"), (ClassIndex, "rep")]:
+        original = getattr(owner, name)
 
         def counting(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(lattice, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     assert build().vertex_count == factorial(d) * order
-    assert calls == {"hermite_basis": 1, "reduce_to_fundamental": 0}
+    assert calls == {"hermite_basis": 1, "rep": 0}
 
 
 @pytest.mark.parametrize(
@@ -457,7 +454,7 @@ BUILDER_QUOTIENTS = (
 
 def class_index(source):
     if isinstance(source, KSignature):
-        return ClassIndex(source.matrix(), enumerate_fundamental(source)), source
+        return ClassIndex(source.matrix(), source.index.classes), source
     return ClassIndex(source), None
 
 

@@ -124,6 +124,27 @@ def test_every_definition_is_reachable():
     assert dead == []
 
 
+def test_the_public_surface_is_twelve_names_that_resolve():
+    # a name leaves heawood_kit.__all__ only with a declared edit here
+    import heawood_kit
+
+    assert heawood_kit.__all__ == [
+        "IntMatrix",
+        "KSignature",
+        "QuotientGraph",
+        "SimplicialComplex",
+        "build_general_quotient",
+        "build_heawood_graph",
+        "build_mk",
+        "build_torus_complex",
+        "closed_form_dk",
+        "dual_graph",
+        "fvector_formula",
+        "quotient_order_general",
+    ]
+    assert [name for name in heawood_kit.__all__ if not hasattr(heawood_kit, name)] == []
+
+
 CACHE_DECORATORS = {"cache", "lru_cache"}
 
 

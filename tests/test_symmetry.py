@@ -409,9 +409,9 @@ def test_refine_colors_matches_round_oracle_on_random_graphs():
         n = rng.randint(1, 14)
         g = random_graph(rng, n)
         degrees = [len(nbrs) for nbrs in g.adjacency]
-        assert partition(refine_colors(g)) == partition(refine_rounds(g.adjacency, degrees))
+        assert partition(refine_colors(g)[0]) == partition(refine_rounds(g.adjacency, degrees))
         initial = [rng.randrange(3) for _ in range(n)]
-        assert partition(refine_colors(g, initial)) == partition(
+        assert partition(refine_colors(g, initial)[0]) == partition(
             refine_rounds(g.adjacency, initial)
         )
 
@@ -446,7 +446,7 @@ def test_refine_colors_is_label_independent():
                 for v in range(n)
             ),
         )
-        root, moved_root = refine_colors(g), refine_colors(relabelled)
+        root, moved_root = refine_colors(g)[0], refine_colors(relabelled)[0]
         for v in range(0, n, 7):
             colors, _, trace = symmetry._individualize(g, root, cells_of(root), v)
             moved, _, moved_trace = symmetry._individualize(
@@ -512,7 +512,9 @@ def klein_incidence():
 
 
 def assert_refinement_matches_cell_oracle(g, initial=None, stride=1):
-    assert refine_colors(g, initial) == oracle_refine_colors(g, initial)
+    colors, cells, _ = refine_colors(g, initial)
+    assert colors == oracle_refine_colors(g, initial)
+    assert cells == cells_of(colors)
     chain, _, _ = symmetry._base_chain(g, initial)
     for colors, cells in chain[:-1]:
         for v in range(0, g.vertex_count, stride):
@@ -776,6 +778,24 @@ def test_is_automorphism_reads_unsorted_rows():
     assert is_automorphism(g, tuple((-i) % 6 for i in range(6)))
     # swapping 0 and 1 sends the edge {1, 2} to {0, 2}
     assert not is_automorphism(g, (1, 0, 2, 3, 4, 5))
+
+
+TWO_TRIANGLES = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+@pytest.mark.parametrize(
+    "g, images",
+    [
+        # folding one triangle onto the other keeps every edge
+        (TWO_TRIANGLES, (0, 1, 2, 0, 1, 2)),
+        (graph((1, 1, 1)), tuple(range(15))),
+        (graph((1, 1, 1)), tuple(range(13))),
+    ],
+    ids=["two triangles folded", "15 images of 14", "13 images of 14"],
+)
+def test_is_automorphism_refuses_a_map_that_is_not_a_bijection(g, images):
+    with pytest.raises(NotAnAutomorphism, match="not a bijection"):
+        is_automorphism(g, images)
 
 
 def test_value_types_compare_hash_and_refuse_assignment_by_their_fields():
