@@ -10,6 +10,7 @@ every zero-free signature, and some with zero entries, such as (0,2,2).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
 from operator import add, mul
@@ -44,7 +45,9 @@ class QuotientGraph(Frozen):
     """Finite (d+1)-regular graph with stable vertex indexing.
 
     Vertices are canonical keys sorted lexicographically; labels default to
-    the keys but dual graphs reuse the type with facet labels.  A quotient
+    the keys but dual graphs reuse the type with facet labels.  A graph
+    given labels keeps them; a quotient is given none and makes its keys
+    on first read, from the tile pass its index keeps.  A quotient also
     keeps the lattice it was built from, as the ``ClassIndex`` of its
     generator rows, and the numbering it was built in: the tiling point
     p + amb(a), p a permutation with p_1 = 1 and a a listed class, has
@@ -60,7 +63,7 @@ class QuotientGraph(Frozen):
     def __init__(
         self,
         d: int,
-        labels: tuple[VertexKey, ...],
+        labels: Optional[tuple[VertexKey, ...]],
         adjacency: tuple[tuple[int, ...], ...],
         signature: Optional[KSignature] = None,
         lattice: Optional[ClassIndex] = None,
@@ -68,16 +71,29 @@ class QuotientGraph(Frozen):
         position: Optional[list[int]] = None,
     ) -> None:
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "labels", labels)
+        if labels is not None:
+            object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "position", position)
 
+    @cached_property
+    def labels(self) -> tuple[VertexKey, ...]:
+        """Labels of a quotient's vertices, made from its tile pass on
+        first read: downs[rank(p)][t] + amb(T_t) for the t of each code."""
+        _, downs, ambient, _, codes, tile_columns, order = self.lattice.tile_pass
+        n, size = self.d + 1, len(self.lattice.classes)
+        labels: list[VertexKey] = []
+        for u in order:
+            t = codes[u] % n
+            labels.append(tuple(map(add, downs[u // size][t], ambient[tile_columns[t][u]])))
+        return tuple(labels)
+
     @property
     def vertex_count(self) -> int:
-        return len(self.labels)
+        return len(self.adjacency)
 
     @property
     def edge_count(self) -> int:
@@ -203,19 +219,16 @@ def _quotient_graph(
 ) -> QuotientGraph:
     """The quotient graph that the tile pass of an index describes.
 
-    Labels are made in label order, one tuple per vertex.  Neighbours fill
-    d+1 slots of V numbers: swapping values v, v+1 >= 2 of p keeps the
-    class; wrapping d+1 round to 2 lands in T_d = a + e_j, p_j = d+1,
-    which minus[j] undoes for the last slot.  The graph keeps ``rank`` and
-    the sort's ``position`` for ``number_of`` and ``vertex_of``.
+    It makes no labels: ``QuotientGraph.labels`` makes them from the same
+    pass when they are first read.  Neighbours fill d+1 slots of V
+    numbers: swapping values v, v+1 >= 2 of p keeps the class; wrapping
+    d+1 round to 2 lands in T_d = a + e_j, p_j = d+1, which minus[j]
+    undoes for the last slot.  The graph keeps ``rank`` and the sort's
+    ``position`` for ``number_of`` and ``vertex_of``.
     """
-    perms, downs, ambient, minus, codes, tile_columns, order = index.tile_pass
+    perms, _, _, minus, _, tile_columns, order = index.tile_pass
     n, size = len(perms[0]), len(index.classes)
     d = n - 1
-    labels: list[VertexKey] = []
-    for u in order:
-        t = codes[u] % n
-        labels.append(tuple(map(add, downs[u // size][t], ambient[tile_columns[t][u]])))
     rank = {p: r for r, p in enumerate(perms)}
     blocks = [range(r * size, r * size + size) for r in range(len(perms))]
     slots = [
@@ -243,7 +256,7 @@ def _quotient_graph(
     ]
     return QuotientGraph(
         d=d,
-        labels=tuple(labels),
+        labels=None,
         adjacency=tuple(map(tuple, map(sorted, zip(*columns)))),
         signature=signature,
         lattice=index,

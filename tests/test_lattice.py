@@ -195,17 +195,18 @@ def test_quotient_order_matches_closed_form(entries):
     assert quotient_order_general(build_mk(entries)) == closed_form_dk(entries)
 
 
-def test_class_canonicalizer_agrees_with_reduction():
+def test_class_index_agrees_with_the_scan_reduction_on_every_pair():
+    # each vector is reduced once; every pair a < b then compares the same
+    vectors = list(product(range(-3, 4), repeat=3))
     for entries in [(1, 1, 1), (2, 1, 2), (1, 3, 2)]:
         k = KSignature(entries)
         reducer = ClassIndex(k.matrix()).rep
-        for a in product(range(-3, 4), repeat=3):
-            for b in product(range(-3, 4), repeat=3):
-                if a >= b:
-                    continue
-                same_strict = reduce_by_scan(a, k) == reduce_by_scan(b, k)
-                same_general = reducer(a) == reducer(b)
-                assert same_strict == same_general
+        strict = {a: reduce_by_scan(a, k) for a in vectors}
+        general = {a: reducer(a) for a in vectors}
+        for a in vectors:
+            for b in vectors:
+                if a < b:
+                    assert (strict[a] == strict[b]) == (general[a] == general[b])
 
 
 @pytest.mark.parametrize("n, top", [(3, 4), (4, 3)])

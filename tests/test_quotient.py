@@ -20,6 +20,7 @@ from oracles import (
 from test_symmetry import CENSUS_MATRICES
 
 from heawood_kit import lattice, quotient
+from heawood_kit.analysis import chromatic_number, is_bipartite
 from heawood_kit.artifacts import parse_matrix_arg
 from heawood_kit.fixtures import klein_quartic
 from heawood_kit.intlin import IntMatrix, ShapeError, build_mk
@@ -40,6 +41,7 @@ from heawood_kit.quotient import (
     fvector_formula,
     stirling2,
 )
+from heawood_kit.symmetry import brute_force_automorphisms, generated_group
 from heawood_kit.tiling import SliceError
 
 
@@ -776,3 +778,35 @@ def test_a_dropped_graph_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_quotient_makes_its_labels_when_they_are_first_read():
+    # the adjacency, the numbering and the searches read no label
+    k = KSignature((2, 2, 2, 2))
+    build_torus_complex(k)
+    built = [
+        build_heawood_graph(KSignature((1, 1, 1))),
+        build_general_quotient(parse_matrix_arg(CENSUS_MATRICES[0])),
+        build_heawood_graph(k),
+    ]
+    for g in built:
+        assert "labels" not in vars(g)
+        n = g.d + 1
+        assert g.vertex_count == len(g.adjacency)
+        assert g.edge_count == n * g.vertex_count // 2
+        assert 0 <= g.vertex_of(tuple(range(1, n + 1))) < g.vertex_count
+        brute_force_automorphisms(g)
+        generated_group(g)
+        is_bipartite(g)
+        assert "labels" not in vars(g)
+    assert chromatic_number(built[0]) == 2
+    assert "labels" not in vars(built[0])
+    for g in built:
+        expected, _ = oracles.build_per_vertex(g.lattice, g.signature)
+        labels = g.labels
+        assert labels == expected.labels
+        assert g.labels is labels
+        assert vars(g)["labels"] is labels
+    # a graph given labels keeps exactly those
+    c = torus((2, 1, 3, 1))
+    assert dual_graph(c).labels is c.facets

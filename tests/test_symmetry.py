@@ -828,9 +828,11 @@ def test_a_searched_graph_keeps_only_its_fields():
     g = build_heawood_graph(KSignature((2, 1, 2, 1)))
     brute_force_automorphisms(g)
     six_cycles_through(g, 0)
-    assert set(vars(g)) == {
-        "d", "labels", "adjacency", "signature", "lattice", "rank", "position"
-    }
+    # neither reads a label, so the graph has not made its labels
+    fields = {"d", "adjacency", "signature", "lattice", "rank", "position"}
+    assert set(vars(g)) == fields
+    g.labels
+    assert set(vars(g)) == fields | {"labels"}
 
 
 def test_search_leaves_no_reference_cycle():
