@@ -14,11 +14,10 @@ Usage:
 """
 
 import argparse
-import json
 from itertools import product
 
+from heawood_kit.cli import emit
 from heawood_kit.lattice import KSignature
-from heawood_kit.limits import SCHEMA
 from heawood_kit.quotient import build_heawood_graph
 from heawood_kit.symmetry import brute_force_automorphisms, generated_order
 
@@ -49,14 +48,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.n < 3:
         parser.error(f"--n must be at least 3: the tiling needs d >= 2, not {args.n}")
-    rows = survey(args.n, args.max_entry)
-    text = json.dumps({"schema": SCHEMA, "survey": rows}, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return emit(lambda: {"survey": survey(args.n, args.max_entry)}, args.output)
 
 
 if __name__ == "__main__":

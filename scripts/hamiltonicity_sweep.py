@@ -12,13 +12,12 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 from itertools import product
 
 from heawood_kit.analysis import hamiltonian_alternating
+from heawood_kit.cli import emit
 from heawood_kit.lattice import KSignature
-from heawood_kit.limits import SCHEMA
 from heawood_kit.quotient import build_heawood_graph
 
 
@@ -50,19 +49,14 @@ def main() -> int:
     if args.n != 3:
         parser.error(f"--n must be 3: the alternating walk needs d = 2, not {args.n}")
     rows = sweep(args.n, args.max_entry)
-    text = json.dumps({"schema": SCHEMA, "sweep": rows}, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    code = emit(lambda: {"sweep": rows}, args.output)
     failures = [r["k"] for r in rows if not r["any_alternating_hamiltonian"]]
     print(
         f"# {len(rows)} signatures, {len(failures)} where no alternating "
         f"direction closes Hamiltonian: {failures}",
         file=sys.stderr,
     )
-    return 0
+    return code
 
 
 if __name__ == "__main__":

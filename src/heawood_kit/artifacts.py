@@ -54,9 +54,9 @@ def export_graph_dot(g: QuotientGraph) -> str:
 def export_graph_json(g: QuotientGraph) -> str:
     payload = {
         "schema": SCHEMA,
-        "signature": list(g.signature.entries) if g.signature else None,
-        "vertices": [list(label) for label in g.labels],
-        "edges": [list(e) for e in g.edges()],
+        "signature": g.signature.entries if g.signature else None,
+        "vertices": g.labels,
+        "edges": g.edges(),
         "meta": {
             "vertex_count": g.vertex_count,
             "edge_count": g.edge_count,

@@ -4,9 +4,10 @@ Subcommands build quotient graphs and torus complexes, compare f-vector
 formulas against enumeration, compute automorphism groups, run the graph
 analyses, process census matrices, render tiles, and dump fixtures.  Each
 command returns its answer: a dict, which goes out as JSON, or the text of
-an export.  cli() alone adds the schema tag, writes the answer to stdout or
-the -o file, and maps the answer or the error raised to the exit code:
-0 success, 2 validation error, 3 cap refusal.  Only the core modules
+an export.  emit() alone adds the schema tag, writes the answer to stdout
+or the -o file, and maps the answer or the error raised to the exit code:
+0 success, 2 validation error, 3 cap refusal; cli() and the sweep scripts
+answer through it.  Only the core modules
 load with this one; a command imports the symmetry, analysis, export and
 fixture code it runs where it runs it: after its cap checks, or, for the
 OFF export and the walk, before them, to check the request's own rules.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .intlin import parse_matrix_arg
 from .lattice import ClassIndex, KSignature
@@ -70,18 +71,18 @@ def cmd_build(args: argparse.Namespace) -> dict | str:
         complex_ = build_torus_complex(k)
         fvector = complex_.fvector_enumerated()
         return {
-            "signature": list(k.entries),
+            "signature": k.entries,
             "torus": {
                 "vertices": complex_.vertex_count,
-                "facets": [list(f) for f in complex_.facets],
-                "fvector": list(fvector),
+                "facets": complex_.facets,
+                "fvector": fvector,
                 "euler_characteristic": alternating_sum(fvector),
             },
         }
     graph = build_heawood_graph(k)
     if args.format == "summary":
         return {
-            "signature": list(k.entries),
+            "signature": k.entries,
             "graph": {
                 "vertices": graph.vertex_count,
                 "edges": graph.edge_count,
@@ -100,11 +101,11 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
     # with a zero entry even the formula runs the torus check, of up to D + 1 keys
     if 0 in k.entries or args.mode != "formula":
         check_caps(k.index, "build")
-    payload: dict = {"signature": list(k.entries)}
+    payload: dict = {"signature": k.entries}
     if args.mode in ("formula", "both"):
-        payload["formula"] = list(fvector_formula(k))
+        payload["formula"] = fvector_formula(k)
     if args.mode in ("enumerate", "both"):
-        enumerated = list(build_torus_complex(k).fvector_enumerated())
+        enumerated = build_torus_complex(k).fvector_enumerated()
         payload["enumerated"] = enumerated
         if args.mode == "both":
             payload["match"] = enumerated == payload["formula"]
@@ -118,7 +119,7 @@ def cmd_aut(args: argparse.Namespace) -> dict:
         graph = build_heawood_graph(k)
     from . import symmetry
 
-    payload: dict = {"signature": list(k.entries)}
+    payload: dict = {"signature": k.entries}
     if args.mode in ("generated", "compare"):
         payload["generated"] = symmetry.generated_order(k.index)
     if args.mode in ("brute", "compare"):
@@ -138,7 +139,7 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
     from . import analysis
 
     graph = build_heawood_graph(k)
-    payload: dict = {"signature": list(k.entries)}
+    payload: dict = {"signature": k.entries}
     if args.hamiltonian is not None:
         result = analysis.hamiltonian_alternating(graph, args.hamiltonian)
         payload.update(mode=result.mode, outcome=result.outcome,
@@ -166,7 +167,7 @@ def cmd_census(args: argparse.Namespace) -> dict:
     check_caps(index, "build")
     graph = build_general_quotient(index)
     return {
-        "matrix": [list(r) for r in matrix.row_list()],
+        "matrix": matrix.row_list(),
         "quotient_order": index.order,
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
@@ -188,12 +189,13 @@ def cmd_fixture(args: argparse.Namespace) -> dict:
     from . import fixtures
 
     complex_ = fixtures.klein_quartic()
+    fvector = complex_.fvector_enumerated()
     payload: dict = {
         "name": args.name,
         "vertices": complex_.vertex_count,
         "facets": len(complex_.facets),
-        "edges": len(complex_.faces(1)),
-        "euler_characteristic": complex_.euler_characteristic(),
+        "edges": fvector[1],
+        "euler_characteristic": alternating_sum(fvector),
     }
     if args.aut:
         payload["aut"] = fixtures.klein_quartic_aut_order()
@@ -255,12 +257,19 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    return emit(lambda: args.func(args), args.output)
+
+
+def emit(compute: Callable[[], dict | str], out: Optional[str]) -> int:
+    """Write what compute() returns, a dict as schema-tagged JSON with
+    sorted keys, and return the exit code: 2 after a ValueError, 3 after
+    a cap refusal, each reported on stderr."""
     try:
-        answer = args.func(args)
+        answer = compute()
         if isinstance(answer, dict):
             answer = json.dumps({"schema": SCHEMA, **answer}, sort_keys=True,
                                 indent=2) + "\n"
-        write(answer, args.output)
+        write(answer, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -343,9 +343,6 @@ class SimplicialComplex(Frozen):
         middle = [len(_faces(facets, i)) for i in range(1, self.dim)]
         return (len(set(chain.from_iterable(facets))), *middle, top)
 
-    def euler_characteristic(self) -> int:
-        return alternating_sum(self.fvector_enumerated())
-
 
 def _faces(facets: Iterable[tuple[int, ...]], i: int) -> set[tuple[int, ...]]:
     """The i-dimensional faces of sorted facets."""

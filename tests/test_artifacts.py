@@ -240,6 +240,13 @@ def test_cli_analyze(capsys):
     assert payload["bipartite"] is True
     assert payload["chromatic_number"] == 2
 
+    # a zero entry can leave an odd cycle, whose length is reported
+    code, out, _ = run_cli(capsys, "analyze", "-k", "0,0,1,1", "--bipartite")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["bipartite"] is False
+    assert payload["odd_cycle_length"] == 3
+
 
 def test_cli_census(capsys):
     code, out, _ = run_cli(capsys, "census", "--matrix",
@@ -273,6 +280,12 @@ def test_cli_fixture(capsys):
     assert payload["facets"] == 56
     assert payload["edges"] == 84
     assert payload["euler_characteristic"] == -4
+    assert "aut" not in payload
+
+    code, out, _ = run_cli(capsys, "fixture", "klein-quartic", "--aut")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["aut"] == {"dual_graph": 336, "simplicial": 336}
 
 
 def test_cli_validation_exit_code(capsys):

@@ -11,7 +11,12 @@ from heawood_kit.fixtures import (
     simplicial_automorphism_order,
 )
 from heawood_kit.lattice import KSignature
-from heawood_kit.quotient import NotSimplicial, build_torus_complex, dual_graph
+from heawood_kit.quotient import (
+    NotSimplicial,
+    alternating_sum,
+    build_torus_complex,
+    dual_graph,
+)
 
 
 @lru_cache(maxsize=None)
@@ -27,7 +32,7 @@ def surface_dual():
 def test_counts_and_euler_characteristic():
     c = surface()
     assert c.fvector_enumerated() == (24, 84, 56)
-    assert c.euler_characteristic() == -4
+    assert alternating_sum(c.fvector_enumerated()) == -4
     oracles.validate_per_facet(c)
 
 

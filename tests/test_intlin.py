@@ -30,6 +30,17 @@ def test_build_mk_examples():
 def test_build_mk_rejects_short_signature():
     with pytest.raises(InvalidSignature):
         build_mk((1,))
+    with pytest.raises(InvalidSignature, match="nonnegative"):
+        build_mk((1, -1, 1))
+
+
+def test_int_matrix_checks_its_shape():
+    with pytest.raises(ShapeError, match="negative dimensions"):
+        IntMatrix(-1, 2, ())
+    with pytest.raises(ShapeError, match="entry count"):
+        IntMatrix(2, 2, (1,))
+    empty = IntMatrix.from_rows([])
+    assert (empty.rows, empty.cols, empty.entries) == (0, 0, ())
 
 
 def test_row_sum_is_all_ones():

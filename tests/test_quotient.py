@@ -34,6 +34,7 @@ from heawood_kit.quotient import (
     DegenerateQuotient,
     NotSimplicial,
     SimplicialComplex,
+    alternating_sum,
     build_general_quotient,
     build_heawood_graph,
     build_torus_complex,
@@ -186,10 +187,11 @@ def test_dual_graph_triangle():
 
 
 def test_euler_characteristic():
-    assert torus((1, 1, 1)).euler_characteristic() == 0
-    assert torus((1, 1, 1, 1)).euler_characteristic() == 15 - 105 + 180 - 90 == 0
+    assert alternating_sum(torus((1, 1, 1)).fvector_enumerated()) == 0
+    fvector = torus((1, 1, 1, 1)).fvector_enumerated()
+    assert alternating_sum(fvector) == 15 - 105 + 180 - 90 == 0
     for entries in [(2, 1, 2), (1, 3, 2), (2, 2, 2, 1)]:
-        assert torus(entries).euler_characteristic() == 0
+        assert alternating_sum(torus(entries).fvector_enumerated()) == 0
 
 
 def test_face_class_census_matches_formula():
@@ -712,7 +714,6 @@ def test_vertex_order_inside_facets_changes_nothing(c):
         assert s == c
         assert all(list(facet) == sorted(facet) for facet in s.facets)
         assert s.fvector_enumerated() == c.fvector_enumerated()
-        assert s.euler_characteristic() == c.euler_characteristic()
         assert dual_graph(s).adjacency == dual_graph(c).adjacency
         assert oracles.dual_graph_grouped(s) == dual_graph(c).adjacency
         for i in range(c.dim + 1):

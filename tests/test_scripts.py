@@ -117,3 +117,22 @@ def test_scripts_reject_a_bad_signature_length(script, n, message):
     assert proc.stdout == ""
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["aut_survey.py", "hamiltonicity_sweep.py"])
+def test_scripts_report_an_output_that_cannot_be_written(script, tmp_path):
+    # the scripts answer through the command line's emit, so a bad -o is
+    # a validation error with exit 2, as it is for heawood
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    target = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script),
+         "--n", "3", "--max-entry", "1", "-o", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: cannot write {target}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
