@@ -9,6 +9,7 @@ Everything here is exact; no floats.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, Optional, Sequence
 
 
@@ -92,18 +93,30 @@ def parse_matrix_arg(text: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _signature_entries(k: Iterable, least: int) -> tuple[int, ...]:
+    """A signature's entries as ints: at least ``least`` of them, all
+    nonnegative.  A string goes through ``int``, as the command line's text
+    does; any other entry must be finite and equal to its int."""
+    k = list(k)
+    for x in k:
+        if not (isinstance(x, str) or abs(x) < inf and int(x) == x):
+            raise InvalidSignature(f"signature entries must be integers, not {x!r}")
+    entries = tuple(map(int, k))
+    if len(entries) < least:
+        raise InvalidSignature(f"signature needs at least {('two', 'three')[least - 2]} entries")
+    if any(x < 0 for x in entries):
+        raise InvalidSignature("signature entries must be nonnegative")
+    return entries
+
+
 def build_mk(k: Sequence[int]) -> IntMatrix:
     """Banded circulant-like matrix of a signature k.
 
     Row i carries k_i+1 on the diagonal and -k_{i+1} one step to the right,
     wrapping in the last row.  The row sum is always the all-ones vector.
     """
-    k = tuple(int(x) for x in k)
+    k = _signature_entries(k, 2)
     n = len(k)
-    if n < 2:
-        raise InvalidSignature("signature needs at least two entries")
-    if any(x < 0 for x in k):
-        raise InvalidSignature("signature entries must be nonnegative")
     rows = []
     for i in range(n):
         r = [0] * n

@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 from .intlin import (
     Frozen,
     IntMatrix,
-    InvalidSignature,
     ShapeError,
+    _signature_entries,
     build_mk,
     closed_form_dk,
     hermite_add,
@@ -72,12 +72,7 @@ class KSignature(Frozen):
 
     # delta is ignored: zero entries need no flag, but older callers pass it
     def __init__(self, entries: Sequence[int], delta: bool = False) -> None:
-        entries = tuple(int(x) for x in entries)
-        if len(entries) < 3:
-            raise InvalidSignature("signature needs at least three entries")
-        if any(x < 0 for x in entries):
-            raise InvalidSignature("signature entries must be nonnegative")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _signature_entries(entries, 3))
 
     @property
     def d(self) -> int:

@@ -39,15 +39,13 @@ def check_caps(index: ClassIndex, *steps: Optional[str]) -> None:
     the ``VERTEX_CAPS`` default."""
     vertices = factorial(index.rows.cols - 1) * index.order
     value = os.environ.get("HEAWOOD_CAP")
+    try:
+        override = int(value) if value else None
+    except ValueError:
+        override = 0
+    if override is not None and override <= 0:
+        raise ValueError(f"HEAWOOD_CAP must be a positive integer, not {value!r}")
     for step in filter(None, steps):
-        cap = VERTEX_CAPS[step]
-        if value:
-            problem = f"HEAWOOD_CAP must be a positive integer, not {value!r}"
-            try:
-                cap = int(value)
-            except ValueError:
-                raise ValueError(problem) from None
-            if cap <= 0:
-                raise ValueError(problem)
+        cap = override or VERTEX_CAPS[step]
         if vertices > cap:
             raise CapExceeded(f"{vertices} vertices above {step} cap {cap}")

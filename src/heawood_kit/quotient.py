@@ -83,12 +83,12 @@ class QuotientGraph(Frozen):
     def labels(self) -> tuple[VertexKey, ...]:
         """Labels of a quotient's vertices, made from its tile pass on
         first read: downs[rank(p)][t] + amb(T_t) for the t of each code."""
-        _, downs, ambient, _, codes, tile_columns, order = self.lattice.tile_pass
-        n, size = self.d + 1, len(self.lattice.classes)
+        tiles, n, size = self.lattice.tile_pass, self.d + 1, len(self.lattice.classes)
+        downs, ambient, columns = tiles.downs, tiles.ambient, tiles.tile_columns
         labels: list[VertexKey] = []
-        for u in order:
-            t = codes[u] % n
-            labels.append(tuple(map(add, downs[u // size][t], ambient[tile_columns[t][u]])))
+        for u in tiles.order:
+            t = tiles.codes[u] % n
+            labels.append(tuple(map(add, downs[u // size][t], ambient[columns[t][u]])))
         return tuple(labels)
 
     @property
@@ -145,14 +145,12 @@ class _TilePass(NamedTuple):
     ``tile_columns`` holds the tile class T_t of every vertex, ``codes``
     the code of its label and ``order`` the vertices sorted by label.
     ``downs`` holds p shifted down by t for each p and t, so a label is
-    downs[rank(p)][t] + amb(T_t) for the t of its code, and ``minus[j]``
-    is the class table of subtracting e_j.
+    downs[rank(p)][t] + amb(T_t) for the t of its code.
     """
 
     perms: list[tuple[int, ...]]
     downs: list[list[tuple[int, ...]]]
     ambient: list[tuple[int, ...]]
-    minus: list[list[int]]
     codes: list[int]
     tile_columns: list[list[int]]
     order: list[int]
@@ -211,7 +209,7 @@ def _tile_pass(index: ClassIndex) -> _TilePass:
             column += tile
         downs.append(down)
     order = sorted(range(len(codes)), key=codes.__getitem__)
-    return _TilePass(perms, downs, list(zip(*columns)), minus, codes, tile_columns, order)
+    return _TilePass(perms, downs, list(zip(*columns)), codes, tile_columns, order)
 
 
 def _quotient_graph(
@@ -220,42 +218,32 @@ def _quotient_graph(
     """The quotient graph that the tile pass of an index describes.
 
     It makes no labels: ``QuotientGraph.labels`` makes them from the same
-    pass when they are first read.  Neighbours fill d+1 slots of V
-    numbers: swapping values v, v+1 >= 2 of p keeps the class; wrapping
-    d+1 round to 2 lands in T_d = a + e_j, p_j = d+1, which minus[j]
-    undoes for the last slot.  The graph keeps ``rank`` and the sort's
+    pass when they are first read.  Neighbours fill d+1 slots, each a
+    permutation of the V numbers: swapping values v, v+1 >= 2 of p keeps
+    the class; wrapping d+1 round to 2 lands in T_d, and the last slot is
+    the wrap slot's inverse.  The graph keeps ``rank`` and the sort's
     ``position`` for ``number_of`` and ``vertex_of``.
     """
-    perms, _, _, minus, _, tile_columns, order = index.tile_pass
-    n, size = len(perms[0]), len(index.classes)
-    d = n - 1
-    rank = {p: r for r, p in enumerate(perms)}
-    blocks = [range(r * size, r * size + size) for r in range(len(perms))]
+    tiles, n, size = index.tile_pass, index.rows.cols, len(index.classes)
+    rank = {p: r for r, p in enumerate(tiles.perms)}
+    blocks = [range(r * size, r * size + size) for r in range(len(rank))]
     slots = [
         list(chain.from_iterable(
             blocks[rank[tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)]]
-            for p in perms
+            for p in tiles.perms
         ))
         for v in range(2, n)
     ]
-    wraps = [
-        rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)] for p in perms
-    ]
-    starts = chain.from_iterable(map(repeat, (w * size for w in wraps), repeat(size)))
-    slots.append(list(map(add, starts, tile_columns[d])))
-    # block wraps[r] steps back to block r
-    unwrap = sorted(range(len(perms)), key=wraps.__getitem__)
-    slots.append(list(chain.from_iterable(
-        map((r * size).__add__, minus[perms[r].index(n)]) for r in unwrap
-    )))
-    position = [0] * len(order)
-    for i, u in enumerate(order):
-        position[u] = i
+    wraps = (rank[tuple(1 if x == 1 else 2 if x == n else x + 1 for x in p)] for p in tiles.perms)
+    starts = chain.from_iterable(repeat(w * size, size) for w in wraps)
+    wrap = list(map(add, starts, tiles.tile_columns[-1]))
+    slots += [wrap, _inverse(wrap)]
+    position = _inverse(tiles.order)
     columns = [
-        list(map(position.__getitem__, map(slot.__getitem__, order))) for slot in slots
+        list(map(position.__getitem__, map(slot.__getitem__, tiles.order))) for slot in slots
     ]
     return QuotientGraph(
-        d=d,
+        d=n - 1,
         labels=None,
         adjacency=tuple(map(tuple, map(sorted, zip(*columns)))),
         signature=signature,
@@ -263,6 +251,14 @@ def _quotient_graph(
         rank=rank,
         position=position,
     )
+
+
+def _inverse(permutation: Sequence[int]) -> list[int]:
+    """The inverse of a permutation of range(len(permutation))."""
+    inverse = [0] * len(permutation)
+    for i, u in enumerate(permutation):
+        inverse[u] = i
+    return inverse
 
 
 def refuse_degenerate(index: ClassIndex) -> None:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .intlin import Frozen
 from .lattice import ClassIndex
-from .quotient import QuotientGraph, refuse_degenerate
+from .quotient import QuotientGraph, _inverse, refuse_degenerate
 
 Cells = dict[int, set[int]]  # a coloring's partition: cell start -> vertices
 Refined = tuple[tuple[int, ...], Cells, list[int]]  # colors, cells, trace
@@ -285,9 +285,7 @@ def _extend(
         return None
     colors, cells, _ = refined
     if level == len(base):
-        vertex_of = [0] * len(colors)
-        for v, c in enumerate(colors):
-            vertex_of[c] = v
+        vertex_of = _inverse(colors)  # the leaf's colors are discrete
         images = [vertex_of[c] for c in chain[-1][0]]
         return images if is_automorphism(g, images) else None
     for y in sorted(cells[chain[level][0][base[level]]]):

@@ -1,4 +1,6 @@
+from fractions import Fraction
 from itertools import product
+from math import inf, nan
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from heawood_kit.intlin import (
     build_mk,
     closed_form_dk,
 )
+from heawood_kit.lattice import KSignature
 
 
 def test_build_mk_examples():
@@ -32,6 +35,32 @@ def test_build_mk_rejects_short_signature():
         build_mk((1,))
     with pytest.raises(InvalidSignature, match="nonnegative"):
         build_mk((1, -1, 1))
+
+
+@pytest.mark.parametrize(
+    "make, entries, named",
+    [
+        (KSignature, (1.5, 1, 1), "1.5"),
+        (build_mk, (1.9, 1, 1), "1.9"),
+        (KSignature, (inf, 1, 1), "inf"),
+        (KSignature, (nan, 1, 1), "nan"),
+    ],
+)
+def test_signatures_refuse_entries_that_are_not_integers(make, entries, named):
+    # the one entry check names a fraction, an infinity or a NaN, where
+    # int() alone would truncate it or raise an error of its own
+    with pytest.raises(InvalidSignature, match=f"must be integers, not {named}$"):
+        make(entries)
+
+
+def test_signatures_take_numeric_strings_and_integral_numbers():
+    assert KSignature(["2", " 1", "3"]).entries == (2, 1, 3)
+    assert KSignature((2.0, Fraction(1), True)).entries == (2, 1, 1)
+    assert build_mk(("1", "1")).row_list() == [(2, -1), (-1, 2)]
+    with pytest.raises(InvalidSignature, match="at least three entries"):
+        KSignature(["1", "1"])
+    with pytest.raises(InvalidSignature, match="at least two entries"):
+        build_mk([1.0])
 
 
 def test_int_matrix_checks_its_shape():

@@ -446,6 +446,26 @@ def test_vertex_of_refuses_points_off_the_tiling():
         dual_graph(torus((1, 1, 1))).vertex_of((1, 2, 3))
 
 
+def random_lattices(count, seed=7, columns=None, entries=2, vertices=600):
+    """Seeded lattices with ``columns`` columns, else 3-5, entries in
+    [-entries, entries] and at most ``vertices`` graph vertices."""
+    rng = random.Random(seed)
+    while count:
+        n = columns or rng.randint(3, 5)
+        rows = [
+            tuple(rng.randint(-entries, entries) for _ in range(n)) for _ in range(n - 1)
+        ]
+        try:
+            index = ClassIndex(IntMatrix.from_rows(rows))
+        except InfiniteQuotient:
+            continue
+        if factorial(n - 1) * index.order <= vertices:
+            count -= 1
+            yield index
+
+
+# seeded lattices of d = 2..4; the degenerate ones go to the refusal test
+RANDOM_INDEXES = list(random_lattices(60))
 BUILDER_QUOTIENTS = (
     [
         pytest.param(KSignature(e), id=str(e))
@@ -453,6 +473,12 @@ BUILDER_QUOTIENTS = (
     ]
     + [pytest.param(KSignature(e), id=f"delta{e}") for e in ORACLE_DELTAS]
     + [pytest.param(parse_matrix_arg(text), id=text) for text in CENSUS_MATRICES]
+    + [
+        pytest.param(index.rows, id=f"random{i}")
+        for i, index in enumerate(RANDOM_INDEXES)
+        if index.unit_vector() is None
+    ]
+    + [pytest.param(identity_matrix(n), id=f"identity{n}") for n in (4, 5)]
 )
 
 
@@ -478,8 +504,15 @@ def test_builder_matches_the_per_vertex_oracle(source):
 
 @pytest.mark.parametrize(
     "source",
-    [KSignature((0, 0, 1)), identity_matrix(3)],
-    ids=["delta(0, 0, 1)", "census identity"],
+    [
+        pytest.param(KSignature((0, 0, 1)), id="delta(0, 0, 1)"),
+        pytest.param(identity_matrix(3), id="census identity"),
+    ]
+    + [
+        pytest.param(index.rows, id=f"random{i}")
+        for i, index in enumerate(RANDOM_INDEXES)
+        if index.unit_vector() is not None
+    ],
 )
 def test_builder_refuses_degenerate_quotients_as_the_oracle_does(source):
     index, k = class_index(source)
@@ -575,24 +608,6 @@ def assert_short_vector_decides_the_torus(index):
         assert not any(index.key(vector))
     assert (vector is None) == genuine_torus(index)
     return vector is None
-
-
-def random_lattices(count, seed=7, columns=None, entries=2, vertices=600):
-    """Seeded lattices with ``columns`` columns, else 3-5, entries in
-    [-entries, entries] and at most ``vertices`` graph vertices."""
-    rng = random.Random(seed)
-    while count:
-        n = columns or rng.randint(3, 5)
-        rows = [
-            tuple(rng.randint(-entries, entries) for _ in range(n)) for _ in range(n - 1)
-        ]
-        try:
-            index = ClassIndex(IntMatrix.from_rows(rows))
-        except InfiniteQuotient:
-            continue
-        if factorial(n - 1) * index.order <= vertices:
-            count -= 1
-            yield index
 
 
 def test_short_vector_decides_the_torus_on_the_delta_grid():
